@@ -2,9 +2,12 @@
 and a one-hidden-layer sigmoid MLP.
 
 All three share one scoring convention: score(x) is the model's degree of
-belief that x is botnet (label 1), in [0, 1]. predict_batch thresholds
-scores at 0.5 (inclusive). Models are frozen dataclasses over read-only
-arrays and serialize to JSON, reloading bit-exactly.
+belief that x is botnet (label 1), in [0, 1]. labels_from_scores turns
+scores into labels, and predict_batch and the evaluation reports go
+through it: botnet when the score is at least 0.5, except that a KNN
+model with even k gives a tied vote the label of the single nearest
+training row. Models are frozen dataclasses over read-only arrays and
+serialize to JSON, reloading bit-exactly.
 """
 
 from __future__ import annotations
@@ -127,35 +130,61 @@ def knn_fit(train: Dataset, k: int = 5) -> KnnModel:
     )
 
 
-def _knn_chunk(n_train: int) -> int:
-    return int(np.clip(16_000_000 // max(n_train, 1), 1, 1024))
+def squared_distances(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances sum((q - p) ** 2) over the last axis.
 
-
-def _knn_votes(model: KnnModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(botnet votes among the k nearest, label of the single nearest).
-
-    Exact brute-force Euclidean. Ties at the k-th rank admit the lower
-    training row index; the nearest-neighbour label also resolves distance
-    ties toward the lower index.
+    The leading axes of q and p broadcast against each other. Features are
+    added one column at a time, left to right, so no temporary with a
+    feature axis is built; below eight features this is bit-identical to
+    np.sum((q - p) ** 2) on each pair. KNN and SMOTE both rank neighbours
+    by this one definition.
     """
-    pts = model.points
-    k = model.k
-    train_sq = np.einsum("ij,ij->i", pts, pts)
-    votes = np.empty(X.shape[0])
-    nearest = np.empty(X.shape[0])
-    chunk = _knn_chunk(pts.shape[0])
-    for start in range(0, X.shape[0], chunk):
-        q = X[start:start + chunk]
-        d2 = np.einsum("ij,ij->i", q, q)[:, None] + train_sq[None, :] - 2.0 * (q @ pts.T)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        less = d2 < kth
-        n_less = less.sum(axis=1, keepdims=True)
-        equal = d2 == kth
-        take_equal = equal & (np.cumsum(equal, axis=1) <= k - n_less)
-        chosen = less | take_equal
-        votes[start:start + chunk] = chosen @ model.labels
-        nearest[start:start + chunk] = model.labels[np.argmin(d2, axis=1)]
-    return votes, nearest
+    out = np.zeros(np.broadcast_shapes(q.shape[:-1], p.shape[:-1]))
+    for j in range(q.shape[-1]):
+        out += (q[..., j] - p[..., j]) ** 2
+    return out
+
+
+def _rank(q: np.ndarray, points: np.ndarray, cand: np.ndarray):
+    """Candidate indices and their squared distances to q, each row sorted
+    by (distance, training index)."""
+    d2 = squared_distances(q, points[cand])
+    order = np.lexsort((cand, d2), axis=-1)
+    return np.take_along_axis(d2, order, -1), np.take_along_axis(cand, order, -1)
+
+
+# Relative slack on the k-th squared distance within which a further
+# candidate may be tied with it. It absorbs the rounding difference between
+# the k-d tree's own distance arithmetic and squared_distances.
+_TIE_SLACK = 1e-9
+
+
+def _knn_neighbors(model: KnnModel, X: np.ndarray) -> np.ndarray:
+    """Training indices of each row's k nearest, shape (n, k), ordered by
+    (squared distance, training index).
+
+    Exact: a k-d tree proposes k + 1 candidates per row, which are ranked
+    by squared_distances. A row whose (k+1)-th candidate lies within the
+    tie slack of its k-th is ranked again over every training row in a
+    ball of the k-th radius, so ties at the k-th rank admit the lower
+    training index.
+    """
+    # Deferred: importing scipy.spatial costs about 0.1 s and 11 MB, which
+    # a process that never scores KNN should not pay.
+    from scipy.spatial import cKDTree
+
+    pts, k = model.points, model.k
+    tree = cKDTree(pts)
+    m = min(k + 1, pts.shape[0])
+    _, cand = tree.query(X, k=m)
+    d2, cand = _rank(X[:, None, :], pts, cand.reshape(X.shape[0], m))
+    nearest = cand[:, :k]
+    if m > k:
+        for i in np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1.0 + _TIE_SLACK)):
+            radius = np.sqrt(d2[i, k - 1] * (1.0 + _TIE_SLACK))
+            ball = np.asarray(tree.query_ball_point(X[i], radius), dtype=np.intp)
+            nearest[i] = _rank(X[i], pts, ball)[1][:k]
+    return nearest
 
 
 def _check_width(names: tuple[str, ...], X: np.ndarray) -> np.ndarray:
@@ -173,8 +202,9 @@ def knn_score_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     X = _check_width(model.feature_names, X)
     if X.shape[0] == 0:
         return np.empty(0)
-    votes, _ = _knn_votes(model, X)
-    return votes / model.k
+    if not np.isfinite(X).all():
+        raise LoadError("KNN scoring needs finite feature values")
+    return model.labels[_knn_neighbors(model, X)].sum(axis=1) / model.k
 
 
 def knn_score(model: KnnModel, row: np.ndarray) -> float:
@@ -185,11 +215,7 @@ def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
     """Majority vote of the k nearest; an even-k vote tie takes the label
     of the single nearest training row."""
     X = _check_width(model.feature_names, X)
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    votes, nearest = _knn_votes(model, X)
-    out = np.where(votes * 2 == model.k, nearest, votes * 2 > model.k)
-    return out.astype(np.int64)
+    return labels_from_scores(model, X, knn_score_batch(model, X))
 
 
 def knn_predict(model: KnnModel, row: np.ndarray) -> int:
@@ -388,13 +414,33 @@ def score_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
 
 
 def threshold_labels(scores: np.ndarray) -> np.ndarray:
-    """Scores to labels: botnet (1) when score >= 0.5."""
+    """Scores to labels: botnet (1) when score >= 0.5. This ignores the
+    KNN even-k tie rule; labels_from_scores applies it."""
     return (np.asarray(scores) >= 0.5).astype(np.int64)
+
+
+def labels_from_scores(model: Model, X: np.ndarray,
+                       scores: np.ndarray) -> np.ndarray:
+    """Labels for rows X that model scored as scores.
+
+    Botnet (1) when score >= 0.5. A KNN model with even k gives a row
+    scoring exactly 0.5, a tied vote, the label of its single nearest
+    training row; only those rows are queried again, so other models and
+    odd k cost nothing beyond the threshold.
+    """
+    labels = threshold_labels(scores)
+    if isinstance(model, KnnModel) and model.k % 2 == 0:
+        tied = np.flatnonzero(np.asarray(scores) == 0.5)
+        if tied.size:
+            X = np.asarray(X, dtype=np.float64)
+            labels[tied] = model.labels[_knn_neighbors(model, X[tied])[:, 0]]
+    return labels
 
 
 def predict_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
     """Labels for every row; empty input yields an empty vector."""
-    return threshold_labels(score_batch(model, data))
+    X = data.features if isinstance(data, Dataset) else data
+    return labels_from_scores(model, X, score_batch(model, X))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import fit_model, score_batch, threshold_labels
+from .classifiers import fit_model, labels_from_scores, score_batch
 from .errors import EvaluationError
 from .flows import Dataset
 from .preprocess import apply_scaler, fit_scaler
@@ -320,7 +320,7 @@ def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                 train = smote(train, smote_config, seed=seed + f).dataset
         model = fit_model(model_name, train, params)
         scores = score_batch(model, test)
-        preds = threshold_labels(scores)
+        preds = labels_from_scores(model, test.features, scores)
         cm = ConfusionMatrix.from_labels(test.labels, preds)
         results.append(metrics_from(cm, scores, test.labels))
 
@@ -393,7 +393,7 @@ def evaluate_model(model, test: Dataset, model_name: str | None = None,
                    cv: CvResult | None = None) -> EvalReport:
     """Score a fitted model on a test dataset and assemble the report."""
     scores = score_batch(model, test)
-    preds = threshold_labels(scores)
+    preds = labels_from_scores(model, test.features, scores)
     cm = ConfusionMatrix.from_labels(test.labels, preds)
     metrics = metrics_from(cm, scores, test.labels)
     curve = roc_curve(scores, test.labels)

@@ -1,9 +1,11 @@
 """Synthetic minority oversampling (SMOTE).
 
 Each synthetic row is p + u * (q - p) for a minority row p, one of its k
-nearest minority neighbours q (exact Euclidean, brute force), and a fresh
-uniform u in [0, 1). Majority rows pass through untouched; synthetic rows
-are appended after all original rows.
+nearest minority neighbours q, and a fresh uniform u in [0, 1). Neighbours
+are ranked by the squared Euclidean distance KNN uses
+(classifiers.squared_distances), with ties going to the lower row index.
+Majority rows pass through untouched; synthetic rows are appended after
+all original rows.
 
 Randomness is split into independent streams: the per-point quota
 permutation uses stream (seed, 0) and minority point i draws its neighbour
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import squared_distances
 from .errors import ResampleError
 from .flows import Dataset
 
@@ -44,8 +47,9 @@ class SmoteResult:
 def minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbours of each row among the other rows.
 
-    Exact Euclidean distances; ties broken toward the lower row index.
-    Returns an (m, k) index array.
+    Exact squared Euclidean distances (squared_distances), compared
+    block by block against every row; ties broken toward the lower row
+    index. Returns an (m, k) index array.
     """
     m = points.shape[0]
     if k < 1:
@@ -53,11 +57,10 @@ def minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     if k >= m:
         raise ResampleError(
             f"k_neighbors={k} needs more than {m} minority rows")
-    sq = np.einsum("ij,ij->i", points, points)
     out = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, _NEIGHBOR_CHUNK):
         block = points[start:start + _NEIGHBOR_CHUNK]
-        d2 = sq[start:start + _NEIGHBOR_CHUNK, None] + sq[None, :] - 2.0 * (block @ points.T)
+        d2 = squared_distances(block[:, None, :], points[None, :, :])
         # stable sort on distance keeps equal-distance candidates in index order
         order = np.argsort(d2, axis=1, kind="stable")[:, :k + 1]
         for row in range(order.shape[0]):

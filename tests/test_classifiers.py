@@ -1,16 +1,25 @@
 """Gaussian naive Bayes, k-nearest-neighbour, and the sigmoid MLP."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
-from botsift import (DivergenceError, GnbModel, KnnModel, MlpConfig, MlpModel,
-                     TrainingError, fit_model, gnb_fit, gnb_posteriors,
-                     gnb_score, gnb_score_batch, knn_fit, knn_predict,
-                     knn_predict_batch, knn_score, knn_score_batch, load_model,
-                     mlp_fit, mlp_init, mlp_loss_and_grads, mlp_score_batch,
+import botsift
+from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
+                     LoadError, MlpConfig, MlpModel, TrainingError,
+                     cross_validate, evaluate_model, fit_model, gnb_fit,
+                     gnb_posteriors, gnb_score, gnb_score_batch, knn_fit,
+                     knn_predict, knn_predict_batch, knn_score,
+                     knn_score_batch, load_model, make_folds, mlp_fit,
+                     mlp_init, mlp_loss_and_grads, mlp_score_batch,
                      predict_batch, save_model, score_batch, threshold_labels)
 
 from conftest import make_dataset
@@ -118,6 +127,44 @@ def knn_score_oracle(train_X, train_y, X, k):
     return np.array(out, dtype=np.float64)
 
 
+def knn_predict_oracle(train_X, train_y, X, k):
+    """Majority of the oracle's k nearest; a tied vote takes the label of
+    the first row in (distance, index) order."""
+    out = []
+    for x in X:
+        cand = sorted(
+            (float(np.sum((x - p) ** 2)), i) for i, p in enumerate(train_X))
+        votes = sum(train_y[i] for _, i in cand[:k])
+        out.append(train_y[cand[0][1]] if 2 * votes == k else int(2 * votes > k))
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def tied_knn_cases(draw):
+    """Training rows drawn with repeats from a small pool of lattice or
+    float points, queried on the lattice or at the pool points: many exact
+    distance ties and duplicated rows."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pool = draw(arrays(np.int64, (draw(st.integers(1, 8)), d),
+                           elements=st.integers(-2, 2))) * 0.25
+        queries = draw(arrays(np.int64, (draw(st.integers(1, 6)), d),
+                              elements=st.integers(-3, 3))) * 0.25
+    else:
+        floats = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+        pool = draw(arrays(np.float64, (draw(st.integers(1, 8)), d),
+                           elements=floats))
+        queries = np.concatenate([pool, draw(arrays(
+            np.float64, (draw(st.integers(0, 4)), d), elements=floats))])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
+                          max_size=30))
+    X = pool[picks]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(picks),
+                               max_size=len(picks))))
+    k = draw(st.integers(1, len(picks)))
+    return X, y, queries, k
+
+
 class TestKnn:
     def test_three_nearest_majority(self):
         X = np.array([[0.0], [1.0], [2.0], [50.0], [60.0]])
@@ -174,6 +221,64 @@ class TestKnn:
         assert knn_predict(model, np.array([1.0])) == 0
         # probe at 2.5: same two neighbours, nearest is row 1
         assert knn_predict(model, np.array([2.5])) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_knn_cases())
+    def test_lattice_and_duplicate_ties_match_the_oracles(self, case):
+        X, y, queries, k = case
+        model = knn_fit(make_dataset(X, y), k=k)
+        assert np.array_equal(knn_score_batch(model, queries),
+                              knn_score_oracle(X, y, queries, k))
+        want = knn_predict_oracle(X, y, queries, k)
+        assert np.array_equal(knn_predict_batch(model, queries), want)
+        assert np.array_equal(predict_batch(model, queries), want)
+
+    def test_near_tie_is_ranked_by_the_direct_distance(self):
+        # |q|^2 + |p|^2 - 2 q.p cancels catastrophically at this offset
+        # and ranks row 0 first; row 1 is nearer
+        model = knn_fit(make_dataset([[1e4], [1e4 + 1e-4]], [0, 1]), k=1)
+        probe = np.array([[1e4 + 0.5e-4 + 1e-12]])
+        assert knn_score_batch(model, probe).tolist() == [1.0]
+        assert knn_predict_batch(model, probe).tolist() == [1]
+
+    def test_even_k_tie_rule_holds_in_predict_batch_and_reports(self):
+        model = knn_fit(make_dataset([[0.0], [1.0], [3.0], [4.0]],
+                                     [0, 0, 1, 1]), k=2)
+        probe = np.array([[1.9]])  # votes 1-1, nearest is row 1 (label 0)
+        assert knn_predict_batch(model, probe).tolist() == [0]
+        assert predict_batch(model, probe).tolist() == [0]
+        test = make_dataset([[1.9], [2.1], [3.5]], [0, 1, 1])
+        report = evaluate_model(model, test)
+        assert report.confusion == ConfusionMatrix(tp=2, fp=0, tn=1, fn=0)
+
+    def test_even_k_tie_rule_holds_in_cross_validation(self):
+        X = (np.arange(20) // 2 + np.tile([0.0, 0.3], 10))[:, None]
+        y = np.array([0, 1] * 10)
+        ds = make_dataset(X, y)
+        cv = cross_validate(ds, "knn", k=4, seed=3, params={"k": 2},
+                            mode="paper")
+        for fold, test_idx in zip(cv.fold_metrics,
+                                  make_folds(y, 4, 3, True)):
+            mask = np.ones(len(y), dtype=bool)
+            mask[test_idx] = False
+            want = knn_predict_oracle(X[mask], y[mask], X[test_idx], 2)
+            assert fold.accuracy == float(np.mean(want == y[test_idx]))
+
+    def test_non_finite_queries_rejected(self):
+        model = knn_fit(make_dataset([[0.0], [1.0]], [0, 1]), k=1)
+        with pytest.raises(LoadError, match="finite"):
+            knn_score_batch(model, np.array([[np.nan]]))
+
+    def test_importing_botsift_leaves_the_kd_tree_unloaded(self):
+        # scipy.spatial is imported only when KNN scores, so importing the
+        # package, the CLI and the experiment runner does not pay for it
+        src = os.path.dirname(os.path.dirname(botsift.__file__))
+        code = ("import sys, botsift, botsift.cli, botsift.experiment; "
+                "print('scipy.spatial' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_k_bounds_enforced(self, rng):
         train = blobs(rng, n0=5, n1=5)

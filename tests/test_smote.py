@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from botsift import ResampleError, SmoteConfig, minority_neighbors, smote
 
@@ -155,6 +158,23 @@ class TestNeighborSearch:
         points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
         got = minority_neighbors(points, 2)
         assert got.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lattice_and_duplicate_ties_match_the_oracle(self, data):
+        d = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            pool = data.draw(arrays(np.int64, (data.draw(st.integers(1, 6)), d),
+                                    elements=st.integers(-2, 2))) * 0.25
+        else:
+            pool = data.draw(arrays(
+                np.float64, (data.draw(st.integers(1, 6)), d),
+                elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=2, max_size=30))
+        points = pool[picks]
+        k = data.draw(st.integers(1, len(points) - 1))
+        assert minority_neighbors(points, k).tolist() == knn_oracle(points, k)
 
     def test_requires_more_rows_than_k(self):
         points = np.zeros((3, 2))
