@@ -1,4 +1,4 @@
-"""Generate labeled flow records from a traffic profile.
+"""Generate a labeled flow table from a traffic profile.
 
 A profile describes a two-class flow population: per-class log-normal
 means for each numeric column, token tables for proto/state, and the
@@ -21,24 +21,25 @@ print("\nexact counts (normal, botnet)")
 for n in (1_000, 10_000, 50_000):
     print(f"  {n:>6} rows -> {class_counts_for(n, profile.class_ratio)}")
 
-records = generate(profile, rows=10_000, seed=7)
-labels = np.array([r.attack for r in records])
-print(f"\ngenerated {len(records)} records, botnet rows {labels.sum()}")
+flows = generate(profile, rows=10_000, seed=7)  # a FlowTable, one array per column
+print(f"\ngenerated {len(flows)} flows, botnet rows {flows.labels.sum()}")
+print(f"columns: {', '.join(flows.columns)}")
 
 # sample means track the profile means class by class
-rows_by_class = {c: [r for r in records if r.attack == c] for c in (0, 1)}
 print("\nper-class sample means vs profile means")
 for name in ("pkts", "dur", "rate"):
     for c, tag in ((0, "normal"), (1, "botnet")):
-        sample = np.mean([getattr(r, name) for r in rows_by_class[c]])
+        sample = flows.columns[name][flows.labels == c].mean()
         target = profile.features[name][c].mean
         print(f"  {name:>5} {tag}: sample {sample:10.2f}  profile {target:10.2f}")
 
 # the packet total is derived, never sampled on its own
-derived = all(r.pkts == r.spkts + r.dpkts for r in records)
+columns = flows.columns
+derived = np.array_equal(columns["pkts"], columns["spkts"] + columns["dpkts"])
 print(f"\npkts == spkts + dpkts on every row: {derived}")
 
-# same seed, same records
+# same seed, same flows
 again = generate(profile, rows=10_000, seed=7)
-identical = all(a == b for a, b in zip(records, again))
-print(f"regenerating with the same seed reproduces the list: {identical}")
+identical = np.array_equal(flows.labels, again.labels) and all(
+    np.array_equal(flows.columns[name], again.columns[name]) for name in flows.columns)
+print(f"regenerating with the same seed reproduces the table: {identical}")

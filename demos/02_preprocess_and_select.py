@@ -19,8 +19,8 @@ workdir = tempfile.mkdtemp(prefix="botsift-demo-")
 raw_csv = os.path.join(workdir, "flows.csv")
 
 # write a flow CSV, then damage a few rows the way real exports are damaged
-records = generate(default_profile(), rows=2_000, seed=5)
-write_records_csv(records, raw_csv)
+flows = generate(default_profile(), rows=2_000, seed=5)
+write_records_csv(flows, raw_csv)
 with open(raw_csv, newline="", encoding="utf-8") as fh:
     rows = list(csv.reader(fh))
 rows[3][0] = ""          # missing packet count
@@ -32,6 +32,8 @@ loaded = load_csv(raw_csv)
 kept = cleanse(loaded)
 print(f"loaded {len(loaded)} rows, cleansing kept {len(kept)} "
       f"(dropped {len(loaded) - len(kept)})")
+lacking = {name: n for name, n in kept.missing_counts.items() if n}
+print(f"rows lacking a value, by column: {lacking}")
 
 # categorical tokens become stable integer codes, fitted once
 encoding = fit_encoding(kept)

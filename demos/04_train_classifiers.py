@@ -15,8 +15,8 @@ from botsift import (apply_encoding, apply_scaler, cleanse, cross_validate,
                      fit_scaler, generate, load_model, save_model, score_batch,
                      to_dataset, train_test_split)
 
-records = cleanse(generate(default_profile(), rows=6_000, seed=3))
-dataset = to_dataset(apply_encoding(records, fit_encoding(records)))
+flows = cleanse(generate(default_profile(), rows=6_000, seed=3))
+dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
 train, test = train_test_split(dataset, test_fraction=0.25, seed=4)
 scaler = fit_scaler(train)  # fitted on training rows only
 train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)

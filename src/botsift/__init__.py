@@ -25,7 +25,7 @@ from .evaluate import (ConfusionMatrix, CvResult, EvalReport, Metrics,
                        split_indices, train_test_split)
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 from .features import FeatureScoreReport, chi2_scores, select_features
-from .flows import (ClassSummary, Dataset, FlowRecord, Schema, class_summary,
+from .flows import (ClassSummary, Dataset, FlowTable, Schema, class_summary,
                     default_schema, load_csv, read_dataset_csv, to_dataset,
                     write_dataset_csv, write_records_csv)
 from .preprocess import (EncodingMap, ScalerParams, apply_encoding,

@@ -419,17 +419,26 @@ def threshold_labels(scores: np.ndarray) -> np.ndarray:
     return (np.asarray(scores) >= 0.5).astype(np.int64)
 
 
+def tie_rule(model: Model) -> str | None:
+    """The rule labels_from_scores applies to a score of exactly 0.5 that
+    overrides the threshold, or None when the threshold alone decides."""
+    if isinstance(model, KnnModel) and model.k % 2 == 0:
+        return (f"k={model.k} is even, so a score of exactly 0.5 (a tied vote) "
+                f"takes the label of the nearest training row")
+    return None
+
+
 def labels_from_scores(model: Model, X: np.ndarray,
                        scores: np.ndarray) -> np.ndarray:
     """Labels for rows X that model scored as scores.
 
     Botnet (1) when score >= 0.5. A KNN model with even k gives a row
     scoring exactly 0.5, a tied vote, the label of its single nearest
-    training row; only those rows are queried again, so other models and
-    odd k cost nothing beyond the threshold.
+    training row (see tie_rule); only those rows are queried again, so
+    other models and odd k cost nothing beyond the threshold.
     """
     labels = threshold_labels(scores)
-    if isinstance(model, KnnModel) and model.k % 2 == 0:
+    if tie_rule(model) is not None:
         tied = np.flatnonzero(np.asarray(scores) == 0.5)
         if tied.size:
             X = np.asarray(X, dtype=np.float64)

@@ -101,26 +101,28 @@ def _require(args, cfg, key: str):
 def _cmd_ingest(args) -> None:
     cfg = _load_cfg(args)
     schema = _schema_arg(args, cfg)
-    records = load_csv(_require(args, cfg, "csv"), schema)
-    records = cleanse(records, schema)
-    encoding = fit_encoding(records, schema)
-    dataset = to_dataset(apply_encoding(records, encoding))
+    loaded = load_csv(_require(args, cfg, "csv"), schema)
+    flows = cleanse(loaded, schema)
+    encoding = fit_encoding(flows, schema)
+    dataset = to_dataset(apply_encoding(flows, encoding))
     out = _out_dir(args, cfg)
     write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
     encoding.to_json(os.path.join(out, "encoding.json"))
     normal, botnet = dataset.class_counts
+    dropped = len(loaded) - len(flows)
     _write_json(os.path.join(out, "counts.json"),
                 {"normal": normal, "botnet": botnet, "rows": dataset.n_rows,
-                 "features": list(dataset.feature_names)})
+                 "features": list(dataset.feature_names),
+                 "dropped": dropped, "missing": flows.missing_counts})
     print(f"ingested {dataset.n_rows} rows "
-          f"(normal {normal}, botnet {botnet}) -> {out}/dataset.csv")
+          f"(normal {normal}, botnet {botnet}; dropped {dropped}) "
+          f"-> {out}/dataset.csv")
 
 
 def _cmd_profile_stats(args) -> None:
     cfg = _load_cfg(args)
     schema = _schema_arg(args, cfg)
-    records = load_csv(_require(args, cfg, "csv"), schema)
-    summary = class_summary(records)
+    summary = class_summary(load_csv(_require(args, cfg, "csv"), schema))
     print(f"rows: {summary.total} "
           f"(normal {summary.counts[0]}, botnet {summary.counts[1]})")
     for label, name in ((0, "normal"), (1, "botnet")):
@@ -231,14 +233,14 @@ def _cmd_synth(args) -> None:
     profile = TrafficProfile.from_json(path)
     rows = _resolve(args, cfg, "rows")
     seed = _resolve(args, cfg, "seed")
-    records = generate(profile,
-                       rows=int(rows) if rows is not None else None,
-                       seed=int(seed) if seed is not None else None)
+    flows = generate(profile,
+                     rows=int(rows) if rows is not None else None,
+                     seed=int(seed) if seed is not None else None)
     csv_path = os.path.join(_out_dir(args, cfg), "synth.csv")
-    write_records_csv(records, csv_path)
-    botnet = sum(r.attack for r in records)
-    print(f"generated {len(records)} rows "
-          f"(normal {len(records) - botnet}, botnet {botnet}) -> {csv_path}")
+    write_records_csv(flows, csv_path)
+    botnet = int(flows.labels.sum())
+    print(f"generated {len(flows)} rows "
+          f"(normal {len(flows) - botnet}, botnet {botnet}) -> {csv_path}")
 
 
 def _cmd_run(args) -> None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import fit_model, labels_from_scores, score_batch
+from .classifiers import fit_model, labels_from_scores, score_batch, tie_rule
 from .errors import EvaluationError
 from .flows import Dataset
 from .preprocess import apply_scaler, fit_scaler
@@ -352,6 +352,9 @@ class EvalReport:
     test_counts: tuple[int, int]
     threshold: float = 0.5
     cv: CvResult | None = None
+    # how a score of exactly the threshold is labelled when the model
+    # overrides the threshold there (even-k KNN); None otherwise
+    tie_rule: str | None = None
 
     def to_text(self) -> str:
         lines = [
@@ -359,6 +362,7 @@ class EvalReport:
             f"test rows: {self.confusion.total} "
             f"(normal {self.test_counts[0]}, botnet {self.test_counts[1]})",
             f"decision threshold: score >= {self.threshold}",
+            *([f"tie rule: {self.tie_rule}"] if self.tie_rule else []),
             "confusion matrix (positive = botnet):",
             f"  tp {self.confusion.tp}  fn {self.confusion.fn}",
             f"  fp {self.confusion.fp}  tn {self.confusion.tn}",
@@ -377,7 +381,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "model": self.model,
             "threshold": self.threshold,
             "test_counts": {"normal": self.test_counts[0],
@@ -387,6 +391,9 @@ class EvalReport:
             "degenerate": list(self.metrics.degenerate),
             "cv": self.cv.as_dict() if self.cv is not None else None,
         }
+        if self.tie_rule:
+            payload["tie_rule"] = self.tie_rule
+        return payload
 
 
 def evaluate_model(model, test: Dataset, model_name: str | None = None,
@@ -399,4 +406,5 @@ def evaluate_model(model, test: Dataset, model_name: str | None = None,
     curve = roc_curve(scores, test.labels)
     name = model_name or type(model).__name__.removesuffix("Model").lower()
     return EvalReport(model=name, confusion=cm, metrics=metrics, curve=curve,
-                      test_counts=test.class_counts, cv=cv)
+                      test_counts=test.class_counts, cv=cv,
+                      tie_rule=tie_rule(model))

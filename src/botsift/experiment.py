@@ -172,18 +172,17 @@ def _load_input(config: ExperimentConfig, seeds: dict[str, int],
     if config.input_profile:
         stages.append("synth")
         profile = TrafficProfile.from_json(config.input_profile)
-        records = generate(profile, rows=config.input_rows, seed=seeds["synth"])
+        flows = generate(profile, rows=config.input_rows, seed=seeds["synth"])
         schema = None
     else:
         stages.append("load")
         schema = Schema.from_json(config.input_schema) if config.input_schema else None
-        records = load_csv(config.input_csv, schema)
+        flows = load_csv(config.input_csv, schema)
     stages.append("cleanse")
-    records = cleanse(records, schema)
+    flows = cleanse(flows, schema)
     stages.append("encode")
-    encoding = fit_encoding(records, schema)
-    records = apply_encoding(records, encoding)
-    return to_dataset(records)
+    encoding = fit_encoding(flows, schema)
+    return to_dataset(apply_encoding(flows, encoding))
 
 
 def _summary_table(reports: dict[tuple[str, str], EvalReport],

@@ -1,19 +1,25 @@
-"""Flow records, schemas, datasets, and CSV input/output.
+"""Flow tables, schemas, datasets, and CSV input/output.
 
-A flow record is one network flow summary (the BoT-IoT column vocabulary:
+A flow is one network flow summary (the BoT-IoT column vocabulary:
 packet/byte counts, duration, per-direction rates, proto/state tokens, and
-a binary attack label). Records are loaded from CSV against a schema that
-assigns each column a role; cleaned, encoded records are then assembled
-into a dense numeric Dataset for the learning stages.
+a binary attack label). Flows are loaded from CSV against a schema that
+assigns each column a role and held column by column in a FlowTable;
+cleaned, encoded tables are then assembled into a dense numeric Dataset
+for the learning stages. The CSV readers and writers work through files
+CHUNK_ROWS rows at a time, so their memory does not grow with the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +37,9 @@ COUNT_FIELDS = ("pkts", "bytes", "spkts", "dpkts", "sbytes", "dbytes")
 NONNEGATIVE_FIELDS = COUNT_FIELDS + ("dur", "rate", "srate", "drate")
 CATEGORICAL_FIELDS = ("proto", "state")
 LABEL_FIELD = "attack"
+
+# Rows the CSV readers and writers hold at a time.
+CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -93,116 +102,240 @@ def default_schema() -> Schema:
     return Schema(roles=dict(raw["roles"]), default_role=raw.get("default_role", "ignore"))
 
 
-@dataclass
-class FlowRecord:
-    """One flow summary row.
+@dataclass(frozen=True)
+class FlowTable:
+    """Flow rows held column by column.
 
-    Numeric fields are None when the source cell was missing or failed to
-    parse; proto/state hold raw tokens after loading and numeric codes
-    after encoding. `extra` carries additional schema-declared feature
-    columns in file order.
+    columns maps each feature column to an array with one entry per row:
+    float64 with NaN where a numeric value is missing, or string tokens
+    (proto/state as loaded) with "" where a token is missing. Named fields
+    come first, in canonical order, then other columns in the order given.
+    labels holds the 0/1 attack labels and lines the source line of each
+    row; lines defaults to the lines the rows take in write_records_csv
+    output (2, 3, ...). Arrays are frozen, so tables can share columns.
+
+    missing_counts is filled in by cleanse: for each enforced column, how
+    many input rows had no value there (a row missing several values counts
+    once in each of those columns).
     """
 
-    pkts: float | None = None
-    bytes: float | None = None
-    dur: float | None = None
-    proto: str | float | None = None
-    state: str | float | None = None
-    spkts: float | None = None
-    dpkts: float | None = None
-    sbytes: float | None = None
-    dbytes: float | None = None
-    rate: float | None = None
-    srate: float | None = None
-    drate: float | None = None
-    attack: int = 0
-    extra: dict[str, float | str | None] = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+    labels: np.ndarray
+    lines: np.ndarray | None = None
+    missing_counts: dict[str, int] = field(default_factory=dict)
 
-    def validate(self, where: str = "record") -> None:
-        for name in NONNEGATIVE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise LoadError(f"{where}: field {name!r} is negative ({value!r})")
-        if self.attack not in (0, 1):
-            raise LoadError(f"{where}: label must be 0 or 1, got {self.attack!r}")
+    def __post_init__(self) -> None:
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if labels.ndim != 1:
+            raise LoadError("labels must be a 1-d array")
+        if labels.size and not np.isin(labels, (0, 1)).all():
+            raise LoadError("labels must be 0 or 1")
+        rows = labels.shape[0]
+        if self.lines is None:
+            lines = np.arange(2, rows + 2, dtype=np.int64)
+        else:
+            lines = np.asarray(self.lines, dtype=np.int64)
+        if lines.shape != (rows,):
+            raise LoadError(f"{lines.size} line numbers for {rows} rows")
+        order = ([c for c in NAMED_FIELDS if c in self.columns]
+                 + [c for c in self.columns if c not in NAMED_FIELDS])
+        columns = {name: _as_column(name, self.columns[name], rows)
+                   for name in order}
+        for array in (labels, lines, *columns.values()):
+            array.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "missing_counts", dict(self.missing_counts))
 
-    def get(self, column: str):
-        if column in NAMED_FIELDS or column == LABEL_FIELD:
-            return getattr(self, column)
-        return self.extra.get(column)
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def present(self, name: str) -> np.ndarray:
+        """Mask of the rows with a value in column name (none when absent)."""
+        column = self.columns.get(name)
+        if column is None:
+            return np.zeros(len(self), dtype=bool)
+        if column.dtype.kind == "U":
+            return column != ""
+        return ~np.isnan(column)
+
+    def take(self, rows: np.ndarray) -> "FlowTable":
+        """The rows an index array or boolean mask selects, in that order."""
+        return FlowTable({name: column[rows] for name, column in self.columns.items()},
+                         self.labels[rows], self.lines[rows])
 
 
-def _parse_numeric(cell: str) -> float | None:
-    cell = cell.strip()
-    if not cell:
-        return None
+def _as_column(name: str, values, rows: int) -> np.ndarray:
+    """values as a float64 or string-token column of length rows."""
+    column = np.asarray(values)
+    if column.dtype.kind in "biuf":
+        column = column.astype(np.float64, copy=False)
+    elif column.dtype.kind != "U":
+        raise LoadError(f"column {name!r} must hold numbers or string tokens")
+    if column.shape != (rows,):
+        raise LoadError(f"column {name!r} has shape {column.shape}, expected ({rows},)")
+    return column
+
+
+# --------------------------------------------------------------------------
+# CSV reading
+
+
+def _open_csv(path: str):
     try:
-        value = float(cell)
+        return open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise LoadError(f"input file not found: {path}")
+
+
+def _read_header(reader, path: str) -> list[str]:
+    try:
+        return [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise LoadError(f"{path}: file is empty")
+
+
+def _row_chunks(reader, path: str, width: int):
+    """Yield (rows, line numbers) for up to CHUNK_ROWS data rows at a time.
+
+    Line numbers count CSV records from 2 (the header is line 1). Blank
+    lines are skipped. A row whose cell count is not the header's ends the
+    read with a LoadError naming its line; the rows before it are yielded
+    first, so a problem on an earlier line is reported first.
+    """
+    line = 2
+    while True:
+        rows = list(islice(reader, CHUNK_ROWS))
+        if not rows:
+            return
+        lines = np.arange(line, line + len(rows), dtype=np.int64)
+        line += len(rows)
+        if not all(rows):
+            keep = [i for i, row in enumerate(rows) if row]
+            rows, lines = [rows[i] for i in keep], lines[keep]
+        widths = np.fromiter(map(len, rows), np.int64, len(rows))
+        ragged = np.flatnonzero(widths != width)
+        if ragged.size:
+            first = ragged[0]
+            if first:
+                yield rows[:first], lines[:first]
+            raise LoadError(f"{path}:{lines[first]}: row has {widths[first]} "
+                            f"cells, header has {width}")
+        if rows:
+            yield rows, lines
+
+
+def _raise_first(path: str, lines: np.ndarray,
+                 checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise LoadError for the earliest row any check flags.
+
+    checks pairs a mask of failing rows with the message for a row, in the
+    order the checks apply within one row.
+    """
+    first = None
+    for failing, describe in checks:
+        hits = np.flatnonzero(failing)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), describe)
+    if first is not None:
+        row, describe = first
+        raise LoadError(f"{path}:{lines[row]}: {describe(row)}")
+
+
+_FLAG_VALUES = {"0": 0, "1": 1}
+
+
+def _parse_flags(cells: Iterable[str], count: int) -> np.ndarray:
+    """0/1 cells (surrounding blanks ignored) as int64; -1 marks any other."""
+    return np.fromiter(map(_FLAG_VALUES.get, map(str.strip, cells), repeat(-1)),
+                       np.int64, count)
+
+
+def _float_or_none(cell: str) -> float | None:
+    try:
+        return float(cell)
     except ValueError:
         return None
-    if not np.isfinite(value):
-        return None
-    return value
 
 
-def load_csv(path: str, schema: Schema | None = None) -> list[FlowRecord]:
-    """Load flow records from a CSV file.
+def _is_finite(cell: str) -> bool:
+    value = _float_or_none(cell)
+    return value is not None and math.isfinite(value)
+
+
+def _parse_numeric(cells: Sequence[str]) -> np.ndarray:
+    """Cells as float64; empty, unparseable or non-finite cells are NaN."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = np.array([_float_or_none(c) for c in cells], dtype=np.float64)
+    values[~np.isfinite(values)] = np.nan
+    return values
+
+
+def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
+    """Load a flow CSV into a FlowTable.
 
     Columns are interpreted per the schema role map (bundled default when
-    schema is None). Missing or unparseable numeric cells become None and
-    are left for cleansing; the label column must parse to 0 or 1 in every
-    row. Row order is preserved.
+    schema is None); columns whose role is "ignore" are not kept. Missing
+    or unparseable numeric cells become NaN and are left for cleansing.
+    Every row must have as many cells as the header, its label must be 0
+    or 1, and its count, duration and rate fields must not be negative; the
+    first line breaking a rule is named in the LoadError. Row order is
+    preserved.
     """
     if schema is None:
         schema = default_schema()
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise LoadError(f"input file not found: {path}")
-    with fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
-        if schema.label_column not in header:
+        header = _read_header(reader, path)
+        label = schema.label_column
+        if label not in header:
             raise LoadError(
-                f"{path}: header has no column {schema.label_column!r} "
+                f"{path}: header has no column {label!r} "
                 f"(declared label column)")
-        column_roles = [(name, schema.role_of(name)) for name in header]
+        kept = [(j, name, schema.role_of(name)) for j, name in enumerate(header)
+                if schema.role_of(name) in ("numeric", "categorical")]
+        names = [name for _, name, _ in kept] + [label]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
+        label_idx = header.index(label)
 
-        records: list[FlowRecord] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rec = FlowRecord()
-            for (name, role), cell in zip(column_roles, row):
-                if role == "ignore":
-                    continue
-                if role == "label":
-                    token = cell.strip()
-                    if token not in ("0", "1"):
-                        raise LoadError(
-                            f"{path}:{line_no}: label column {name!r} has value "
-                            f"{cell!r}, expected 0 or 1")
-                    rec.attack = int(token)
-                elif role == "categorical":
-                    token = cell.strip()
-                    value = token if token else None
-                    if name in NAMED_FIELDS:
-                        setattr(rec, name, value)
-                    else:
-                        rec.extra[name] = value
-                else:  # numeric
-                    value = _parse_numeric(cell)
-                    if name in NAMED_FIELDS:
-                        setattr(rec, name, value)
-                    else:
-                        rec.extra[name] = value
-            rec.validate(where=f"{path}:{line_no}")
-            records.append(rec)
-    return records
+        parts: dict[str, list[np.ndarray]] = {name: [] for _, name, _ in kept}
+        label_parts: list[np.ndarray] = []
+        line_parts: list[np.ndarray] = []
+        for rows, lines in _row_chunks(reader, path, len(header)):
+            cells = list(zip(*rows))
+            labels = _parse_flags(cells[label_idx], len(rows))
+            checks = [(labels < 0, lambda i: (
+                f"label column {label!r} has value {cells[label_idx][i]!r}, "
+                f"expected 0 or 1"))]
+            chunk: dict[str, np.ndarray] = {}
+            for j, name, role in kept:
+                if role == "categorical":
+                    chunk[name] = np.array(list(map(str.strip, cells[j])), dtype=str)
+                else:
+                    chunk[name] = _parse_numeric(cells[j])
+            for name in NONNEGATIVE_FIELDS:
+                if name in chunk:
+                    values = chunk[name]
+                    checks.append((values < 0, lambda i, name=name, values=values: (
+                        f"field {name!r} is negative ({float(values[i])!r})")))
+            _raise_first(path, lines, checks)
+            for name, values in chunk.items():
+                parts[name].append(values)
+            label_parts.append(labels)
+            line_parts.append(lines)
+    columns = {name: _concat(parts[name], np.float64 if role == "numeric" else str)
+               for _, name, role in kept}
+    return FlowTable(columns, _concat(label_parts, np.int64),
+                     _concat(line_parts, np.int64))
+
+
+def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.array([], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -222,38 +355,25 @@ class ClassSummary:
         return self.counts[0] + self.counts[1]
 
 
-def class_summary(records: Sequence[FlowRecord]) -> ClassSummary:
-    counts = [0, 0]
-    sums: dict[int, dict[str, float]] = {}
-    ns: dict[int, dict[str, int]] = {}
-    columns = _observed_columns(records)
-    for rec in records:
-        label = rec.attack
-        counts[label] += 1
-        csums = sums.setdefault(label, {})
-        cns = ns.setdefault(label, {})
-        for name in columns:
-            value = rec.get(name)
-            if isinstance(value, (int, float)):
-                csums[name] = csums.get(name, 0.0) + float(value)
-                cns[name] = cns.get(name, 0) + 1
-    means = {
-        label: {name: csums[name] / ns[label][name] for name in csums}
-        for label, csums in sums.items()
-    }
-    return ClassSummary(counts=(counts[0], counts[1]), means=means)
-
-
-def _observed_columns(records: Sequence[FlowRecord]) -> list[str]:
-    """Feature columns that carry at least one value, in canonical order."""
-    named = [f for f in NAMED_FIELDS
-             if any(r.get(f) is not None for r in records)]
-    extras: list[str] = []
-    for rec in records:
-        for key in rec.extra:
-            if key not in extras:
-                extras.append(key)
-    return named + extras
+def class_summary(flows: FlowTable) -> ClassSummary:
+    counts = np.bincount(flows.labels, minlength=2)
+    means: dict[int, dict[str, float]] = {}
+    for label in (0, 1):
+        if not counts[label]:
+            continue
+        in_class = flows.labels == label
+        means[label] = {}
+        for name, column in flows.columns.items():
+            if column.dtype.kind != "f":  # tokens have no mean
+                continue
+            values = column[in_class & ~np.isnan(column)]
+            if values.size:
+                # a running total in row order, not numpy's pairwise sum,
+                # so the mean does not depend on the summation tree; adding
+                # 0.0 makes an all-zero total +0.0, as a total started at 0.0
+                total = np.add.accumulate(values)[-1] + 0.0
+                means[label][name] = float(total) / values.size
+    return ClassSummary(counts=(int(counts[0]), int(counts[1])), means=means)
 
 
 @dataclass(frozen=True)
@@ -317,59 +437,94 @@ class Dataset:
         return Dataset(self.features[:, cols], self.labels, tuple(names))
 
 
-def to_dataset(records: Sequence[FlowRecord],
+def to_dataset(flows: FlowTable,
                features: Sequence[str] | None = None) -> Dataset:
-    """Assemble cleansed, encoded records into a Dataset.
+    """Assemble a cleansed, encoded flow table into a Dataset.
 
-    With features=None every column that is numeric and present in all
-    records is used, named fields first in canonical order. Token-valued
-    proto/state columns are skipped (encode first to include them).
+    With features=None every numeric column with a value in every row is
+    used, in table order. Token columns (proto/state before encoding) are
+    skipped; encode first to include them.
     """
-    if not records:
-        raise LoadError("cannot build a dataset from zero records")
+    if not len(flows):
+        raise LoadError("cannot build a dataset from zero rows")
     if features is None:
-        features = [
-            name for name in _observed_columns(records)
-            if all(isinstance(r.get(name), (int, float)) for r in records)
-        ]
+        features = [name for name, column in flows.columns.items()
+                    if column.dtype.kind == "f" and not np.isnan(column).any()]
     else:
         for name in features:
-            bad = [i for i, r in enumerate(records)
-                   if not isinstance(r.get(name), (int, float))]
-            if bad:
+            column = flows.columns.get(name)
+            if column is not None and column.dtype.kind == "f":
+                bad = np.flatnonzero(np.isnan(column))
+            else:
+                bad = np.arange(len(flows))
+            if bad.size:
                 raise LoadError(
                     f"feature {name!r} is missing or non-numeric in "
-                    f"{len(bad)} records (first at index {bad[0]})")
+                    f"{bad.size} rows (first at line {flows.lines[bad[0]]})")
     if not features:
         raise LoadError("no fully-populated numeric feature columns found")
-    matrix = np.empty((len(records), len(features)), dtype=np.float64)
-    for i, rec in enumerate(records):
-        for j, name in enumerate(features):
-            matrix[i, j] = float(rec.get(name))
-    labels = np.fromiter((r.attack for r in records), dtype=np.int64, count=len(records))
-    return Dataset(matrix, labels, tuple(features))
+    matrix = np.column_stack([flows.columns[name] for name in features])
+    return Dataset(matrix, flows.labels, tuple(features))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    as_float = float(value)
-    if as_float.is_integer() and abs(as_float) < 1e16:
-        return str(int(as_float))
-    return repr(as_float)
+# --------------------------------------------------------------------------
+# CSV writing
 
 
-def write_records_csv(records: Sequence[FlowRecord], path: str) -> None:
-    """Write records to CSV. Values round-trip exactly through load_csv."""
-    columns = _observed_columns(records)
+# A cell holding one of these characters is quoted, as csv.writer quotes
+# under its default dialect (QUOTE_MINIMAL, "\r\n" line ends).
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(token: str) -> str:
+    if _NEEDS_QUOTES.search(token):
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """CSV cells for one column.
+
+    Tokens are written as they are, quoted where csv.writer would quote
+    them. A float that is a whole number below 1e16 in magnitude is
+    written as an integer, any other float by repr (the shortest string
+    that reads back to the same value), and NaN, a missing value, as an
+    empty cell.
+    """
+    if values.dtype.kind == "U":
+        return list(map(_quote, values.tolist()))
+    cells = list(map(repr, values.tolist()))
+    whole = np.flatnonzero((np.trunc(values) == values) & (np.abs(values) < 1e16))
+    for i, text in zip(whole.tolist(),
+                       map(str, values[whole].astype(np.int64).tolist())):
+        cells[i] = text
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _write_chunks(path: str, header: list[str], rows: int,
+                  chunk_columns: Callable[[slice], list[list[str]]]) -> None:
+    """Write header, then the rows chunk_columns formats per CHUNK_ROWS slice.
+
+    The cells come formatted, so rows are joined directly: the same bytes
+    csv.writer would write, without its per-cell quoting checks.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns + [LABEL_FIELD])
-        for rec in records:
-            writer.writerow([_format_cell(rec.get(c)) for c in columns]
-                            + [str(rec.attack)])
+        csv.writer(fh).writerow(header)
+        for start in range(0, rows, CHUNK_ROWS):
+            cells = chunk_columns(slice(start, start + CHUNK_ROWS))
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+
+
+def write_records_csv(flows: FlowTable, path: str) -> None:
+    """Write a flow table to CSV. Values read back equal through load_csv."""
+    def chunk(rows: slice) -> list[list[str]]:
+        cells = [_format_column(column[rows]) for column in flows.columns.values()]
+        cells.append(list(map(str, flows.labels[rows].tolist())))
+        return cells
+
+    _write_chunks(path, list(flows.columns) + [LABEL_FIELD], len(flows), chunk)
 
 
 def write_dataset_csv(dataset: Dataset, path: str,
@@ -379,62 +534,77 @@ def write_dataset_csv(dataset: Dataset, path: str,
     synthetic, when given, is a 0/1 row flag column marking rows that were
     generated by resampling rather than observed.
     """
-    if synthetic is not None and len(synthetic) != dataset.n_rows:
-        raise LoadError("synthetic flag length does not match row count")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(dataset.feature_names) + [LABEL_FIELD]
+    header = list(dataset.feature_names) + [LABEL_FIELD]
+    if synthetic is not None:
+        if len(synthetic) != dataset.n_rows:
+            raise LoadError("synthetic flag length does not match row count")
+        synthetic = np.asarray(synthetic).astype(np.int64)
+        header.append("synthetic")
+
+    def chunk(rows: slice) -> list[list[str]]:
+        block = dataset.features[rows]
+        cells = [_format_column(block[:, j]) for j in range(dataset.n_features)]
+        cells.append(list(map(str, dataset.labels[rows].tolist())))
         if synthetic is not None:
-            header.append("synthetic")
-        writer.writerow(header)
-        for i in range(dataset.n_rows):
-            row = [_format_cell(v) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            if synthetic is not None:
-                row.append(str(int(synthetic[i])))
-            writer.writerow(row)
+            cells.append(list(map(str, synthetic[rows].tolist())))
+        return cells
+
+    _write_chunks(path, header, dataset.n_rows, chunk)
 
 
 def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
     """Read a CSV written by write_dataset_csv.
 
     Returns (dataset, synthetic_flags_or_None). The column named `attack`
-    is the label, `synthetic` is the optional provenance flag, and every
-    other column must be fully numeric.
+    is the label, `synthetic` is the optional 0/1 provenance flag, and
+    every other cell must hold a finite number. Every row must have as many
+    cells as the header; the first line breaking a rule is named in the
+    LoadError.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise LoadError(f"input file not found: {path}")
-    with fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise LoadError(f"{path}: file is empty")
+        header = _read_header(reader, path)
         if LABEL_FIELD not in header:
             raise LoadError(f"{path}: header has no {LABEL_FIELD!r} column")
+        width = len(header)
         label_idx = header.index(LABEL_FIELD)
         synth_idx = header.index("synthetic") if "synthetic" in header else None
-        feat_idx = [i for i in range(len(header))
-                    if i not in (label_idx, synth_idx)]
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        flags: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            token = row[label_idx].strip()
-            if token not in ("0", "1"):
-                raise LoadError(f"{path}:{line_no}: label value {token!r}")
-            labels.append(int(token))
+        feat_idx = [i for i in range(width) if i not in (label_idx, synth_idx)]
+        feature_parts: list[np.ndarray] = []
+        label_parts: list[np.ndarray] = []
+        flag_parts: list[np.ndarray] = []
+        for rows, lines in _row_chunks(reader, path, width):
+            n = len(rows)
             try:
-                rows.append([float(row[i]) for i in feat_idx])
+                values = np.fromiter(map(float, chain.from_iterable(rows)),
+                                     np.float64, n * width).reshape(n, width)
             except ValueError:
-                raise LoadError(f"{path}:{line_no}: non-numeric feature cell")
+                values = None
+            labels = _parse_flags(map(itemgetter(label_idx), rows), n)
+            checks = [(labels < 0, lambda i: (
+                f"label value {rows[i][label_idx].strip()!r}"))]
+            if values is None:  # some cell, maybe a label or flag, is no number
+                bad = np.array([not all(_is_finite(row[j]) for j in feat_idx)
+                                for row in rows], dtype=bool)
+            else:
+                bad = ~np.isfinite(values[:, feat_idx]).all(axis=1)
+
+            def not_finite(i: int) -> str:
+                cell = next(rows[i][j] for j in feat_idx if not _is_finite(rows[i][j]))
+                return f"feature cell {cell!r} is not a finite number"
+
+            checks.append((bad, not_finite))
             if synth_idx is not None:
-                flags.append(int(row[synth_idx]))
+                flags = _parse_flags(map(itemgetter(synth_idx), rows), n)
+                checks.append((flags < 0, lambda i: (
+                    f"synthetic flag {rows[i][synth_idx]!r}, expected 0 or 1")))
+                flag_parts.append(flags)
+            _raise_first(path, lines, checks)
+            feature_parts.append(values[:, feat_idx])
+            label_parts.append(labels)
     names = tuple(header[i] for i in feat_idx)
-    matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
-    dataset = Dataset(matrix, np.asarray(labels, dtype=np.int64), names)
-    return dataset, (np.asarray(flags, dtype=np.int64) if synth_idx is not None else None)
+    matrix = (np.concatenate(feature_parts) if feature_parts
+              else np.empty((0, len(names)), dtype=np.float64))
+    dataset = Dataset(matrix, _concat(label_parts, np.int64), names)
+    flags = _concat(flag_parts, np.int64) if synth_idx is not None else None
+    return dataset, flags

@@ -8,6 +8,7 @@ serialize to JSON so a pipeline can be re-applied to new data.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -15,38 +16,44 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CleanseError, EncodingError, SchemaError
-from .flows import CATEGORICAL_FIELDS, Dataset, FlowRecord, Schema, _observed_columns
+from .flows import CATEGORICAL_FIELDS, Dataset, FlowTable, Schema
 
 # First code assigned per categorical column. proto codes count up from 1,
 # state codes from 10, so the two code ranges cannot be confused in output.
 _CODE_START = {"proto": 1, "state": 10}
 
 
-def cleanse(records: Sequence[FlowRecord],
+def cleanse(flows: FlowTable,
             schema: Schema | None = None,
-            columns: Sequence[str] | None = None) -> list[FlowRecord]:
-    """Drop records with a missing value in any enforced column.
+            columns: Sequence[str] | None = None) -> FlowTable:
+    """Drop rows with a missing value in any enforced column.
 
     Enforced columns are `columns` when given, otherwise all schema-declared
     feature columns that carry at least one value somewhere in the data
-    (a column absent from the file is not enforced). Relative record order
-    is preserved. Labels are validated at load time and are always present.
+    (a column absent from the file, or empty in every row, is not
+    enforced). Relative row order is preserved. Labels are validated at
+    load time and are always present. The returned table's missing_counts
+    gives, per enforced column, how many input rows had no value there.
     """
     if columns is None:
-        observed = set(_observed_columns(records))
+        observed = [c for c in flows.columns if flows.present(c).any()]
         if schema is not None:
             enforced = [c for c in schema.feature_columns() if c in observed]
         else:
-            enforced = sorted(observed)
+            enforced = observed
     else:
         enforced = list(columns)
-    kept = [rec for rec in records
-            if all(rec.get(c) is not None for c in enforced)]
-    if records and not kept:
+    keep = np.ones(len(flows), dtype=bool)
+    missing: dict[str, int] = {}
+    for column in enforced:
+        present = flows.present(column)
+        missing[column] = len(flows) - int(np.count_nonzero(present))
+        keep &= present
+    if len(flows) and not keep.any():
         raise CleanseError(
-            f"cleansing removed all {len(records)} records "
+            f"cleansing removed all {len(flows)} rows "
             f"(enforced columns: {enforced})")
-    return kept
+    return dataclasses.replace(flows.take(keep), missing_counts=missing)
 
 
 @dataclass
@@ -86,63 +93,56 @@ class EncodingMap:
         return cls(proto_codes=proto, state_codes=state, extra_codes=extra)
 
 
-def _categorical_columns(records: Sequence[FlowRecord],
-                         schema: Schema | None) -> list[str]:
-    observed = _observed_columns(records)
+def _categorical_columns(flows: FlowTable, schema: Schema | None) -> list[str]:
     if schema is not None:
         declared = {c for c, r in schema.roles.items() if r == "categorical"}
-        return [c for c in observed if c in declared]
-    return [c for c in observed
-            if c in CATEGORICAL_FIELDS
-            or any(isinstance(r.get(c), str) for r in records)]
+        return [c for c in flows.columns if c in declared]
+    return [c for c, column in flows.columns.items()
+            if c in CATEGORICAL_FIELDS or column.dtype.kind == "U"]
 
 
-def fit_encoding(records: Sequence[FlowRecord],
-                 schema: Schema | None = None) -> EncodingMap:
+def fit_encoding(flows: FlowTable, schema: Schema | None = None) -> EncodingMap:
     """Assign integer codes to categorical tokens by first appearance."""
     mapping = EncodingMap()
-    for column in _categorical_columns(records, schema):
+    for column in _categorical_columns(flows, schema):
         codes = mapping.codes_for(column)
-        next_code = _CODE_START.get(column, 1)
-        for rec in records:
-            token = rec.get(column)
-            if token is None or not isinstance(token, str):
-                continue
-            if token not in codes:
-                codes[token] = next_code
-                next_code += 1
+        tokens = flows.columns[column]
+        if tokens.dtype.kind != "U":
+            continue
+        distinct, first = np.unique(tokens[tokens != ""], return_index=True)
+        start = _CODE_START.get(column, 1)
+        for code, token in enumerate(distinct[np.argsort(first)].tolist(), start):
+            codes[token] = code
     return mapping
 
 
-def apply_encoding(records: Sequence[FlowRecord],
-                   mapping: EncodingMap) -> list[FlowRecord]:
-    """Replace categorical tokens with their codes; returns new records.
+def apply_encoding(flows: FlowTable, mapping: EncodingMap) -> FlowTable:
+    """Replace categorical tokens with their codes; returns a new table.
 
-    A token with no code in the map is an error naming the column and
-    token, so encodings fitted on one split never silently mislabel
-    another.
+    A token with no code in the map is an error naming the line, column
+    and token, so encodings fitted on one split never silently mislabel
+    another. Missing tokens stay missing (NaN).
     """
     known = dict(mapping.extra_codes)
     known["proto"] = mapping.proto_codes
     known["state"] = mapping.state_codes
-    out: list[FlowRecord] = []
-    for i, rec in enumerate(records):
-        new = FlowRecord(**{f: getattr(rec, f) for f in rec.__dataclass_fields__
-                            if f != "extra"}, extra=dict(rec.extra))
-        for column, codes in known.items():
-            token = new.get(column)
-            if token is None or not isinstance(token, str):
-                continue
-            if token not in codes:
-                raise EncodingError(
-                    f"record {i}: column {column!r} has unknown token {token!r}")
-            code = float(codes[token])
-            if column in new.__dataclass_fields__:
-                setattr(new, column, code)
-            else:
-                new.extra[column] = code
-        out.append(new)
-    return out
+    columns = dict(flows.columns)
+    for column, codes in known.items():
+        tokens = columns.get(column)
+        if tokens is None or tokens.dtype.kind != "U":
+            continue
+        distinct, inverse = np.unique(tokens, return_inverse=True)
+        distinct = distinct.tolist()
+        unknown = [t != "" and t not in codes for t in distinct]
+        if any(unknown):
+            row = int(np.flatnonzero(np.asarray(unknown)[inverse])[0])
+            raise EncodingError(
+                f"line {flows.lines[row]}: column {column!r} has unknown "
+                f"token {distinct[inverse[row]]!r}")
+        lookup = np.array([float(codes[t]) if t else np.nan for t in distinct],
+                          dtype=np.float64)
+        columns[column] = lookup[inverse]
+    return FlowTable(columns, flows.labels, flows.lines)
 
 
 @dataclass

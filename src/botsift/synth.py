@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import SynthError
-from .flows import NAMED_FIELDS, FlowRecord
+from .flows import FlowTable
 
 CLASS_KEYS = {"normal": 0, "botnet": 1}
 
@@ -169,11 +169,12 @@ def class_counts_for(row_count: int, class_ratio: float) -> tuple[int, int]:
 
 
 def generate(profile: TrafficProfile, rows: int | None = None,
-             seed: int | None = None) -> list[FlowRecord]:
-    """Generate flow records from a profile.
+             seed: int | None = None) -> FlowTable:
+    """Generate a flow table from a profile.
 
     rows and seed default to the profile's own values. Row order is a
-    seeded shuffle of the two class blocks.
+    seeded shuffle of the two class blocks: the i-th row of a class takes
+    that class's i-th draw of every column.
     """
     n = profile.row_count if rows is None else rows
     if n < 1:
@@ -187,6 +188,15 @@ def generate(profile: TrafficProfile, rows: int | None = None,
         np.ones(botnet_count, dtype=np.int64),
     ])
     labels = labels[rng.permutation(n)]
+    # row positions of the normal rows, then of the botnet rows
+    class_rows = np.concatenate([np.flatnonzero(labels == 0),
+                                 np.flatnonzero(labels == 1)])
+
+    def in_row_order(per_class: dict[int, np.ndarray]) -> np.ndarray:
+        drawn = np.concatenate([per_class[0], per_class[1]])
+        column = np.empty_like(drawn)
+        column[class_rows] = drawn
+        return column
 
     counts = {0: normal_count, 1: botnet_count}
     values: dict[str, dict[int, np.ndarray]] = {}
@@ -199,33 +209,13 @@ def generate(profile: TrafficProfile, rows: int | None = None,
         values["pkts"] = {c: values["spkts"][c] + values["dpkts"][c]
                           for c in (0, 1)}
 
-    token_values: dict[str, dict[int, np.ndarray]] = {}
     for column in sorted(profile.tokens):
-        token_values[column] = {}
+        values[column] = {}
         for c in (0, 1):
             weights = profile.tokens[column][c]
             names = sorted(weights)
             p = np.array([weights[t] for t in names], dtype=np.float64)
-            token_values[column][c] = rng.choice(names, size=counts[c],
-                                                 p=p / p.sum())
+            values[column][c] = rng.choice(names, size=counts[c], p=p / p.sum())
 
-    records: list[FlowRecord] = []
-    cursor = {0: 0, 1: 0}
-    for label in labels:
-        c = int(label)
-        i = cursor[c]
-        cursor[c] += 1
-        rec = FlowRecord(attack=c)
-        for name, per_class in values.items():
-            if name in NAMED_FIELDS:
-                setattr(rec, name, float(per_class[c][i]))
-            else:
-                rec.extra[name] = float(per_class[c][i])
-        for column, per_class in token_values.items():
-            token = str(per_class[c][i])
-            if column in NAMED_FIELDS:
-                setattr(rec, column, token)
-            else:
-                rec.extra[column] = token
-        records.append(rec)
-    return records
+    return FlowTable({name: in_row_order(per_class)
+                      for name, per_class in values.items()}, labels)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from botsift import Dataset
+from botsift import Dataset, FlowTable
 
 
 @pytest.fixture
@@ -16,3 +16,18 @@ def make_dataset(X, y, names=None) -> Dataset:
     if names is None:
         names = tuple(f"f{i}" for i in range(X.shape[1]))
     return Dataset(X, np.asarray(y, dtype=np.int64), tuple(names))
+
+
+def make_flows(rows) -> FlowTable:
+    """A FlowTable from row dicts: column values (None where missing) and
+    the attack label. A row without a column has no value there; a column
+    holding any string is a token column."""
+    names = list(dict.fromkeys(k for row in rows for k in row if k != "attack"))
+    columns = {}
+    for name in names:
+        values = [row.get(name) for row in rows]
+        if any(isinstance(v, str) for v in values):
+            columns[name] = np.array(["" if v is None else v for v in values], dtype=str)
+        else:
+            columns[name] = np.array(values, dtype=np.float64)  # None -> NaN
+    return FlowTable(columns, [row["attack"] for row in rows])

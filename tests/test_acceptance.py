@@ -67,8 +67,8 @@ def _ok(number: int, name: str) -> None:
     print(f"ACCEPTANCE {number} {name}: PASS")
 
 
-def records_to_dataset(records):
-    kept = cleanse(records)
+def flows_to_dataset(flows):
+    kept = cleanse(flows)
     return to_dataset(apply_encoding(kept, fit_encoding(kept)))
 
 
@@ -87,14 +87,14 @@ def test_01_smote_count_arithmetic(rng):
 
     # desk scale: the bundled profile's 99.5% ratio at 50,000 rows gives
     # exactly 250 normal vs 49,750 botnet; balancing yields 99,500 rows
-    dataset = records_to_dataset(generate(default_profile(), seed=42))
+    dataset = flows_to_dataset(generate(default_profile(), seed=42))
     assert dataset.class_counts == (250, 49_750)
     result = smote(dataset, SmoteConfig(), seed=0)
     assert result.counts == (49_750, 49_750)
     assert result.dataset.n_rows == 99_500
 
     if REAL_CSV:  # full scale, only when the real extract is supplied
-        real = records_to_dataset(load_csv(REAL_CSV, default_schema()))
+        real = flows_to_dataset(load_csv(REAL_CSV, default_schema()))
         assert real.class_counts == (4_782, 994_828)
         balanced = smote(real, SmoteConfig(), seed=0)
         assert balanced.counts == (994_828, 994_828)
@@ -326,8 +326,7 @@ def test_08_illusory_accuracy():
     # exactly on the literal 0.99527 at 100,000 rows (473 / 99,527)
     for rows, counts in ((50_000, (236, 49_764)), (100_000, (473, 99_527))):
         assert class_counts_for(rows, 0.99527) == counts
-        records = generate(skew_profile(rows), seed=8)
-        y = np.array([r.attack for r in records], dtype=np.int64)
+        y = np.asarray(generate(skew_profile(rows), seed=8).labels, dtype=np.int64)
         assert (int(np.sum(y == 0)), int(np.sum(y == 1))) == counts
 
         predictions = np.ones(rows, dtype=np.int64)
@@ -363,8 +362,8 @@ def test_09_smote_benefit():
     profile = default_profile()  # 99.5% botnet
     improved = {"gnb": 0, "knn": 0, "mlp": 0}
     for base in range(5):
-        records = cleanse(generate(profile, rows=20_000, seed=base + 1))
-        dataset = to_dataset(apply_encoding(records, fit_encoding(records)))
+        flows = cleanse(generate(profile, rows=20_000, seed=base + 1))
+        dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
         train_idx, test_idx = split_indices(
             dataset.labels, 0.5, seed=base + 2, stratified=True)
         train, test = dataset.take(train_idx), dataset.take(test_idx)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, option layering, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -80,6 +81,23 @@ class TestSynth:
         assert not (tmp_path / "x").exists()
 
 
+class TestOutputBytes:
+    # sha256 of the files these commands wrote before the flow table was
+    # held column by column; the CSV format must not drift
+    SYNTH_SHA256 = "b8a8c128970264819881d546533461688e2dd64f63267fb7653881fec4d67861"
+    DATASET_SHA256 = "179b13ca864e24933e935b4fdb272a4cbbc0eab3391a8e460dcbc55e5cb050da"
+
+    def test_synth_and_ingest_bytes_are_pinned(self, tmp_path):
+        flows, data = str(tmp_path / "flows"), str(tmp_path / "data")
+        assert main(["synth", "--rows", "1000", "--seed", "11", "--out", flows]) == 0
+        synth_csv = os.path.join(flows, "synth.csv")
+        assert main(["ingest", "--csv", synth_csv, "--out", data]) == 0
+        for path, digest in ((synth_csv, self.SYNTH_SHA256),
+                             (os.path.join(data, "dataset.csv"), self.DATASET_SHA256)):
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
 class TestIngest:
     def test_produces_dataset_and_sidecars(self, tmp_path, flows_csv, capsys):
         out = str(tmp_path / "ing")
@@ -95,6 +113,19 @@ class TestIngest:
         with open(os.path.join(out, "encoding.json"), encoding="utf-8") as fh:
             encoding = json.load(fh)
         assert set(encoding["proto"]) <= {"tcp", "udp"}
+
+    def test_reports_dropped_rows_per_column(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("pkts,dur,proto,attack\n1,2,tcp,0\n,2,tcp,1\n"
+                       "3,,,1\n4,5,udp,1\n")
+        out = str(tmp_path / "o")
+        assert main(["ingest", "--csv", str(raw), "--out", out]) == 0
+        assert "ingested 2 rows (normal 1, botnet 1; dropped 2)" in (
+            capsys.readouterr().out)
+        with open(os.path.join(out, "counts.json"), encoding="utf-8") as fh:
+            counts = json.load(fh)
+        assert counts["dropped"] == 2
+        assert counts["missing"] == {"pkts": 1, "dur": 1, "proto": 1}
 
     def test_missing_csv_option_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -192,6 +223,15 @@ class TestTrainEvaluate:
         assert code == 0
         with open(os.path.join(out, "model_mlp.json"), encoding="utf-8") as fh:
             assert json.load(fh)["config"]["seed"] == 77
+
+    def test_short_dataset_row_exits_two_naming_the_line(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("a,b,attack\n1,0\n")
+        code = main(["train", "--model", "gnb", "--csv", str(short),
+                     "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"botsift: {short}:2: ")
+        assert not (tmp_path / "fit").exists()
 
     def test_bad_params_json_exits_one(self, dataset_csv, tmp_path, capsys):
         code = main(["train", "--csv", dataset_csv, "--model", "knn",

@@ -395,6 +395,22 @@ class TestEvalReport:
         for name in ("accuracy", "precision", "recall", "f1", "roc_auc"):
             assert name in text
 
+    def test_even_k_knn_report_states_its_tie_rule(self):
+        train = make_dataset([[0.0], [1.0], [3.0], [4.0]], [0, 0, 1, 1])
+        # 1.9 votes 1-1 and its nearest row is labelled normal
+        test = make_dataset([[1.9], [3.5]], [0, 1])
+        report = evaluate_model(fit_model("knn", train, {"k": 2}), test)
+        assert (report.confusion.tn, report.confusion.tp) == (1, 1)
+        rule = ("k=2 is even, so a score of exactly 0.5 (a tied vote) "
+                "takes the label of the nearest training row")
+        assert f"decision threshold: score >= 0.5\ntie rule: {rule}\n" in (
+            report.to_text())
+        assert report.to_json_dict()["tie_rule"] == rule
+        for name, params in (("knn", {"k": 3}), ("gnb", {})):
+            other = evaluate_model(fit_model(name, train, params), test)
+            assert "tie rule" not in other.to_text()
+            assert "tie_rule" not in other.to_json_dict()
+
     def test_text_includes_cv_block_when_present(self, rng):
         ds = two_blobs(rng, n0=40, n1=40)
         train, test = train_test_split(ds, 0.25, seed=0)

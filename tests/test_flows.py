@@ -1,14 +1,22 @@
 """Loading, schemas, class summaries, and CSV round-trips."""
 
+import csv
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from botsift import (Dataset, FlowRecord, LoadError, Schema, SchemaError,
+from botsift import (Dataset, FlowTable, LoadError, Schema, SchemaError,
                      class_summary, default_schema, load_csv,
                      read_dataset_csv, to_dataset, write_dataset_csv,
                      write_records_csv)
+from botsift.flows import CHUNK_ROWS
 
-from conftest import make_dataset
+from conftest import make_dataset, make_flows
 
 
 def write(tmp_path, text, name="flows.csv"):
@@ -48,24 +56,24 @@ class TestSchema:
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
         path = write(tmp_path, "pkts,proto,attack\n10,tcp,0\n20,udp,1\n30,tcp,1\n")
-        records = load_csv(path)
-        assert len(records) == 3
-        assert [r.pkts for r in records] == [10.0, 20.0, 30.0]
-        assert [r.proto for r in records] == ["tcp", "udp", "tcp"]
-        assert [r.attack for r in records] == [0, 1, 1]
+        flows = load_csv(path)
+        assert len(flows) == 3
+        assert flows.columns["pkts"].tolist() == [10.0, 20.0, 30.0]
+        assert flows.columns["proto"].tolist() == ["tcp", "udp", "tcp"]
+        assert flows.labels.tolist() == [0, 1, 1]
 
     def test_missing_cells_become_none(self, tmp_path):
         path = write(tmp_path, "pkts,dur,attack\n10,,0\n,2.5,1\njunk,3.5,1\n")
-        records = load_csv(path)
-        assert records[0].dur is None
-        assert records[1].pkts is None
-        assert records[2].pkts is None  # unparseable numeric = missing
+        flows = load_csv(path)
+        assert np.isnan(flows.columns["dur"][0])
+        assert np.isnan(flows.columns["pkts"][1])
+        assert np.isnan(flows.columns["pkts"][2])  # unparseable numeric = missing
 
     def test_row_order_preserved(self, tmp_path):
         path = write(tmp_path, "pkts,attack\n" +
                      "".join(f"{i},{i % 2}\n" for i in range(50)))
-        records = load_csv(path)
-        assert [r.pkts for r in records] == [float(i) for i in range(50)]
+        flows = load_csv(path)
+        assert flows.columns["pkts"].tolist() == [float(i) for i in range(50)]
 
     def test_missing_file(self):
         with pytest.raises(LoadError, match="not found"):
@@ -91,41 +99,134 @@ class TestLoadCsv:
 
     def test_undeclared_columns_ignored_by_default(self, tmp_path):
         path = write(tmp_path, "pkts,flowid,attack\n10,abc,0\n")
-        records = load_csv(path)
-        assert records[0].extra == {}
+        flows = load_csv(path)
+        assert list(flows.columns) == ["pkts"]
 
     def test_declared_extra_column_is_kept(self, tmp_path):
         schema = Schema(roles={"attack": "label", "pkts": "numeric",
                                "ttl": "numeric"})
         path = write(tmp_path, "pkts,ttl,attack\n10,64,0\n")
-        records = load_csv(path, schema)
-        assert records[0].extra == {"ttl": 64.0}
+        flows = load_csv(path, schema)
+        assert flows.columns["ttl"].tolist() == [64.0]
+
+
+    def test_short_row_is_an_error_naming_its_line(self, tmp_path):
+        # a short row never reaches its label cell; it must not load as
+        # normal traffic
+        path = write(tmp_path, "pkts,dur,attack\n3,1\n")
+        with pytest.raises(LoadError, match=r"flows\.csv:2: row has 2 cells, header has 3"):
+            load_csv(path)
+
+    def test_surplus_cells_are_an_error_naming_their_line(self, tmp_path):
+        path = write(tmp_path, "pkts,dur,attack\n1,2,0\n1,2,0,99\n")
+        with pytest.raises(LoadError, match=r"flows\.csv:3: row has 4 cells"):
+            load_csv(path)
+
+    def test_first_offending_line_is_named(self, tmp_path):
+        label_first = write(tmp_path, "pkts,attack\n1,0\n2,7\n3\n",
+                            name="label_first.csv")
+        with pytest.raises(LoadError, match=r"label_first\.csv:3: label"):
+            load_csv(label_first)
+        ragged_first = write(tmp_path, "pkts,attack\n1,0\n3\n2,7\n-1,0\n",
+                             name="ragged_first.csv")
+        with pytest.raises(LoadError, match=r"ragged_first\.csv:3: row has 1 cells"):
+            load_csv(ragged_first)
+        # a negative value on line 2 comes before a bad label on line 3,
+        # though labels are checked first within a line
+        mixed = write(tmp_path, "pkts,dur,attack\n1,-2,0\n-1,1,5\n-1,1,5\n",
+                      name="mixed.csv")
+        with pytest.raises(LoadError, match=r"mixed\.csv:2: field 'dur' is negative"):
+            load_csv(mixed)
+        same_line = write(tmp_path, "pkts,dur,attack\n1,2,0\n-1,1,5\n",
+                          name="same_line.csv")
+        with pytest.raises(LoadError, match=r"same_line\.csv:3: label column 'attack'"):
+            load_csv(same_line)
+
+    def test_line_numbers_run_across_chunks_and_blank_lines(self, tmp_path):
+        rows = [f"{i},0" for i in range(CHUNK_ROWS + 10)]
+        rows[5] = ""  # a blank line is skipped but keeps its line number
+        rows[CHUNK_ROWS + 3] = "-4,0"
+        path = write(tmp_path, "pkts,attack\n" + "\n".join(rows) + "\n")
+        with pytest.raises(LoadError, match=rf":{CHUNK_ROWS + 5}: field 'pkts' is negative"):
+            load_csv(path)
+        rows[CHUNK_ROWS + 3] = "4,0"
+        flows = load_csv(write(tmp_path, "pkts,attack\n" + "\n".join(rows) + "\n",
+                               name="fine.csv"))
+        assert len(flows) == CHUNK_ROWS + 9
+        assert flows.lines[:6].tolist() == [2, 3, 4, 5, 6, 8]
+        assert flows.lines[-1] == CHUNK_ROWS + 11
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        path = write(tmp_path, "pkts,pkts,attack\n1,2,0\n")
+        with pytest.raises(LoadError, match="repeats column 'pkts'"):
+            load_csv(path)
+
+
+class TestReadDatasetCsv:
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,attack\n1,0\n", r"data\.csv:2: row has 2 cells, header has 3"),
+        ("a,attack,synthetic\n1,0,x\n", r"data\.csv:2: synthetic flag 'x'"),
+        ("a,attack\n1,0\n1,2\n", r"data\.csv:3: label value '2'"),
+        ("a,attack\n1,0\noops,1\n", r"data\.csv:3: feature cell 'oops' is not a finite"),
+        ("a,b,attack\n1,2,0\n1,nan,1\n", r"data\.csv:3: feature cell 'nan' is not a finite"),
+        ("a,attack\n1,0\ninf,1\noops,0\n", r"data\.csv:3: feature cell 'inf'"),
+        ("a,attack\n1,0\n2,1,5\n", r"data\.csv:3: row has 3 cells"),
+    ])
+    def test_bad_rows_name_file_and_line(self, tmp_path, text, message):
+        path = write(tmp_path, text, name="data.csv")
+        with pytest.raises(LoadError, match=message):
+            read_dataset_csv(path)
+
+    def test_flag_on_an_earlier_line_than_a_label_is_named(self, tmp_path):
+        path = write(tmp_path, "a,attack,synthetic\n1,0,x\n1,5,0\n", name="data.csv")
+        with pytest.raises(LoadError, match=r"data\.csv:2: synthetic flag 'x'"):
+            read_dataset_csv(path)
+
+    def test_label_on_an_earlier_line_than_a_short_row_is_named(self, tmp_path):
+        path = write(tmp_path, "a,attack\n1,3\n2\n", name="data.csv")
+        with pytest.raises(LoadError, match=r"data\.csv:2: label value '3'"):
+            read_dataset_csv(path)
 
 
 class TestClassSummary:
     def test_counts_and_means(self):
-        records = [
-            FlowRecord(pkts=10.0, attack=0),
-            FlowRecord(pkts=20.0, attack=0),
-            FlowRecord(pkts=100.0, attack=1),
-        ]
-        summary = class_summary(records)
+        flows = make_flows([
+            dict(pkts=10.0, attack=0),
+            dict(pkts=20.0, attack=0),
+            dict(pkts=100.0, attack=1),
+        ])
+        summary = class_summary(flows)
         assert summary.counts == (2, 1)
         assert summary.means[0]["pkts"] == 15.0
         assert summary.means[1]["pkts"] == 100.0
 
     def test_means_skip_missing_values(self):
-        records = [
-            FlowRecord(pkts=10.0, dur=None, attack=0),
-            FlowRecord(pkts=30.0, dur=4.0, attack=0),
-        ]
-        summary = class_summary(records)
+        flows = make_flows([
+            dict(pkts=10.0, dur=None, attack=0),
+            dict(pkts=30.0, dur=4.0, attack=0),
+        ])
+        summary = class_summary(flows)
         assert summary.means[0]["pkts"] == 20.0
         assert summary.means[0]["dur"] == 4.0
 
+    def test_means_sum_in_row_order(self, rng):
+        # the running total of a row loop, not a pairwise sum: the two
+        # differ in the last bits on values like these
+        values = rng.lognormal(0.0, 4.0, 5000)
+        values[::7] = np.nan
+        summary = class_summary(FlowTable({"pkts": values},
+                                          np.zeros(values.size, dtype=np.int64)))
+        total, n = 0.0, 0
+        for v in values.tolist():
+            if v == v:  # not NaN
+                total += v
+                n += 1
+        assert summary.means[0]["pkts"] == total / n
+        assert float(np.sum(values[~np.isnan(values)])) / n != total / n
+
     def test_empty_class_absent_not_zero(self):
-        records = [FlowRecord(pkts=5.0, attack=1)]
-        summary = class_summary(records)
+        flows = make_flows([dict(pkts=5.0, attack=1)])
+        summary = class_summary(flows)
         assert summary.counts == (0, 1)
         assert 0 not in summary.means
         assert summary.means[1]["pkts"] == 5.0
@@ -160,35 +261,36 @@ class TestDataset:
             ds.labels[0] = 1
 
     def test_to_dataset_uses_fully_numeric_columns(self):
-        records = [
-            FlowRecord(pkts=1.0, proto="tcp", dur=2.0, attack=0),
-            FlowRecord(pkts=3.0, proto="udp", dur=None, attack=1),
-        ]
-        ds = to_dataset(records)
+        flows = make_flows([
+            dict(pkts=1.0, proto="tcp", dur=2.0, attack=0),
+            dict(pkts=3.0, proto="udp", dur=None, attack=1),
+        ])
+        ds = to_dataset(flows)
         # proto is a token and dur has a gap; only pkts qualifies
         assert ds.feature_names == ("pkts",)
 
     def test_to_dataset_explicit_missing_feature_errors(self):
-        records = [FlowRecord(pkts=1.0, attack=0)]
+        flows = make_flows([dict(pkts=1.0, attack=0)])
         with pytest.raises(LoadError, match="dur"):
-            to_dataset(records, features=["dur"])
+            to_dataset(flows, features=["dur"])
 
 
 class TestCsvRoundTrip:
     def test_records_round_trip_counts_and_means(self, tmp_path, rng):
-        records = []
+        rows = []
         for i in range(200):
-            records.append(FlowRecord(
+            rows.append(dict(
                 pkts=float(rng.integers(1, 1000)),
                 dur=float(rng.random() * 37.5),
                 rate=float(rng.lognormal(2.0, 1.5)),
                 proto=str(rng.choice(["tcp", "udp", "icmp"])),
                 attack=int(rng.integers(0, 2)),
             ))
+        flows = make_flows(rows)
         path = str(tmp_path / "out.csv")
-        write_records_csv(records, path)
+        write_records_csv(flows, path)
         again = load_csv(path)
-        before, after = class_summary(records), class_summary(again)
+        before, after = class_summary(flows), class_summary(again)
         assert before.counts == after.counts
         assert before.means == after.means  # exact, not approximate
 
@@ -209,3 +311,112 @@ class TestCsvRoundTrip:
         again, flags = read_dataset_csv(path)
         assert list(flags) == [0, 0, 1]
         assert np.array_equal(again.features, ds.features)
+
+
+# ---------------------------------------------------------------------------
+# Round trips and byte-level format, across the chunk boundaries
+
+ROW_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e16 - 2.0,
+                  1e16, 1e16 + 2.0, -1e16 + 2.0, -1e16, 2.0 ** 60, 1.5, -7.0)
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-2 ** 62, 2 ** 62).map(float))
+tokens = st.text(alphabet='ab ,"\n', min_size=1, max_size=5).filter(
+    lambda t: t == t.strip())
+
+
+def cycled(values, rows):
+    """values repeated in order until there are rows of them."""
+    return [values[i % len(values)] for i in range(rows)]
+
+
+def reference_cell(value) -> str:
+    """A value as a CSV cell, one value at a time (the writers' rule)."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if value.is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+def reference_bytes(header, rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestCsvProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.sampled_from(ROW_COUNTS),
+           values=st.lists(st.tuples(finite_floats, finite_floats),
+                           min_size=1, max_size=8),
+           labels=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+           flags=st.one_of(st.none(),
+                           st.lists(st.integers(0, 1), min_size=1, max_size=8)))
+    def test_dataset_round_trip(self, rows, values, labels, flags):
+        X = np.array(cycled(values, rows), dtype=np.float64).reshape(rows, 2)
+        y = np.array(cycled(labels, rows), dtype=np.int64)
+        synthetic = None if flags is None else np.array(cycled(flags, rows))
+        ds = Dataset(X, y, ("a", "b"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            write_dataset_csv(ds, path, synthetic=synthetic)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            again, again_flags = read_dataset_csv(path)
+        header = ["a", "b", "attack"] + ([] if flags is None else ["synthetic"])
+        expected = [[reference_cell(float(v)) for v in X[i]] + [str(y[i])]
+                    + ([] if flags is None else [str(synthetic[i])])
+                    for i in range(rows)]
+        assert written == reference_bytes(header, expected)
+        assert again.feature_names == ("a", "b")
+        # values read back equal; the one thing not kept is the sign of a
+        # zero, since -0.0 is written as the integer 0
+        assert np.array_equal(again.features, X)
+        assert np.array_equal(again.labels, y)
+        if flags is None:
+            assert again_flags is None
+        else:
+            assert np.array_equal(again_flags, synthetic)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.sampled_from(ROW_COUNTS),
+           values=st.lists(st.tuples(
+               st.one_of(st.none(), finite_floats.map(abs)),
+               st.one_of(st.none(), finite_floats),
+               st.one_of(st.none(), tokens),
+               st.integers(0, 1)), min_size=1, max_size=8))
+    def test_records_round_trip(self, rows, values):
+        # pkts is a named count (never negative); x is a schema-declared
+        # extra column, so negative values are allowed there
+        schema = Schema(roles={"attack": "label", "pkts": "numeric",
+                               "x": "numeric", "proto": "categorical"})
+        table = cycled(values, rows)
+        flows = FlowTable(
+            {"x": np.array([r[1] for r in table], dtype=np.float64),  # None -> NaN
+             "pkts": np.array([r[0] for r in table], dtype=np.float64),
+             "proto": np.array([r[2] or "" for r in table], dtype=str)},
+            [r[3] for r in table])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "flows.csv")
+            write_records_csv(flows, path)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            again = load_csv(path, schema)
+        assert list(flows.columns) == ["pkts", "proto", "x"]
+        expected = [[reference_cell(r[0]), reference_cell(r[2]),
+                     reference_cell(r[1]), str(r[3])] for r in table]
+        assert written == reference_bytes(["pkts", "proto", "x", "attack"], expected)
+        assert list(again.columns) == ["pkts", "proto", "x"]
+        for name in ("pkts", "x"):
+            assert np.array_equal(again.columns[name], flows.columns[name],
+                                  equal_nan=True)
+        assert again.columns["proto"].tolist() == flows.columns["proto"].tolist()
+        assert np.array_equal(again.labels, flows.labels)
+        assert np.array_equal(again.lines, np.arange(2, rows + 2))

@@ -3,91 +3,102 @@
 import numpy as np
 import pytest
 
-from botsift import (CleanseError, EncodingError, EncodingMap, FlowRecord,
-                     Schema, ScalerParams, apply_encoding, apply_scaler,
-                     cleanse, fit_encoding, fit_scaler)
+from botsift import (CleanseError, EncodingError, EncodingMap, Schema,
+                     ScalerParams, apply_encoding, apply_scaler, cleanse,
+                     fit_encoding, fit_scaler)
 
-from conftest import make_dataset
+from conftest import make_dataset, make_flows
 
 
 class TestCleanse:
     def test_drops_rows_with_missing_enforced_values(self):
-        records = [
-            FlowRecord(pkts=1.0, dur=1.0, attack=0),
-            FlowRecord(pkts=None, dur=2.0, attack=1),
-            FlowRecord(pkts=3.0, dur=3.0, attack=1),
-        ]
-        kept = cleanse(records)
-        assert [r.pkts for r in kept] == [1.0, 3.0]
+        flows = make_flows([
+            dict(pkts=1.0, dur=1.0, attack=0),
+            dict(pkts=None, dur=2.0, attack=1),
+            dict(pkts=3.0, dur=3.0, attack=1),
+        ])
+        kept = cleanse(flows)
+        assert kept.columns["pkts"].tolist() == [1.0, 3.0]
 
     def test_disjoint_missing_sets_accumulate(self):
         # 10 records: 4 missing proto, 2 others missing dur -> 4 remain
-        records = []
+        rows = []
         for i in range(10):
             proto = None if i < 4 else "tcp"
             dur = None if 4 <= i < 6 else 1.0
-            records.append(FlowRecord(proto=proto, dur=dur, attack=0))
-        kept = cleanse(records)
+            rows.append(dict(proto=proto, dur=dur, attack=0))
+        kept = cleanse(make_flows(rows))
         assert len(kept) == 4
 
+    def test_reports_missing_values_per_enforced_column(self):
+        flows = make_flows([dict(pkts=None, dur=None, proto="tcp", attack=0),
+                            dict(pkts=1.0, dur=None, proto=None, attack=1),
+                            dict(pkts=2.0, dur=3.0, proto="udp", attack=1)])
+        kept = cleanse(flows)
+        assert len(kept) == 1
+        assert kept.missing_counts == {"pkts": 1, "dur": 2, "proto": 1}
+        schema = Schema(roles={"attack": "label", "pkts": "numeric"})
+        assert cleanse(flows, schema).missing_counts == {"pkts": 1}
+        assert cleanse(flows, columns=["dur"]).missing_counts == {"dur": 2}
+
     def test_order_preserved(self):
-        records = [FlowRecord(pkts=float(i), attack=0) for i in range(20)]
-        records[3] = FlowRecord(pkts=None, attack=0)
-        kept = cleanse(records)
-        values = [r.pkts for r in kept]
+        rows = [dict(pkts=float(i), attack=0) for i in range(20)]
+        rows[3] = dict(pkts=None, attack=0)
+        kept = cleanse(make_flows(rows))
+        values = kept.columns["pkts"].tolist()
         assert values == sorted(values)
 
     def test_all_dropped_is_an_error(self):
-        records = [FlowRecord(pkts=None, dur=1.0, attack=0),
-                   FlowRecord(pkts=None, dur=2.0, attack=1)]
+        flows = make_flows([dict(pkts=None, dur=1.0, attack=0),
+                            dict(pkts=None, dur=2.0, attack=1)])
         with pytest.raises(CleanseError):
-            cleanse(records, columns=["pkts"])
+            cleanse(flows, columns=["pkts"])
 
     def test_column_absent_everywhere_is_not_enforced(self):
         # dur never appears, so its absence drops nothing
-        records = [FlowRecord(pkts=1.0, attack=0), FlowRecord(pkts=2.0, attack=1)]
-        assert len(cleanse(records)) == 2
+        flows = make_flows([dict(pkts=1.0, attack=0), dict(pkts=2.0, attack=1)])
+        assert len(cleanse(flows)) == 2
 
     def test_schema_restricts_enforced_columns(self):
         schema = Schema(roles={"attack": "label", "pkts": "numeric"})
-        records = [FlowRecord(pkts=1.0, dur=None, attack=0)]
-        assert len(cleanse(records, schema)) == 1
+        flows = make_flows([dict(pkts=1.0, dur=None, attack=0)])
+        assert len(cleanse(flows, schema)) == 1
 
     def test_explicit_columns_override(self):
-        records = [FlowRecord(pkts=1.0, dur=None, attack=0),
-                   FlowRecord(pkts=2.0, dur=1.0, attack=1)]
-        assert len(cleanse(records, columns=["dur"])) == 1
+        flows = make_flows([dict(pkts=1.0, dur=None, attack=0),
+                            dict(pkts=2.0, dur=1.0, attack=1)])
+        assert len(cleanse(flows, columns=["dur"])) == 1
 
 
 class TestEncoding:
     def test_proto_codes_start_at_one_in_first_appearance_order(self):
-        records = [FlowRecord(proto=p, attack=0) for p in ["tcp", "udp", "tcp", "icmp"]]
-        mapping = fit_encoding(records)
+        flows = make_flows([dict(proto=p, attack=0) for p in ["tcp", "udp", "tcp", "icmp"]])
+        mapping = fit_encoding(flows)
         assert mapping.proto_codes == {"tcp": 1, "udp": 2, "icmp": 3}
 
     def test_state_codes_start_at_ten(self):
-        records = [FlowRecord(state=s, attack=0) for s in ["CON", "INT", "CON"]]
-        mapping = fit_encoding(records)
+        flows = make_flows([dict(state=s, attack=0) for s in ["CON", "INT", "CON"]])
+        mapping = fit_encoding(flows)
         assert mapping.state_codes == {"CON": 10, "INT": 11}
 
     def test_apply_replaces_tokens_with_codes(self):
-        records = [FlowRecord(proto="tcp", state="CON", attack=0),
-                   FlowRecord(proto="udp", state="INT", attack=1)]
-        encoded = apply_encoding(records, fit_encoding(records))
-        assert [r.proto for r in encoded] == [1.0, 2.0]
-        assert [r.state for r in encoded] == [10.0, 11.0]
+        flows = make_flows([dict(proto="tcp", state="CON", attack=0),
+                            dict(proto="udp", state="INT", attack=1)])
+        encoded = apply_encoding(flows, fit_encoding(flows))
+        assert encoded.columns["proto"].tolist() == [1.0, 2.0]
+        assert encoded.columns["state"].tolist() == [10.0, 11.0]
         # the inputs are untouched
-        assert records[0].proto == "tcp"
+        assert flows.columns["proto"][0] == "tcp"
 
     def test_unknown_token_errors_with_field_and_token(self):
-        mapping = fit_encoding([FlowRecord(proto="tcp", attack=0)])
+        mapping = fit_encoding(make_flows([dict(proto="tcp", attack=0)]))
         with pytest.raises(EncodingError, match=r"proto.*'icmp'"):
-            apply_encoding([FlowRecord(proto="icmp", attack=0)], mapping)
+            apply_encoding(make_flows([dict(proto="icmp", attack=0)]), mapping)
 
     def test_round_trips_through_json(self, tmp_path):
-        records = [FlowRecord(proto="tcp", state="RST", attack=0),
-                   FlowRecord(proto="arp", state="CON", attack=1)]
-        mapping = fit_encoding(records)
+        flows = make_flows([dict(proto="tcp", state="RST", attack=0),
+                            dict(proto="arp", state="CON", attack=1)])
+        mapping = fit_encoding(flows)
         path = str(tmp_path / "encoding.json")
         mapping.to_json(path)
         again = EncodingMap.from_json(path)

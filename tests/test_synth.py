@@ -38,24 +38,25 @@ class TestClassCounts:
 
 class TestGenerate:
     def test_row_count_and_labels(self):
-        records = generate(tiny_profile())
-        assert len(records) == 400
-        botnet = sum(r.attack for r in records)
-        assert botnet == 320 and len(records) - botnet == 80
+        flows = generate(tiny_profile())
+        assert len(flows) == 400
+        botnet = int(flows.labels.sum())
+        assert botnet == 320 and len(flows) - botnet == 80
 
     def test_rows_and_seed_overrides(self):
         profile = tiny_profile()
-        records = generate(profile, rows=50, seed=99)
-        assert len(records) == 50
+        flows = generate(profile, rows=50, seed=99)
+        assert len(flows) == 50
         other = generate(profile, rows=50, seed=100)
-        assert [r.dur for r in records] != [r.dur for r in other]
+        assert flows.columns["dur"].tolist() != other.columns["dur"].tolist()
 
     def test_same_inputs_reproduce_exactly(self):
         profile = tiny_profile()
         a = generate(profile)
         b = generate(profile)
-        assert [(r.attack, r.dur, r.rate, r.proto) for r in a] == \
-               [(r.attack, r.dur, r.rate, r.proto) for r in b]
+        assert a.labels.tolist() == b.labels.tolist()
+        for name in ("dur", "rate", "proto"):
+            assert a.columns[name].tolist() == b.columns[name].tolist()
 
     def test_feature_insertion_order_does_not_matter(self):
         base = tiny_profile()
@@ -65,19 +66,20 @@ class TestGenerate:
         })
         a = generate(base)
         b = generate(flipped)
-        assert [(r.dur, r.rate) for r in a] == [(r.dur, r.rate) for r in b]
+        for name in ("dur", "rate"):
+            assert a.columns[name].tolist() == b.columns[name].tolist()
 
     def test_values_positive_and_tokens_from_profile(self):
-        records = generate(tiny_profile())
-        assert all(r.dur > 0 and r.rate > 0 for r in records)
-        assert {r.proto for r in records} <= {"tcp", "udp"}
+        flows = generate(tiny_profile())
+        assert (flows.columns["dur"] > 0).all() and (flows.columns["rate"] > 0).all()
+        assert set(flows.columns["proto"].tolist()) <= {"tcp", "udp"}
 
     def test_token_weights_differ_by_class(self):
-        records = generate(tiny_profile(row_count=4000))
+        flows = generate(tiny_profile(row_count=4000))
         tcp_share = {}
         for c in (0, 1):
-            rows = [r for r in records if r.attack == c]
-            tcp_share[c] = sum(r.proto == "tcp" for r in rows) / len(rows)
+            proto = flows.columns["proto"][flows.labels == c]
+            tcp_share[c] = float(np.mean(proto == "tcp"))
         assert tcp_share[0] > 0.5 > tcp_share[1]
 
     def test_packet_total_is_the_sum_of_directions(self):
@@ -88,8 +90,9 @@ class TestGenerate:
                 "pkts": {0: FeatureSpec(mean=1500.0), 1: FeatureSpec(mean=3.5)},
             },
             class_ratio=0.6, row_count=300, seed=1)
-        for r in generate(profile):
-            assert r.pkts == r.spkts + r.dpkts
+        flows = generate(profile)
+        assert np.array_equal(flows.columns["pkts"],
+                              flows.columns["spkts"] + flows.columns["dpkts"])
 
     def test_zero_rows_rejected(self):
         with pytest.raises(SynthError, match="at least one row"):
@@ -99,8 +102,7 @@ class TestGenerate:
 class TestStatisticalRecovery:
     def test_class_means_land_within_three_standard_errors(self):
         profile = default_profile()
-        records = generate(profile)
-        summary = class_summary(records)
+        summary = class_summary(generate(profile))
         counts = {0: summary.counts[0], 1: summary.counts[1]}
         for name, per_class in profile.features.items():
             for c, spec in per_class.items():
@@ -201,5 +203,4 @@ class TestBundledProfile:
         # a flat token table is shared by both classes
         assert profile.tokens["proto"][0] == {"tcp": 0.5, "udp": 0.5}
         assert profile.tokens["proto"][1] == {"tcp": 0.5, "udp": 0.5}
-        records = generate(profile)
-        assert len(records) == 120
+        assert len(generate(profile)) == 120
