@@ -21,8 +21,8 @@ from .errors import (BotsiftError, CleanseError, ConfigError, DivergenceError,
                      TrainingError)
 from .evaluate import (ConfusionMatrix, CvResult, EvalReport, Metrics,
                        RocCurve, cross_validate, evaluate_model, make_folds,
-                       metrics_from, percent, roc_curve, round_half_up,
-                       split_indices, train_test_split)
+                       metrics_from, percent, roc_curve, split_indices,
+                       train_test_split)
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
 from .features import FeatureScoreReport, chi2_scores, select_features
 from .flows import (ClassSummary, Dataset, FlowTable, Schema, class_summary,
@@ -32,6 +32,7 @@ from .preprocess import (EncodingMap, ScalerParams, apply_encoding,
                          apply_scaler, cleanse, fit_encoding, fit_scaler)
 from .smote import SmoteConfig, SmoteResult, minority_neighbors, smote
 from .synth import (FeatureSpec, TrafficProfile, bundled_profile_path,
-                    class_counts_for, default_profile, generate)
+                    class_counts_for, default_profile, generate,
+                    round_half_up)
 
 __version__ = "0.1.0"

@@ -247,95 +247,162 @@ class MlpModel:
     provenance: dict = field(default_factory=dict)
 
 
-def _mlp_forward(model: MlpModel, X: np.ndarray):
-    z1 = X @ model.w_in + model.b_in
-    a1 = expit(z1)
-    z2 = a1 @ model.w_out + model.b_out
-    return a1, z2
+def _param_views(flat: np.ndarray, feature_count: int, hidden: int):
+    """w_in, b_in, w_out and b_out as views of one flat vector, in that
+    order; b_out is a 0-d view of the last element."""
+    split = np.cumsum([feature_count * hidden, hidden, hidden])
+    w_in, b_in, w_out, b_out = np.split(flat, split)
+    return w_in.reshape(feature_count, hidden), b_in, w_out, b_out.reshape(())
+
+
+def _init_params(rng: np.random.Generator, feature_count: int,
+                 hidden: int) -> np.ndarray:
+    """Flat w_in, b_in, w_out and b_out drawn uniform on [-0.5, 0.5)."""
+    return rng.uniform(-0.5, 0.5, feature_count * hidden + 2 * hidden + 1)
+
+
+def _forward(X, w_in, b_in, w_out, b_out, a1, z2) -> None:
+    """Hidden activations of rows X into a1, shape (n, hidden), and output
+    pre-activations into z2, shape (n,)."""
+    np.dot(X, w_in, out=a1)
+    a1 += b_in
+    expit(a1, out=a1)
+    np.dot(a1, w_out, out=z2)
+    z2 += b_out
+
+
+class _Buffers:
+    """Arrays one forward and backward pass writes for up to `rows` rows:
+    the hidden activations, the output and hidden deltas, and the sigmoid
+    slope."""
+
+    def __init__(self, rows: int, hidden: int):
+        self.a1 = np.empty((rows, hidden))
+        self.delta2 = np.empty(rows)
+        self.delta1 = np.empty((rows, hidden))
+        self.slope = np.empty((rows, hidden))
+
+
+def _backward(X, y, w_out, z2, buf: _Buffers, grads) -> None:
+    """Gradients of the mean binary cross-entropy over rows X with labels
+    y, given the forward pass's buf.a1 and z2, into the views grads of
+    (w_in, b_in, w_out, b_out)."""
+    g_w_in, g_b_in, g_w_out, g_b_out = grads
+    a1, delta2, delta1, slope = buf.a1, buf.delta2, buf.delta1, buf.slope
+    expit(z2, out=delta2)
+    delta2 -= y
+    delta2 /= X.shape[0]
+    np.dot(a1.T, delta2, out=g_w_out)
+    np.add.reduce(delta2, out=g_b_out)
+    np.multiply.outer(delta2, w_out, out=delta1)
+    delta1 *= a1
+    np.subtract(1.0, a1, out=slope)
+    delta1 *= slope
+    np.dot(X.T, delta1, out=g_w_in)
+    np.add.reduce(delta1, axis=0, out=g_b_in)
 
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy over the batch and its exact gradients.
 
     Loss uses the softplus identity bce = softplus(z) - y*z on the output
-    pre-activation, which stays finite for any finite z.
+    pre-activation, which stays finite for any finite z. The forward and
+    backward passes are the ones mlp_fit steps through.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
-    a1, z2 = _mlp_forward(model, X)
-    p = expit(z2)
+    (n, d), hidden = X.shape, model.w_in.shape[1]
+    buf, z2 = _Buffers(n, hidden), np.empty(n)
+    _forward(X, model.w_in, model.b_in, model.w_out, model.b_out, buf.a1, z2)
     loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
-    delta2 = (p - y) / n
-    grad_w_out = a1.T @ delta2
-    grad_b_out = float(delta2.sum())
-    delta1 = np.outer(delta2, model.w_out) * a1 * (1.0 - a1)
-    grad_w_in = X.T @ delta1
-    grad_b_in = delta1.sum(axis=0)
-    grads = {
-        "w_in": grad_w_in,
-        "b_in": grad_b_in,
-        "w_out": grad_w_out,
-        "b_out": grad_b_out,
-    }
-    return loss, grads
+    grads = _param_views(np.empty(d * hidden + 2 * hidden + 1), d, hidden)
+    _backward(X, y, model.w_out, z2, buf, grads)
+    return loss, {"w_in": grads[0], "b_in": grads[1], "w_out": grads[2],
+                  "b_out": float(grads[3])}
 
 
 def mlp_init(feature_count: int, config: MlpConfig,
              feature_names: tuple[str, ...] | None = None) -> MlpModel:
     """Seeded uniform [-0.5, 0.5] initialization (weights and biases)."""
-    rng = np.random.default_rng(config.seed)
+    flat = _init_params(np.random.default_rng(config.seed), feature_count,
+                        config.hidden)
+    w_in, b_in, w_out, b_out = _param_views(flat, feature_count, config.hidden)
     names = feature_names or tuple(f"f{i}" for i in range(feature_count))
-    return MlpModel(
-        feature_names=names,
-        w_in=_frozen(rng.uniform(-0.5, 0.5, (feature_count, config.hidden))),
-        b_in=_frozen(rng.uniform(-0.5, 0.5, config.hidden)),
-        w_out=_frozen(rng.uniform(-0.5, 0.5, config.hidden)),
-        b_out=float(rng.uniform(-0.5, 0.5)),
-        config=config,
-    )
+    return MlpModel(feature_names=names, w_in=_frozen(w_in.copy()),
+                    b_in=_frozen(b_in.copy()), w_out=_frozen(w_out.copy()),
+                    b_out=float(b_out), config=config)
+
+
+# Batches gathered at a time by mlp_fit, so its buffers hold at most
+# _BLOCK_BATCHES * batch_size rows however large the training set is.
+_BLOCK_BATCHES = 64
 
 
 def mlp_fit(train: Dataset, config: MlpConfig = MlpConfig()) -> MlpModel:
     """Mini-batch gradient descent on mean binary cross-entropy.
 
-    Rows are reshuffled every epoch from the model seed's stream. The
-    recorded per-epoch loss is the size-weighted mean of the batch losses
-    seen during that epoch. A non-finite epoch loss aborts training with
-    a divergence error naming the epoch (1-based).
+    The initial weights are mlp_init's draws, and the same generator then
+    reshuffles the rows every epoch. An epoch walks the shuffled rows in
+    blocks of _BLOCK_BATCHES batches; a ragged last batch is a block of
+    its own. A block's rows and labels are gathered into preallocated
+    buffers and its batches are views of them. Every step runs the forward
+    and backward pass of mlp_loss_and_grads into preallocated buffers and
+    updates the weights, held in one flat vector, in place. Each step also
+    leaves its output pre-activations in a block buffer; the batch losses
+    are computed from it once per block and added to the epoch total in
+    batch order. Weights and losses are bit-identical to stepping through
+    one freshly allocated batch at a time, and the extra memory is
+    O(block), not O(rows).
+
+    The recorded per-epoch loss is the size-weighted mean of the batch
+    losses seen during that epoch. A non-finite epoch loss aborts training
+    with a divergence error naming the epoch (1-based).
     """
     if config.epochs < 0 or config.batch_size < 1 or config.hidden < 1:
         raise TrainingError(f"invalid MLP configuration: {config}")
     X, y = train.features, np.asarray(train.labels, dtype=np.float64)
-    n = train.n_rows
+    n, d, hidden = train.n_rows, train.n_features, config.hidden
     if n == 0:
         raise TrainingError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
-    w_in = rng.uniform(-0.5, 0.5, (train.n_features, config.hidden))
-    b_in = rng.uniform(-0.5, 0.5, config.hidden)
-    w_out = rng.uniform(-0.5, 0.5, config.hidden)
-    b_out = float(rng.uniform(-0.5, 0.5))
-    lr = config.learning_rate
+    params = _init_params(rng, d, hidden)
+    w_in, b_in, w_out, b_out = _param_views(params, d, hidden)
+    step = np.empty_like(params)
+    grads = _param_views(step, d, hidden)
+    lr, batch = config.learning_rate, config.batch_size
+
+    # (start, stop, batch rows) of each block; full = rows in whole batches
+    full = n - n % batch
+    blocks = [(start, min(start + _BLOCK_BATCHES * batch, full), batch)
+              for start in range(0, full, _BLOCK_BATCHES * batch)]
+    if full < n:
+        blocks.append((full, n, n - full))
+    block_rows = max(stop - start for start, stop, _ in blocks)
+    X_block, y_block, z_block = (np.empty((block_rows, d)), np.empty(block_rows),
+                                 np.empty(block_rows))
+    buffers = {rows: _Buffers(rows, hidden) for _, _, rows in blocks}
 
     losses: list[float] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Xb, yb = X[idx], y[idx]
-            b = len(idx)
-            z1 = Xb @ w_in + b_in
-            a1 = expit(z1)
-            z2 = a1 @ w_out + b_out
-            p = expit(z2)
-            total += float(np.sum(np.logaddexp(0.0, z2) - yb * z2))
-            delta2 = (p - yb) / b
-            delta1 = np.outer(delta2, w_out) * a1 * (1.0 - a1)
-            w_out = w_out - lr * (a1.T @ delta2)
-            b_out = b_out - lr * float(delta2.sum())
-            w_in = w_in - lr * (Xb.T @ delta1)
-            b_in = b_in - lr * delta1.sum(axis=0)
+        for start, stop, rows in blocks:
+            m = stop - start
+            # the indices are a permutation, so mode="clip" changes none of
+            # them; it spares the buffered copy mode="raise" makes with out=
+            Xs = np.take(X, order[start:stop], axis=0, out=X_block[:m], mode="clip")
+            ys = np.take(y, order[start:stop], out=y_block[:m], mode="clip")
+            zs = z_block[:m]
+            buf = buffers[rows]
+            for Xb, yb, zb in zip(Xs.reshape(-1, rows, d), ys.reshape(-1, rows),
+                                  zs.reshape(-1, rows)):
+                _forward(Xb, w_in, b_in, w_out, b_out, buf.a1, zb)
+                _backward(Xb, yb, w_out, zb, buf, grads)
+                step *= lr
+                params -= step
+            terms = np.logaddexp(0.0, zs) - ys * zs
+            for batch_loss in terms.reshape(-1, rows).sum(axis=1).tolist():
+                total += batch_loss
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)
@@ -343,10 +410,10 @@ def mlp_fit(train: Dataset, config: MlpConfig = MlpConfig()) -> MlpModel:
 
     return MlpModel(
         feature_names=train.feature_names,
-        w_in=_frozen(w_in),
-        b_in=_frozen(b_in),
-        w_out=_frozen(w_out),
-        b_out=b_out,
+        w_in=_frozen(w_in.copy()),
+        b_in=_frozen(b_in.copy()),
+        w_out=_frozen(w_out.copy()),
+        b_out=float(b_out),
         config=config,
         epoch_losses=tuple(losses),
     )
@@ -356,8 +423,9 @@ def mlp_score_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = _check_width(model.feature_names, X)
     if X.shape[0] == 0:
         return np.empty(0)
-    _, z2 = _mlp_forward(model, X)
-    return expit(z2)
+    a1, z2 = np.empty((X.shape[0], model.w_in.shape[1])), np.empty(X.shape[0])
+    _forward(X, model.w_in, model.b_in, model.w_out, model.b_out, a1, z2)
+    return expit(z2, out=z2)
 
 
 def mlp_score(model: MlpModel, row: np.ndarray) -> float:

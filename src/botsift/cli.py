@@ -20,7 +20,7 @@ import sys
 from .classifiers import fit_model, load_model, save_model
 from .errors import BotsiftError, ConfigError, SchemaError
 from .evaluate import cross_validate, evaluate_model, percent
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, _write_json, run_experiment
 from .features import chi2_scores
 from .flows import (Schema, class_summary, load_csv, read_dataset_csv,
                     to_dataset, write_dataset_csv, write_records_csv)
@@ -258,12 +258,6 @@ def _cmd_run(args) -> None:
     with open(os.path.join(result.outdir, "summary.txt"), "r",
               encoding="utf-8") as fh:
         print(fh.read(), end="")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # --------------------------------------------------------------------------

@@ -21,14 +21,9 @@ from .errors import EvaluationError
 from .flows import Dataset
 from .preprocess import apply_scaler, fit_scaler
 from .smote import SmoteConfig, smote
+from .synth import round_half_up
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
-
-
-def round_half_up(value: Fraction) -> int:
-    """Exact round-half-up of a rational (0.5 always rounds toward +inf)."""
-    import math
-    return math.floor(value + Fraction(1, 2))
 
 
 def percent(value: float) -> str:

@@ -162,6 +162,8 @@ class ExperimentResult:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """payload as sorted, indented JSON with a final newline; the CLI's
+    outputs and the experiment bundle are written the same way."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

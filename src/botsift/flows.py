@@ -110,9 +110,10 @@ class FlowTable:
     float64 with NaN where a numeric value is missing, or string tokens
     (proto/state as loaded) with "" where a token is missing. Named fields
     come first, in canonical order, then other columns in the order given.
-    labels holds the 0/1 attack labels and lines the source line of each
-    row; lines defaults to the lines the rows take in write_records_csv
-    output (2, 3, ...). Arrays are frozen, so tables can share columns.
+    labels holds the 0/1 attack labels and lines the physical source line
+    on which each row starts; lines defaults to the lines the rows take in
+    write_records_csv output when no token holds a line break (2, 3, ...).
+    Arrays are frozen, so tables can share columns.
 
     missing_counts is filled in by cleanse: for each enforced column, how
     many input rows had no value there (a row missing several values counts
@@ -196,21 +197,31 @@ def _read_header(reader, path: str) -> list[str]:
         raise LoadError(f"{path}: file is empty")
 
 
+# A line break inside a quoted cell, as the file's line iterator splits it.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
 def _row_chunks(reader, path: str, width: int):
     """Yield (rows, line numbers) for up to CHUNK_ROWS data rows at a time.
 
-    Line numbers count CSV records from 2 (the header is line 1). Blank
-    lines are skipped. A row whose cell count is not the header's ends the
-    read with a LoadError naming its line; the rows before it are yielded
-    first, so a problem on an earlier line is reported first.
+    A row's line number is the physical line of the file on which its
+    record starts, so a quoted cell holding a line break moves every later
+    row down. Blank lines are skipped. A row whose cell count is not the
+    header's ends the read with a LoadError naming its line; the rows
+    before it are yielded first, so a problem on an earlier line is
+    reported first.
     """
-    line = 2
+    line = reader.line_num + 1
     while True:
         rows = list(islice(reader, CHUNK_ROWS))
         if not rows:
             return
         lines = np.arange(line, line + len(rows), dtype=np.int64)
-        line += len(rows)
+        if reader.line_num != lines[-1]:  # a record spans several lines
+            breaks = [sum(len(_LINE_BREAK.findall(cell)) for cell in row)
+                      for row in rows[:-1]]
+            lines[1:] += np.cumsum(breaks, dtype=np.int64)
+        line = reader.line_num + 1
         if not all(rows):
             keep = [i for i, row in enumerate(rows) if row]
             rows, lines = [rows[i] for i in keep], lines[keep]
@@ -532,13 +543,19 @@ def write_dataset_csv(dataset: Dataset, path: str,
     """Write a numeric dataset to CSV.
 
     synthetic, when given, is a 0/1 row flag column marking rows that were
-    generated by resampling rather than observed.
+    generated by resampling rather than observed; any other flag value is
+    a LoadError, as read_dataset_csv would reject it.
     """
     header = list(dataset.feature_names) + [LABEL_FIELD]
     if synthetic is not None:
         if len(synthetic) != dataset.n_rows:
             raise LoadError("synthetic flag length does not match row count")
-        synthetic = np.asarray(synthetic).astype(np.int64)
+        synthetic = np.asarray(synthetic)
+        bad = np.flatnonzero((synthetic != 0) & (synthetic != 1))
+        if bad.size:
+            raise LoadError(f"synthetic flag of row {bad[0]} is "
+                            f"{synthetic[bad[0]].item()!r}, expected 0 or 1")
+        synthetic = synthetic.astype(np.int64)
         header.append("synthetic")
 
     def chunk(rows: slice) -> list[list[str]]:

@@ -156,6 +156,11 @@ def _lognormal_params(spec: FeatureSpec) -> tuple[float, float]:
     return mu, math.sqrt(sigma2)
 
 
+def round_half_up(value: Fraction) -> int:
+    """Exact round-half-up of a rational (0.5 always rounds toward +inf)."""
+    return math.floor(value + Fraction(1, 2))
+
+
 def class_counts_for(row_count: int, class_ratio: float) -> tuple[int, int]:
     """Exact (normal, botnet) counts: botnet = round half up of n*ratio.
 
@@ -164,7 +169,7 @@ def class_counts_for(row_count: int, class_ratio: float) -> tuple[int, int]:
     and rounds up; the nearest binary float would land a hair below the
     half and silently round down.
     """
-    botnet = math.floor(Fraction(str(class_ratio)) * row_count + Fraction(1, 2))
+    botnet = round_half_up(Fraction(str(class_ratio)) * row_count)
     return row_count - botnet, botnet
 
 

@@ -156,6 +156,26 @@ class TestLoadCsv:
         assert flows.lines[:6].tolist() == [2, 3, 4, 5, 6, 8]
         assert flows.lines[-1] == CHUNK_ROWS + 11
 
+    def test_lines_after_a_quoted_line_break_are_physical(self, tmp_path):
+        # the bad label sits on physical line 4, the third CSV record
+        path = write(tmp_path, 'pkts,proto,attack\n1,"a\nb",0\n2,tcp,7\n')
+        with pytest.raises(LoadError, match=r"flows\.csv:4: label column 'attack'"):
+            load_csv(path)
+        fine = write(tmp_path, 'pkts,"pr\noto",attack\n1,"a\r\nb\rc",0\n\n2,tcp,1\n'
+                     '3,"\n\n",0\n4,udp,1\n', name="fine.csv")
+        schema = Schema({"pkts": "numeric", "pr\noto": "categorical",
+                         "attack": "label"})
+        flows = load_csv(fine, schema)
+        assert flows.lines.tolist() == [3, 7, 8, 11]
+
+    def test_quoted_line_breaks_across_a_chunk_boundary(self, tmp_path):
+        rows = [f"{i},x,0" for i in range(CHUNK_ROWS + 3)]
+        rows[CHUNK_ROWS - 1] = '1,"x\ny",0'  # the last record of the first chunk
+        rows[CHUNK_ROWS + 1] = "1,x,9"
+        path = write(tmp_path, "pkts,proto,attack\n" + "\n".join(rows) + "\n")
+        with pytest.raises(LoadError, match=rf":{CHUNK_ROWS + 4}: label column"):
+            load_csv(path)
+
     def test_repeated_header_column_rejected(self, tmp_path):
         path = write(tmp_path, "pkts,pkts,attack\n1,2,0\n")
         with pytest.raises(LoadError, match="repeats column 'pkts'"):
@@ -180,6 +200,11 @@ class TestReadDatasetCsv:
     def test_flag_on_an_earlier_line_than_a_label_is_named(self, tmp_path):
         path = write(tmp_path, "a,attack,synthetic\n1,0,x\n1,5,0\n", name="data.csv")
         with pytest.raises(LoadError, match=r"data\.csv:2: synthetic flag 'x'"):
+            read_dataset_csv(path)
+
+    def test_lines_after_a_quoted_line_break_are_physical(self, tmp_path):
+        path = write(tmp_path, 'a,attack\n"1\n",0\n2,x\n', name="data.csv")
+        with pytest.raises(LoadError, match=r"data\.csv:4: label value 'x'"):
             read_dataset_csv(path)
 
     def test_label_on_an_earlier_line_than_a_short_row_is_named(self, tmp_path):
@@ -312,6 +337,16 @@ class TestCsvRoundTrip:
         assert list(flags) == [0, 0, 1]
         assert np.array_equal(again.features, ds.features)
 
+    @pytest.mark.parametrize("flags", [[0, 0.7, 1], [0, 2, 1], [0, -1, 1],
+                                       [0, np.nan, 1]])
+    def test_writer_rejects_flags_other_than_0_and_1(self, tmp_path, flags):
+        ds = make_dataset([[1.0], [2.0], [3.0]], [0, 1, 1])
+        path = str(tmp_path / "flagged.csv")
+        with pytest.raises(LoadError, match="synthetic flag of row 1"):
+            write_dataset_csv(ds, path, synthetic=np.array(flags))
+        write_dataset_csv(ds, path, synthetic=np.array([0.0, 1.0, True]))
+        assert list(read_dataset_csv(path)[1]) == [0, 1, 1]
+
 
 # ---------------------------------------------------------------------------
 # Round trips and byte-level format, across the chunk boundaries
@@ -419,4 +454,7 @@ class TestCsvProperties:
                                   equal_nan=True)
         assert again.columns["proto"].tolist() == flows.columns["proto"].tolist()
         assert np.array_equal(again.labels, flows.labels)
-        assert np.array_equal(again.lines, np.arange(2, rows + 2))
+        # a row's line is the physical line its record starts on, after the
+        # line breaks written inside earlier quoted tokens
+        spans = [1 + (r[2] or "").count("\n") for r in table]
+        assert np.array_equal(again.lines, 2 + np.cumsum([0] + spans)[:-1])
