@@ -115,6 +115,18 @@ class KnnModel:
     labels: np.ndarray
     k: int
     provenance: dict = field(default_factory=dict)
+    # The k-d tree over points, built on first use and then kept, so the
+    # tie rule's second query reuses the tree scoring built. It is not part
+    # of the model's value: save_model and dataclasses.replace leave it out.
+    _tree: object = field(default=None, init=False, repr=False, compare=False)
+
+    def tree(self):
+        if self._tree is None:
+            # Deferred: importing scipy.spatial costs about 0.1 s and 11 MB,
+            # which a process that never scores KNN should not pay.
+            from scipy.spatial import cKDTree
+            object.__setattr__(self, "_tree", cKDTree(self.points))
+        return self._tree
 
 
 def knn_fit(train: Dataset, k: int = 5) -> KnnModel:
@@ -169,12 +181,7 @@ def _knn_neighbors(model: KnnModel, X: np.ndarray) -> np.ndarray:
     ball of the k-th radius, so ties at the k-th rank admit the lower
     training index.
     """
-    # Deferred: importing scipy.spatial costs about 0.1 s and 11 MB, which
-    # a process that never scores KNN should not pay.
-    from scipy.spatial import cKDTree
-
-    pts, k = model.points, model.k
-    tree = cKDTree(pts)
+    pts, k, tree = model.points, model.k, model.tree()
     m = min(k + 1, pts.shape[0])
     _, cand = tree.query(X, k=m)
     d2, cand = _rank(X[:, None, :], pts, cand.reshape(X.shape[0], m))

@@ -5,8 +5,14 @@ packet/byte counts, duration, per-direction rates, proto/state tokens, and
 a binary attack label). Flows are loaded from CSV against a schema that
 assigns each column a role and held column by column in a FlowTable;
 cleaned, encoded tables are then assembled into a dense numeric Dataset
-for the learning stages. The CSV readers and writers work through files
-CHUNK_ROWS rows at a time, so their memory does not grow with the file.
+for the learning stages.
+
+The writers and load_csv work through files CHUNK_ROWS rows at a time, so
+their memory does not grow with the file. read_dataset_csv parses a whole
+file in one numpy.loadtxt call, in C; a file that call cannot parse, or
+whose cells break a rule, is read again by the line-accurate reader, which
+also works CHUNK_ROWS rows at a time and names the first offending line.
+A csv.Error or a byte that is not UTF-8 is a LoadError naming its line.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import csv
 import json
 import math
 import re
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, islice, repeat
@@ -190,6 +198,40 @@ def _open_csv(path: str):
         raise LoadError(f"input file not found: {path}")
 
 
+@contextmanager
+def _csv_reader(path: str):
+    """A csv.reader over path whose csv.Error (such as a cell over the
+    csv module's field size limit) or undecodable byte is a LoadError
+    naming the physical line."""
+    with _open_csv(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise LoadError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise LoadError(f"{path}:{_undecodable_line(path)}: byte "
+                            f"{byte:#04x} is not UTF-8 text") from None
+
+
+def _undecodable_line(path: str) -> int:
+    """The physical line of the first byte in path that is not UTF-8.
+
+    The file is split after each b"\\n", which no multi-byte UTF-8
+    sequence holds, so each piece decodes on its own as in the whole file.
+    """
+    line = 1
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return line + len(_LINE_BREAK_BYTES.findall(raw, 0, exc.start))
+            line += len(_LINE_BREAK_BYTES.findall(raw))
+    return line
+
+
 def _read_header(reader, path: str) -> list[str]:
     try:
         return [h.strip() for h in next(reader)]
@@ -199,6 +241,7 @@ def _read_header(reader, path: str) -> list[str]:
 
 # A line break inside a quoted cell, as the file's line iterator splits it.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
+_LINE_BREAK_BYTES = re.compile(rb"\r\n?|\n")
 
 
 def _row_chunks(reader, path: str, width: int):
@@ -298,8 +341,7 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
     """
     if schema is None:
         schema = default_schema()
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = _read_header(reader, path)
         label = schema.label_column
         if label not in header:
@@ -577,16 +619,89 @@ def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
     every other cell must hold a finite number. Every row must have as many
     cells as the header; the first line breaking a rule is named in the
     LoadError.
+
+    The path is chosen by the input alone. After csv.reader reads the
+    header, a body in the writer's shape (cells numpy.loadtxt parses,
+    labels and flags exactly "0" or "1", finite features, at least one
+    feature column) is parsed whole in C. Any other file is read again,
+    CHUNK_ROWS rows at a time, by the line-accurate reader: it returns the
+    data when every cell is valid but unusual (such as "1_0", Unicode
+    digits or a " 1 " label) and otherwise raises the LoadError naming the
+    first offending line. One difference is known: a number in a cell
+    longer than the csv module's field size limit (131,072 characters)
+    reads in C, where the line reader raises a LoadError.
+    """
+    read = _read_dataset_whole(path)
+    return read if read is not None else _read_dataset_lines(path)
+
+
+def _dataset_columns(header: list[str]) -> tuple[int, int | None, list[int]]:
+    """(label index, synthetic flag index or None, feature indices)."""
+    label_idx = header.index(LABEL_FIELD)
+    synth_idx = header.index("synthetic") if "synthetic" in header else None
+    return (label_idx, synth_idx,
+            [i for i in range(len(header)) if i not in (label_idx, synth_idx)])
+
+
+def _flag_value(cell: str) -> int:
+    """A label or flag cell that is exactly "0" or "1" as its value; -1
+    marks any other, which _read_dataset_whole leaves to the line reader."""
+    return _FLAG_VALUES.get(cell, -1)
+
+
+def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
+    """read_dataset_csv's result from one numpy.loadtxt call over the file
+    body, or None when the file is not plainly in the writer's shape.
+
+    The body is read into a structured array, one 8-byte field per column.
+    A 2-d float64 read followed by a column copy was slower and, over a
+    whole CLI session, left glibc's heap fragmented enough to raise the
+    peak RSS by 1-9%.
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except (StopIteration, ValueError, csv.Error):
+            return None
+        if LABEL_FIELD not in header:
+            return None
+        label_idx, synth_idx, feat_idx = _dataset_columns(header)
+        if not feat_idx:  # column_stack below needs a column
+            return None
+        flag_idx = [label_idx] + ([] if synth_idx is None else [synth_idx])
+        dtype = np.dtype([(f"f{i}", "i8" if i in flag_idx else "f8")
+                          for i in range(len(header))])
+        try:
+            with warnings.catch_warnings():
+                # a body with no rows warns, and reads as zero rows
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1,
+                                  converters=dict.fromkeys(flag_idx, _flag_value))
+        except ValueError:
+            return None
+    labels = body[f"f{label_idx}"]
+    flags = None if synth_idx is None else body[f"f{synth_idx}"]
+    features = np.column_stack([body[f"f{i}"] for i in feat_idx])
+    if ((labels < 0).any() or not np.isfinite(features).all()
+            or (flags is not None and (flags < 0).any())):
+        return None
+    # copies, so the result holds no view into body
+    dataset = Dataset(features, labels.copy(), tuple(header[i] for i in feat_idx))
+    return dataset, None if flags is None else flags.copy()
+
+
+def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:
+    """read_dataset_csv over csv.reader, CHUNK_ROWS rows at a time, with
+    each row's cells converted by float(); a LoadError names the first
+    offending physical line."""
+    with _csv_reader(path) as reader:
         header = _read_header(reader, path)
         if LABEL_FIELD not in header:
             raise LoadError(f"{path}: header has no {LABEL_FIELD!r} column")
         width = len(header)
-        label_idx = header.index(LABEL_FIELD)
-        synth_idx = header.index("synthetic") if "synthetic" in header else None
-        feat_idx = [i for i in range(width) if i not in (label_idx, synth_idx)]
+        label_idx, synth_idx, feat_idx = _dataset_columns(header)
         feature_parts: list[np.ndarray] = []
         label_parts: list[np.ndarray] = []
         flag_parts: list[np.ndarray] = []

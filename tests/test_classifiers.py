@@ -251,6 +251,33 @@ class TestKnn:
         report = evaluate_model(model, test)
         assert report.confusion == ConfusionMatrix(tp=2, fp=0, tn=1, fn=0)
 
+    def test_even_k_tie_rule_builds_the_kd_tree_once(self, monkeypatch, tmp_path):
+        import scipy.spatial
+        built = []
+
+        class CountingTree(scipy.spatial.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+        train = make_dataset([[0.0], [1.0], [3.0], [4.0]], [0, 0, 1, 1])
+        probe = np.array([[1.9]])  # a tied vote: the tie rule queries again
+        for predict in (lambda m: predict_batch(m, probe),
+                        lambda m: knn_predict_batch(m, probe),
+                        lambda m: evaluate_model(m, make_dataset([[1.9], [3.5]],
+                                                                 [0, 1]))):
+            model = knn_fit(train, k=2)
+            save_model(model, str(tmp_path / "fresh.json"))
+            predict(model)
+            predict(model)
+            assert built == [4]
+            built.clear()
+            # the kept tree is no part of the saved model
+            save_model(model, str(tmp_path / "used.json"))
+            assert ((tmp_path / "used.json").read_bytes()
+                    == (tmp_path / "fresh.json").read_bytes())
+
     def test_even_k_tie_rule_holds_in_cross_validation(self):
         X = (np.arange(20) // 2 + np.tile([0.0, 0.3], 10))[:, None]
         y = np.array([0, 1] * 10)

@@ -139,6 +139,14 @@ class TestIngest:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_undecodable_byte_exits_two_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"pkts,proto,attack\n1,tcp,0\n2,\xff,1\n")
+        code = main(["ingest", "--csv", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"botsift: {bad}:3: byte 0xff")
+        assert not (tmp_path / "o").exists()
+
     def test_options_can_come_from_config_file(self, tmp_path, flows_csv,
                                                capsys):
         cfg = str(tmp_path / "cli.json")
@@ -231,6 +239,17 @@ class TestTrainEvaluate:
                      "--out", str(tmp_path / "fit")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"botsift: {short}:2: ")
+        assert not (tmp_path / "fit").exists()
+
+    def test_cell_over_the_field_limit_exits_two_naming_the_line(self, tmp_path,
+                                                                 capsys):
+        long = tmp_path / "long.csv"
+        long.write_text('a,attack\n1,0\n"' + "1" * 200_000 + '",1\n')
+        code = main(["train", "--model", "gnb", "--csv", str(long),
+                     "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"botsift: {long}:3: field larger than field limit")
         assert not (tmp_path / "fit").exists()
 
     def test_bad_params_json_exits_one(self, dataset_csv, tmp_path, capsys):

@@ -7,13 +7,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botsift import (Dataset, FlowTable, LoadError, Schema, SchemaError,
                      class_summary, default_schema, load_csv,
                      read_dataset_csv, to_dataset, write_dataset_csv,
                      write_records_csv)
+from botsift import flows
 from botsift.flows import CHUNK_ROWS
 
 from conftest import make_dataset, make_flows
@@ -176,6 +177,18 @@ class TestLoadCsv:
         with pytest.raises(LoadError, match=rf":{CHUNK_ROWS + 4}: label column"):
             load_csv(path)
 
+    def test_a_cell_over_the_field_limit_names_its_line(self, tmp_path):
+        path = write(tmp_path, 'pkts,proto,attack\n1,tcp,0\n2,"' + "x" * 200_000
+                     + '",1\n')
+        with pytest.raises(LoadError, match=r"flows\.csv:3: field larger than field limit"):
+            load_csv(path)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"pkts,proto,attack\n1,tcp,0\n2,\"a\r\nb\",1\n3,\xff,0\n")
+        with pytest.raises(LoadError, match=r"flows\.csv:5: byte 0xff is not UTF-8"):
+            load_csv(str(path))
+
     def test_repeated_header_column_rejected(self, tmp_path):
         path = write(tmp_path, "pkts,pkts,attack\n1,2,0\n")
         with pytest.raises(LoadError, match="repeats column 'pkts'"):
@@ -211,6 +224,20 @@ class TestReadDatasetCsv:
         path = write(tmp_path, "a,attack\n1,3\n2\n", name="data.csv")
         with pytest.raises(LoadError, match=r"data\.csv:2: label value '3'"):
             read_dataset_csv(path)
+
+    def test_a_cell_over_the_field_limit_names_its_line(self, tmp_path):
+        path = write(tmp_path, 'a,attack\n1,0\n"' + "9" * 200_000 + '",1\n',
+                     name="data.csv")
+        with pytest.raises(LoadError, match=r"data\.csv:3: field larger than field limit"):
+            read_dataset_csv(path)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        # past the text layer's first 8 KB read, with line breaks of every kind
+        body = "".join(f"{i},0\r\n" for i in range(2000)) + "1,0\r2,1\n3,\xff\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(("a,attack\n" + body).encode("latin-1"))
+        with pytest.raises(LoadError, match=r"data\.csv:2004: byte 0xff is not UTF-8"):
+            read_dataset_csv(str(path))
 
 
 class TestClassSummary:
@@ -386,6 +413,36 @@ def reference_bytes(header, rows) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+# Edits to one cell of write_dataset_csv output, each valid or not.
+CELL_MUTATIONS = (
+    lambda c: f" {c} ", lambda c: f'"{c}"', lambda c: f'" {c} "',
+    lambda c: f'"{c}\n"', lambda c: f'"{c}\r\n"', lambda c: f'"\n{c}"',
+    lambda c: c + "#", lambda c: "#" + c, lambda c: f'"#{c}"', lambda c: c + "\x00",
+    lambda c: c + "_0", lambda c: "-" + c, lambda c: f'"{c},"',
+    lambda c: "1.0", lambda c: "2", lambda c: " 1 ", lambda c: '" 1 "',
+    lambda c: "1_0", lambda c: "\uff11", lambda c: "\u0661", lambda c: "\u00a01",
+    lambda c: "nan", lambda c: "inf", lambda c: "-inf", lambda c: "1e400",
+    lambda c: "", lambda c: '""', lambda c: "x", lambda c: "0", lambda c: "1",
+)
+# Edits to one data line, as the lines that replace it.
+LINE_MUTATIONS = (
+    lambda line: [line, ""], lambda line: ["", line], lambda line: [line, " "],
+    lambda line: [line + ",1"], lambda line: [line.rsplit(",", 1)[0]],
+    lambda line: [line, "#" + line], lambda line: [line[:1] + "\r" + line[1:]],
+    lambda line: [],
+)
+
+
+def read_outcome(read, path):
+    """What read returns for path, as bytes, or the LoadError it raises."""
+    try:
+        dataset, flags = read(path)
+    except LoadError as exc:
+        return str(exc)
+    return (dataset.feature_names, dataset.features.tobytes(),
+            dataset.labels.tobytes(), None if flags is None else flags.tobytes())
+
+
 class TestCsvProperties:
     @settings(max_examples=25, deadline=None)
     @given(rows=st.sampled_from(ROW_COUNTS),
@@ -458,3 +515,67 @@ class TestCsvProperties:
         # line breaks written inside earlier quoted tokens
         spans = [1 + (r[2] or "").count("\n") for r in table]
         assert np.array_equal(again.lines, 2 + np.cumsum([0] + spans)[:-1])
+
+
+class TestWholeFileReader:
+    """read_dataset_csv parses a file whole with numpy.loadtxt and defers
+    any file it doubts to the line-accurate reader."""
+
+    @pytest.mark.parametrize("rows", [1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_writer_output_never_defers(self, tmp_path, monkeypatch, rng,
+                                        rows, flagged):
+        def deferred(path):
+            raise AssertionError(f"{path} was left to the line reader")
+
+        monkeypatch.setattr(flows, "_read_dataset_lines", deferred)
+        X = rng.lognormal(0.0, 6.0, (rows, 3)) * rng.choice([-1.0, 1.0], (rows, 3))
+        X[::3, 1] = np.round(X[::3, 1])
+        X[:len(SPECIAL_FLOATS), 2] = SPECIAL_FLOATS[:rows]
+        ds = Dataset(X, rng.integers(0, 2, rows), ("a", "b", "c"))
+        synthetic = rng.integers(0, 2, rows) if flagged else None
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(ds, path, synthetic=synthetic)
+        again, flags = read_dataset_csv(path)
+        assert again.feature_names == ds.feature_names
+        # -0.0 is written as 0, so compare with it as +0.0
+        assert again.features.tobytes() == (ds.features + 0.0).tobytes()
+        assert np.array_equal(again.labels, ds.labels)
+        if flagged:
+            assert np.array_equal(flags, synthetic)
+        else:
+            assert flags is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 5), flagged=st.booleans(),
+           header_break=st.booleans(), line_end=st.sampled_from(["\n", "\r\n"]),
+           cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                                    st.sampled_from(CELL_MUTATIONS)), max_size=4),
+           lines=st.lists(st.tuples(st.integers(0, 99),
+                                    st.sampled_from(LINE_MUTATIONS)), max_size=2))
+    # the one row a cell too long, so no row is ragged against another
+    @example(rows=1, flagged=False, header_break=False, line_end="\n", cells=[],
+             lines=[(0, LINE_MUTATIONS[3])])
+    def test_matches_the_line_reader(self, rows, flagged, header_break, line_end,
+                                     cells, lines):
+        rng = np.random.default_rng(rows)
+        ds = Dataset(rng.lognormal(0.0, 3.0, (rows, 2)), rng.integers(0, 2, rows),
+                     ("a", "b\nc" if header_break else "b"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            write_dataset_csv(ds, path, rng.integers(0, 2, rows) if flagged else None)
+            with open(path, encoding="utf-8", newline="") as fh:
+                header, *body = fh.read().split("\r\n")[:-1]
+            table = [row.split(",") for row in body]
+            for row, col, mutate in cells:
+                row = table[row % rows]
+                row[col % len(row)] = mutate(row[col % len(row)])
+            body = [",".join(row) for row in table]
+            for row, mutate in lines:
+                if body:
+                    row %= len(body)
+                    body[row:row + 1] = mutate(body[row])
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(line_end.join([header] + body) + line_end)
+            assert read_outcome(read_dataset_csv, path) == read_outcome(
+                flows._read_dataset_lines, path)
