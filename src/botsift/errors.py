@@ -47,6 +47,11 @@ class DivergenceError(TrainingError):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}: loss is not finite")
 
+    def __reduce__(self):
+        # rebuild from (epoch, message): the default reduce would pass the
+        # message alone back into __init__ as the epoch
+        return type(self), (self.epoch, *self.args)
+
 
 class EvaluationError(BotsiftError):
     """An evaluation request is ill-posed (empty split, one-class fold, ...)."""

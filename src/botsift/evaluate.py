@@ -115,19 +115,41 @@ def metrics_from(cm: ConfusionMatrix, scores: np.ndarray,
 # ROC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Threshold-sweep ROC. points run from (0, 0) to (1, 1); a prediction
-    is positive when its score >= the threshold for that point."""
+    """Threshold-sweep ROC. The points (fpr[i], tpr[i]) run from (0, 0) to
+    (1, 1); a prediction is positive when its score >= the threshold for
+    that point. fpr and tpr are read-only float64 copies of the inputs."""
 
-    points: tuple[tuple[float, float], ...]
+    fpr: np.ndarray
+    tpr: np.ndarray
     auc: float
+
+    def __post_init__(self) -> None:
+        for name in ("fpr", "tpr"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def __reduce__(self):
+        # through __init__, so an unpickled curve is read-only as well
+        return type(self), (self.fpr, self.tpr, self.auc)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RocCurve):
+            return NotImplemented
+        return (self.auc == other.auc and np.array_equal(self.fpr, other.fpr)
+                and np.array_equal(self.tpr, other.tpr))
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
 
     def to_file(self, path: str) -> None:
         """Two-column numeric file: fpr <tab> tpr, one point per line."""
         with open(path, "w", encoding="utf-8") as fh:
-            for fpr, tpr in self.points:
-                fh.write(f"{fpr!r}\t{tpr!r}\n")
+            fh.writelines(f"{fpr!r}\t{tpr!r}\n" for fpr, tpr
+                          in zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
 def roc_curve(scores: np.ndarray, y_true: np.ndarray) -> RocCurve:
@@ -158,8 +180,7 @@ def roc_curve(scores: np.ndarray, y_true: np.ndarray) -> RocCurve:
     tpr = np.concatenate([[0.0], cum_tp[ends] / pos])
     fpr = np.concatenate([[0.0], cum_fp[ends] / neg])
     auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
-    points = tuple((float(x), float(y)) for x, y in zip(fpr, tpr))
-    return RocCurve(points=points, auc=auc)
+    return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,110 @@ def _summary_table(reports: dict[tuple[str, str], EvalReport],
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """What every (arm, model) job of one run reads."""
+
+    config: ExperimentConfig
+    outdir: str
+    seeds: dict[str, int]
+    smote_config: SmoteConfig
+    arm_sets: dict[str, tuple[Dataset, Dataset]]
+    # default mode's unscaled training split, which cross-validation
+    # rescales (and rebalances) fold by fold; None in paper mode
+    cv_source: Dataset | None
+
+
+# One job: (arm, model name, model parameters).
+_Job = tuple[str, str, dict]
+
+
+def _fit_job(grid: _Grid, job: _Job) -> tuple[str, EvalReport | Exception]:
+    """Fit, save, cross-validate and evaluate one model on one arm, and
+    write its report files.
+
+    Returns the last stage label entered and the report, or the exception
+    that stage raised, so a caller can re-raise failures in job order.
+    """
+    arm, name, params = job
+    config = grid.config
+    train_arm, test_arm = grid.arm_sets[arm]
+    stage = f"train[{arm}/{name}]"
+    try:
+        model = fit_model(name, train_arm, params)
+        if config.save_models:
+            tagged = dataclasses.replace(model, provenance={
+                "arm": arm, "mode": config.mode,
+                "stage_seeds": grid.seeds,
+                "features": list(train_arm.feature_names),
+            })
+            save_model(tagged, os.path.join(grid.outdir, f"model_{arm}_{name}.json"))
+        cv = None
+        if config.cv_folds:
+            stage = f"cross_validate[{arm}/{name}]"
+            if config.mode == "paper":
+                cv = cross_validate(
+                    train_arm, name, config.cv_folds, grid.seeds["cv"],
+                    params=params, mode="paper")
+            else:
+                cv = cross_validate(
+                    grid.cv_source, name, config.cv_folds, grid.seeds["cv"],
+                    params=params, mode="default", scale=True,
+                    smote_config=grid.smote_config if arm == "smote" else None)
+        stage = f"evaluate[{arm}/{name}]"
+        report = evaluate_model(model, test_arm, model_name=name, cv=cv)
+        base = os.path.join(grid.outdir, f"{arm}_{name}")
+        with open(f"{base}_report.txt", "w", encoding="utf-8") as fh:
+            fh.write(report.to_text())
+        _write_json(f"{base}_metrics.json", report.to_json_dict())
+        report.curve.to_file(f"{base}_roc.tsv")
+        return stage, report
+    except Exception as exc:
+        return stage, exc
+
+
+# Processes that fit a run's jobs side by side: the jobs are independent,
+# and the MLP's SGD step holds the interpreter lock, so threads cannot help.
+FIT_WORKERS = min(2, os.cpu_count() or 1)
+
+_worker_grid: _Grid | None = None  # set only inside pool processes
+
+
+def _adopt_grid(grid: _Grid) -> None:
+    global _worker_grid
+    _worker_grid = grid
+
+
+def _fit_pooled(job: _Job) -> tuple[str, EvalReport | Exception]:
+    return _fit_job(_worker_grid, job)
+
+
+def _run_jobs(grid: _Grid, jobs: list[_Job]) -> list[tuple[str, EvalReport | Exception]]:
+    """_fit_job over every job, results in job order.
+
+    With two or more jobs and workers and the fork start method, the jobs
+    run in a pool of forked processes. The children inherit the grid's
+    datasets through the fork, so only the small job tuples go out and
+    only the reports (or exceptions) come back. MLP jobs, the longest, are
+    sent first so that no worker finishes a long fit alone at the end.
+    Each job's output depends only on its inputs, so bundles are the same
+    bytes whichever process ran it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(FIT_WORKERS, len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_fit_job(grid, job) for job in jobs]
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] != "mlp")
+    # an executor, unlike multiprocessing.Pool, raises BrokenProcessPool
+    # when a worker dies (say, killed for memory) instead of waiting forever
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_grid, initargs=(grid,)) as pool:
+        done = dict(zip(order, pool.map(_fit_pooled, [jobs[i] for i in order])))
+    return [done[i] for i in range(len(jobs))]
+
+
 def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     """Execute the configured pipeline and write the report bundle.
 
@@ -253,6 +357,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
 
         stage = "prepare"
         arm_sets: dict[str, tuple[Dataset, Dataset]] = {}
+        cv_source: Dataset | None = None
         if config.mode == "paper":
             stages.append("scale")
             scaled = apply_scaler(dataset, fit_scaler(dataset))
@@ -287,59 +392,28 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
             # so it runs on the unscaled training split
             cv_source = train
 
+        jobs: list[_Job] = []
         for arm in arms:
             train_arm, test_arm = arm_sets[arm]
             class_counts[f"train_{arm}"] = _counts_dict(train_arm)
             class_counts[f"test_{arm}"] = _counts_dict(test_arm)
-
-        model_names = [name for name, _ in config.models]
-        for arm in arms:
-            train_arm, test_arm = arm_sets[arm]
             for name, params in config.models:
                 params = dict(params)
                 if name == "mlp" and "seed" not in params:
                     params["seed"] = seeds["mlp"]
-                stage = f"train[{arm}/{name}]"
-                if "train" not in stages:
-                    stages.append("train")
-                model = fit_model(name, train_arm, params)
-                if config.save_models:
-                    tagged = dataclasses.replace(model, provenance={
-                        "arm": arm, "mode": config.mode,
-                        "stage_seeds": seeds,
-                        "features": list(train_arm.feature_names),
-                    })
-                    save_model(tagged, os.path.join(
-                        outdir, f"model_{arm}_{name}.json"))
-                stage = f"evaluate[{arm}/{name}]"
-                if "evaluate" not in stages:
-                    stages.append("evaluate")
-                cv = None
-                if config.cv_folds:
-                    stage = f"cross_validate[{arm}/{name}]"
-                    if "cross_validate" not in stages:
-                        stages.append("cross_validate")
-                    if config.mode == "paper":
-                        cv = cross_validate(
-                            train_arm, name, config.cv_folds, seeds["cv"],
-                            params=params, mode="paper")
-                    else:
-                        cv = cross_validate(
-                            cv_source, name, config.cv_folds, seeds["cv"],
-                            params=params, mode="default", scale=True,
-                            smote_config=smote_config if arm == "smote" else None)
-                report = evaluate_model(model, test_arm, model_name=name, cv=cv)
-                reports[(arm, name)] = report
-                base = os.path.join(outdir, f"{arm}_{name}")
-                with open(f"{base}_report.txt", "w", encoding="utf-8") as fh:
-                    fh.write(report.to_text())
-                _write_json(f"{base}_metrics.json", report.to_json_dict())
-                report.curve.to_file(f"{base}_roc.tsv")
+                jobs.append((arm, name, params))
+
+        stages += ["train", "evaluate"] + (["cross_validate"] if config.cv_folds else [])
+        grid = _Grid(config, outdir, seeds, smote_config, arm_sets, cv_source)
+        for (arm, name, _), (stage, outcome) in zip(jobs, _run_jobs(grid, jobs)):
+            if isinstance(outcome, Exception):
+                raise outcome
+            reports[(arm, name)] = outcome
 
         stage = "finalize"
         manifest["class_counts"] = class_counts
         manifest["stage_order"] = stages
-        summary = _summary_table(reports, arms, model_names)
+        summary = _summary_table(reports, arms, [name for name, _ in config.models])
         with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
             fh.write(summary)
         manifest["outputs"] = sorted(

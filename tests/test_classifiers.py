@@ -297,15 +297,18 @@ class TestKnn:
             knn_score_batch(model, np.array([[np.nan]]))
 
     def test_importing_botsift_leaves_the_kd_tree_unloaded(self):
-        # scipy.spatial is imported only when KNN scores, so importing the
-        # package, the CLI and the experiment runner does not pay for it
+        # scipy.spatial is imported only when KNN scores, and
+        # multiprocessing only when an experiment fits its grid, so
+        # importing the package, the CLI and the experiment runner does
+        # not pay for either
         src = os.path.dirname(os.path.dirname(botsift.__file__))
         code = ("import sys, botsift, botsift.cli, botsift.experiment; "
-                "print('scipy.spatial' in sys.modules)")
+                "print('scipy.spatial' in sys.modules, "
+                "'multiprocessing' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
 
     def test_k_bounds_enforced(self, rng):
         train = blobs(rng, n0=5, n1=5)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,19 @@ class TestRocCurve:
             parsed = tuple(tuple(float(v) for v in line.split("\t"))
                            for line in fh)
         assert parsed == curve.points
+
+    def test_curve_is_read_only_and_pickles_whole(self, rng):
+        scores = rng.random(30)
+        y = rng.integers(0, 2, 30)
+        y[:2] = [0, 1]
+        curve = roc_curve(scores, y)
+        assert curve.fpr.dtype == curve.tpr.dtype == np.float64
+        with pytest.raises(ValueError):
+            curve.fpr[0] = 1.0
+        again = pickle.loads(pickle.dumps(curve))
+        assert again == curve and again.points == curve.points
+        assert not again.tpr.flags.writeable
+        assert again != roc_curve(1.0 - scores, y)
 
 
 class TestRounding:

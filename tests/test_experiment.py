@@ -2,11 +2,17 @@
 
 import json
 import os
+import pickle
+from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
-from botsift import (ConfigError, EvaluationError, ExperimentConfig,
-                     load_model, run_experiment)
+import botsift
+import botsift.experiment
+from botsift import (BotsiftError, ConfigError, DivergenceError,
+                     EvaluationError, ExperimentConfig, load_model,
+                     run_experiment)
 
 PROFILE = {
     "features": {
@@ -272,3 +278,94 @@ class TestRunExperiment:
                 assert any(line.startswith(arm) and model in line
                            for line in text.splitlines())
         assert "percentages" in text
+
+
+def bundle_bytes(outdir):
+    files = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+class TestPooledGrid:
+    def test_pooled_and_inline_runs_match(self, profile_path, tmp_path,
+                                          monkeypatch):
+        # k=2 runs the even-k tie rule inside the workers
+        config = quick_config(profile_path, smote="both", cv_folds=2,
+                              save_models=True,
+                              models=(("gnb", {}), ("knn", {"k": 2}),
+                                      ("mlp", {"epochs": 2})))
+        evaluate_model = botsift.experiment.evaluate_model
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(botsift.experiment, "FIT_WORKERS", workers)
+            pid_dir = tmp_path / f"pids{workers}"
+            pid_dir.mkdir()
+
+            def record_pid(*args, pid_dir=pid_dir, **kwargs):
+                (pid_dir / str(os.getpid())).touch()
+                return evaluate_model(*args, **kwargs)
+
+            monkeypatch.setattr(botsift.experiment, "evaluate_model", record_pid)
+            outdir = str(tmp_path / f"bundle{workers}")
+            result = run_experiment(config, outdir)
+            pids = {int(name) for name in os.listdir(pid_dir)}
+            runs[workers] = (result, bundle_bytes(outdir), pids)
+        (inline, inline_files, inline_pids) = runs[1]
+        (pooled, pooled_files, pooled_pids) = runs[2]
+        assert inline_pids == {os.getpid()}
+        assert pooled_pids and os.getpid() not in pooled_pids
+        assert len(inline_files) == 4 + 6 * 4
+        assert pooled_files == inline_files
+        assert pooled.reports == inline.reports
+        assert pooled.manifest == inline.manifest
+
+    def test_first_failure_in_grid_order_is_raised(self, profile_path,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.setattr(botsift.experiment, "FIT_WORKERS", 2)
+        diverging = ("mlp", {"epochs": 2, "learning_rate": 1e308})
+        for arms, models, failed in (
+                ("on", (("gnb", {}), diverging), "train[smote/mlp]"),
+                ("both", (("gnb", {}), diverging), "train[raw/mlp]")):
+            config = quick_config(profile_path, smote=arms, models=models)
+            outdir = str(tmp_path / f"failed_{arms}")
+            with np.errstate(all="ignore"):
+                with pytest.raises(DivergenceError) as err:
+                    run_experiment(config, outdir)
+            assert isinstance(err.value.epoch, int)
+            assert f"stage '{failed}' failed" in str(err.value)
+            assert not os.path.exists(outdir)
+
+    def test_a_worker_that_dies_fails_the_run(self, profile_path, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(botsift.experiment, "FIT_WORKERS", 2)
+        parent = os.getpid()
+
+        def die_in_worker(model, *args, **kwargs):
+            if os.getpid() != parent and model.__class__.__name__ == "MlpModel":
+                os._exit(1)
+            return evaluate_model(model, *args, **kwargs)
+
+        evaluate_model = botsift.experiment.evaluate_model
+        monkeypatch.setattr(botsift.experiment, "evaluate_model", die_in_worker)
+        config = quick_config(profile_path, models=(("gnb", {}),
+                                                    ("mlp", {"epochs": 1})))
+        outdir = str(tmp_path / "died")
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(config, outdir)
+        assert not os.path.exists(outdir)
+
+    def test_every_toolkit_error_survives_pickling(self):
+        # pool workers send failures back to the parent pickled
+        kinds = [obj for obj in vars(botsift).values()
+                 if isinstance(obj, type) and issubclass(obj, BotsiftError)]
+        assert DivergenceError in kinds and len(kinds) == 12
+        for kind in kinds:
+            error = kind(3) if kind is DivergenceError else kind("bad input")
+            again = pickle.loads(pickle.dumps(error))
+            assert type(again) is kind
+            assert str(again) == str(error)
+            assert getattr(again, "epoch", None) == getattr(error, "epoch", None)
+        again = pickle.loads(pickle.dumps(DivergenceError(3, "custom text")))
+        assert (again.epoch, str(again)) == (3, "custom text")
