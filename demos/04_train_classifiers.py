@@ -1,8 +1,8 @@
 """Fit, score, persist, and cross-validate the three classifiers.
 
 All three expose the same surface: fit_model(name, dataset, params),
-score_batch for positive-class scores in [0, 1], threshold_labels for
-hard predictions, and JSON round-trips via save_model/load_model.
+score_batch for positive-class scores in [0, 1], predict_batch for hard
+labels, and JSON round-trips via save_model/load_model.
 """
 
 import os

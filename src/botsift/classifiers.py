@@ -8,27 +8,38 @@ through it: botnet when the score is at least 0.5, except that a KNN
 model with even k gives a tied vote the label of the single nearest
 training row. Models are frozen dataclasses over read-only arrays and
 serialize to JSON, reloading bit-exactly.
+
+One table, _KINDS, holds what differs between the kinds: the class, the
+scorer, the array fields and their shapes, the checks a loaded model
+must pass, and KNN's tie rule. Scoring, labelling, saving and loading
+are each written once over it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import DivergenceError, LoadError, TrainingError
-from .flows import Dataset
+from .flows import Dataset, _read_json, _write_json
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+class _Model:
+    """Base of the model dataclasses: every array field of the model's
+    kind is held as a read-only float64 array."""
+
+    def __post_init__(self) -> None:
+        for name in _KINDS[model_kind(self)].arrays:
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +47,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GnbModel:
+class GnbModel(_Model):
     feature_names: tuple[str, ...]
-    priors: np.ndarray      # (2,) class frequencies
-    means: np.ndarray       # (2, d)
-    variances: np.ndarray   # (2, d), already smoothed
+    priors: np.ndarray      # class frequencies
+    means: np.ndarray
+    variances: np.ndarray   # already smoothed
     smoothing: float
     provenance: dict = field(default_factory=dict)
 
@@ -68,40 +79,21 @@ def gnb_fit(train: Dataset) -> GnbModel:
         rows = X[y == c]
         means[c] = rows.mean(axis=0)
         variances[c] = rows.var(axis=0) + eps
-    return GnbModel(
-        feature_names=train.feature_names,
-        priors=_frozen(priors),
-        means=_frozen(means),
-        variances=_frozen(variances),
-        smoothing=eps,
-    )
+    return GnbModel(feature_names=train.feature_names, priors=priors,
+                    means=means, variances=variances, smoothing=eps)
 
 
-def gnb_log_joint(model: GnbModel, X: np.ndarray) -> np.ndarray:
-    """log(prior * likelihood) per class, shape (n, 2). Log-space throughout."""
+def gnb_posteriors(model: GnbModel, X: np.ndarray) -> np.ndarray:
+    """Class posteriors, shape (n, 2); each row sums to 1. The joint
+    log(prior * likelihood) is normalized in log space."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty((X.shape[0], 2))
+    joint = np.empty((X.shape[0], 2))
     for c in (0, 1):
         var = model.variances[c]
         gap = X - model.means[c]
         log_like = -0.5 * (_LOG_2PI + np.log(var) + gap * gap / var).sum(axis=1)
-        out[:, c] = np.log(model.priors[c]) + log_like
-    return out
-
-
-def gnb_posteriors(model: GnbModel, X: np.ndarray) -> np.ndarray:
-    """Class posteriors, shape (n, 2); each row sums to 1."""
-    joint = gnb_log_joint(model, X)
+        joint[:, c] = np.log(model.priors[c]) + log_like
     return np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
-
-
-def gnb_score_batch(model: GnbModel, X: np.ndarray) -> np.ndarray:
-    return gnb_posteriors(model, X)[:, 1]
-
-
-def gnb_score(model: GnbModel, row: np.ndarray) -> float:
-    """Posterior probability that one row is botnet."""
-    return float(gnb_score_batch(model, np.atleast_2d(row))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +101,7 @@ def gnb_score(model: GnbModel, row: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class KnnModel:
+class KnnModel(_Model):
     feature_names: tuple[str, ...]
     points: np.ndarray
     labels: np.ndarray
@@ -134,12 +126,8 @@ def knn_fit(train: Dataset, k: int = 5) -> KnnModel:
         raise TrainingError(f"k must be >= 1, got {k}")
     if k > train.n_rows:
         raise TrainingError(f"k={k} exceeds the {train.n_rows} training rows")
-    return KnnModel(
-        feature_names=train.feature_names,
-        points=_frozen(train.features),
-        labels=_frozen(np.asarray(train.labels, dtype=np.float64)),
-        k=k,
-    )
+    return KnnModel(feature_names=train.feature_names, points=train.features,
+                    labels=train.labels, k=k)
 
 
 def squared_distances(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -194,41 +182,6 @@ def _knn_neighbors(model: KnnModel, X: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _check_width(names: tuple[str, ...], X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != len(names):
-        raise LoadError(
-            f"model expects {len(names)} features, got {X.shape[1]}")
-    return X
-
-
-def knn_score_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
-    """Fraction of the k nearest training rows labelled botnet."""
-    X = _check_width(model.feature_names, X)
-    if X.shape[0] == 0:
-        return np.empty(0)
-    if not np.isfinite(X).all():
-        raise LoadError("KNN scoring needs finite feature values")
-    return model.labels[_knn_neighbors(model, X)].sum(axis=1) / model.k
-
-
-def knn_score(model: KnnModel, row: np.ndarray) -> float:
-    return float(knn_score_batch(model, np.atleast_2d(row))[0])
-
-
-def knn_predict_batch(model: KnnModel, X: np.ndarray) -> np.ndarray:
-    """Majority vote of the k nearest; an even-k vote tie takes the label
-    of the single nearest training row."""
-    X = _check_width(model.feature_names, X)
-    return labels_from_scores(model, X, knn_score_batch(model, X))
-
-
-def knn_predict(model: KnnModel, row: np.ndarray) -> int:
-    return int(knn_predict_batch(model, np.atleast_2d(row))[0])
-
-
 # ---------------------------------------------------------------------------
 # Multi-layer perceptron (one hidden layer, sigmoid activations)
 
@@ -241,13 +194,17 @@ class MlpConfig:
     batch_size: int = 32
     seed: int = 0
 
+    def valid(self) -> bool:
+        """Whether mlp_fit can train with this configuration."""
+        return self.epochs >= 0 and self.batch_size >= 1 and self.hidden >= 1
+
 
 @dataclass(frozen=True)
-class MlpModel:
+class MlpModel(_Model):
     feature_names: tuple[str, ...]
-    w_in: np.ndarray    # (d, hidden)
-    b_in: np.ndarray    # (hidden,)
-    w_out: np.ndarray   # (hidden,)
+    w_in: np.ndarray
+    b_in: np.ndarray
+    w_out: np.ndarray
     b_out: float
     config: MlpConfig
     epoch_losses: tuple[float, ...] = ()
@@ -333,11 +290,16 @@ def mlp_init(feature_count: int, config: MlpConfig,
     """Seeded uniform [-0.5, 0.5] initialization (weights and biases)."""
     flat = _init_params(np.random.default_rng(config.seed), feature_count,
                         config.hidden)
-    w_in, b_in, w_out, b_out = _param_views(flat, feature_count, config.hidden)
     names = feature_names or tuple(f"f{i}" for i in range(feature_count))
-    return MlpModel(feature_names=names, w_in=_frozen(w_in.copy()),
-                    b_in=_frozen(b_in.copy()), w_out=_frozen(w_out.copy()),
-                    b_out=float(b_out), config=config)
+    return _mlp_model(names, flat, feature_count, config)
+
+
+def _mlp_model(names: tuple[str, ...], flat: np.ndarray, feature_count: int,
+               config: MlpConfig, losses: tuple[float, ...] = ()) -> MlpModel:
+    """A model over a copy of the flat parameter vector."""
+    w_in, b_in, w_out, b_out = _param_views(flat.copy(), feature_count,
+                                            config.hidden)
+    return MlpModel(names, w_in, b_in, w_out, float(b_out), config, losses)
 
 
 # Batches gathered at a time by mlp_fit, so its buffers hold at most
@@ -365,7 +327,7 @@ def mlp_fit(train: Dataset, config: MlpConfig = MlpConfig()) -> MlpModel:
     losses seen during that epoch. A non-finite epoch loss aborts training
     with a divergence error naming the epoch (1-based).
     """
-    if config.epochs < 0 or config.batch_size < 1 or config.hidden < 1:
+    if not config.valid():
         raise TrainingError(f"invalid MLP configuration: {config}")
     X, y = train.features, np.asarray(train.labels, dtype=np.float64)
     n, d, hidden = train.n_rows, train.n_features, config.hidden
@@ -415,36 +377,84 @@ def mlp_fit(train: Dataset, config: MlpConfig = MlpConfig()) -> MlpModel:
             raise DivergenceError(epoch)
         losses.append(epoch_loss)
 
-    return MlpModel(
-        feature_names=train.feature_names,
-        w_in=_frozen(w_in.copy()),
-        b_in=_frozen(b_in.copy()),
-        w_out=_frozen(w_out.copy()),
-        b_out=float(b_out),
-        config=config,
-        epoch_losses=tuple(losses),
-    )
+    return _mlp_model(train.feature_names, params, d, config, tuple(losses))
 
 
-def mlp_score_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    X = _check_width(model.feature_names, X)
-    if X.shape[0] == 0:
-        return np.empty(0)
+def _mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
     a1, z2 = np.empty((X.shape[0], model.w_in.shape[1])), np.empty(X.shape[0])
     _forward(X, model.w_in, model.b_in, model.w_out, model.b_out, a1, z2)
     return expit(z2, out=z2)
 
 
-def mlp_score(model: MlpModel, row: np.ndarray) -> float:
-    return float(mlp_score_batch(model, np.atleast_2d(row))[0])
+# ---------------------------------------------------------------------------
+# The model table
+
+
+def _bad(key: str, why: str) -> LoadError:
+    return LoadError(f"key {key!r} {why}")
+
+
+_POSITIVE = (lambda a, dims: (a > 0).all(), "holds a value <= 0")
+
+Model = GnbModel | KnnModel | MlpModel
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one model kind brings to the shared surface.
+
+    arrays maps each array field to its shape, written with 2, d (the
+    feature count), n (training rows) and h (hidden units). rules maps a
+    field to a test of a loaded value, given those sizes, and the message
+    for a value that fails it. tie_rule and tie_labels are KNN's even-k
+    rule: the rule's text, or None when the threshold alone decides, and
+    the labels of the rows X that scored exactly 0.5.
+    """
+    cls: type
+    score: Callable[[Model, np.ndarray], np.ndarray]
+    arrays: dict[str, tuple]
+    rules: dict[str, tuple[Callable[[object, dict], bool], str]]
+    tie_rule: Callable[[Model], str | None] = lambda model: None
+    tie_labels: Callable[[Model, np.ndarray], np.ndarray] | None = None
+
+
+_KINDS = {
+    # GNB scores the botnet posterior
+    "gnb": _Kind(GnbModel, lambda m, X: gnb_posteriors(m, X)[:, 1],
+                 {"priors": (2,), "means": (2, "d"), "variances": (2, "d")},
+                 {"priors": _POSITIVE, "variances": _POSITIVE}),
+    # KNN scores the botnet share of the k nearest training rows; with
+    # even k, a tied vote takes the label of the nearest
+    "knn": _Kind(KnnModel,
+                 lambda m, X: m.labels[_knn_neighbors(m, X)].sum(axis=1) / m.k,
+                 {"points": ("n", "d"), "labels": ("n",)},
+                 {"labels": (lambda a, dims: np.isin(a, (0.0, 1.0)).all(),
+                             "holds a label other than 0 or 1"),
+                  "k": (lambda k, dims: 1 <= k <= dims["n"],
+                        "is {value}, outside 1..{n} (the training rows)")},
+                 lambda m: None if m.k % 2 else (
+                     f"k={m.k} is even, so a score of exactly 0.5 (a tied "
+                     f"vote) takes the label of the nearest training row"),
+                 lambda m, X: m.labels[_knn_neighbors(m, X)[:, 0]]),
+    "mlp": _Kind(MlpModel, _mlp_scores,
+                 {"w_in": ("d", "h"), "b_in": ("h",), "w_out": ("h",)},
+                 {"config": (lambda c, dims: c.valid() and c.hidden == dims["h"],
+                             "is invalid for w_in's {h} hidden units: {value}")}),
+}
+
+MODEL_NAMES = tuple(_KINDS)
+
+
+def model_kind(model: Model) -> str:
+    """The model's name in MODEL_NAMES."""
+    for name, kind in _KINDS.items():
+        if type(model) is kind.cls:
+            return name
+    raise TrainingError(f"unknown model type {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Shared prediction surface
-
-Model = GnbModel | KnnModel | MlpModel
-
-MODEL_NAMES = ("gnb", "knn", "mlp")
 
 
 def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
@@ -470,7 +480,12 @@ def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
 
 
 def score_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
-    """Botnet scores in [0, 1] for every row."""
+    """Botnet scores in [0, 1] for every row.
+
+    The one input rule for every kind: a 2-d matrix with one column per
+    model feature, all finite. Empty input yields an empty vector.
+    """
+    kind = _KINDS[model_kind(model)]
     X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise LoadError("score_batch expects a 2-d feature matrix")
@@ -479,13 +494,9 @@ def score_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
             f"model expects {len(model.feature_names)} features, got {X.shape[1]}")
     if X.shape[0] == 0:
         return np.empty(0)
-    if isinstance(model, GnbModel):
-        return gnb_score_batch(model, X)
-    if isinstance(model, KnnModel):
-        return knn_score_batch(model, X)
-    if isinstance(model, MlpModel):
-        return mlp_score_batch(model, X)
-    raise TrainingError(f"unknown model type {type(model).__name__}")
+    if not np.isfinite(X).all():
+        raise LoadError("scoring needs finite feature values")
+    return kind.score(model, X)
 
 
 def threshold_labels(scores: np.ndarray) -> np.ndarray:
@@ -497,10 +508,7 @@ def threshold_labels(scores: np.ndarray) -> np.ndarray:
 def tie_rule(model: Model) -> str | None:
     """The rule labels_from_scores applies to a score of exactly 0.5 that
     overrides the threshold, or None when the threshold alone decides."""
-    if isinstance(model, KnnModel) and model.k % 2 == 0:
-        return (f"k={model.k} is even, so a score of exactly 0.5 (a tied vote) "
-                f"takes the label of the nearest training row")
-    return None
+    return _KINDS[model_kind(model)].tie_rule(model)
 
 
 def labels_from_scores(model: Model, X: np.ndarray,
@@ -512,12 +520,12 @@ def labels_from_scores(model: Model, X: np.ndarray,
     training row (see tie_rule); only those rows are queried again, so
     other models and odd k cost nothing beyond the threshold.
     """
-    labels = threshold_labels(scores)
-    if tie_rule(model) is not None:
+    labels, kind = threshold_labels(scores), _KINDS[model_kind(model)]
+    if kind.tie_rule(model) is not None:
         tied = np.flatnonzero(np.asarray(scores) == 0.5)
         if tied.size:
             X = np.asarray(X, dtype=np.float64)
-            labels[tied] = model.labels[_knn_neighbors(model, X[tied])[:, 0]]
+            labels[tied] = kind.tie_labels(model, X[tied])
     return labels
 
 
@@ -531,83 +539,108 @@ def predict_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
 # Serialization
 
 
-def _array_out(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
-
-
 def save_model(model: Model, path: str) -> None:
-    """Write a model to structured text (JSON). Floats keep full precision
-    via repr, so load_model(save_model(m)) reproduces m bit-exactly."""
-    if isinstance(model, GnbModel):
-        payload = {
-            "kind": "gnb",
-            "feature_names": list(model.feature_names),
-            "priors": _array_out(model.priors),
-            "means": _array_out(model.means),
-            "variances": _array_out(model.variances),
-            "smoothing": model.smoothing,
-            "provenance": model.provenance,
-        }
-    elif isinstance(model, KnnModel):
-        payload = {
-            "kind": "knn",
-            "feature_names": list(model.feature_names),
-            "points": _array_out(model.points),
-            "labels": _array_out(model.labels),
-            "k": model.k,
-            "provenance": model.provenance,
-        }
-    elif isinstance(model, MlpModel):
-        payload = {
-            "kind": "mlp",
-            "feature_names": list(model.feature_names),
-            "w_in": _array_out(model.w_in),
-            "b_in": _array_out(model.b_in),
-            "w_out": _array_out(model.w_out),
-            "b_out": model.b_out,
-            "config": dataclasses.asdict(model.config),
-            "epoch_losses": list(model.epoch_losses),
-            "provenance": model.provenance,
-        }
-    else:
-        raise TrainingError(f"cannot serialize {type(model).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """Write a model to structured text (JSON): its kind, then each init
+    field in declaration order. Floats keep full precision via repr, so
+    load_model(save_model(m)) reproduces m bit-exactly."""
+    payload = {"kind": model_kind(model)}
+    for f in dataclasses.fields(model):
+        if f.init:
+            value = getattr(model, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif dataclasses.is_dataclass(value):
+                value = dataclasses.asdict(value)
+            payload[f.name] = value
+    _write_json(path, payload, sort_keys=False)
+
+
+def _finite(value) -> bool:
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+# What a JSON value must be to decode into a non-array field, by the
+# field's declared type
+_ACCEPTS = {
+    "tuple[str, ...]": ("a non-empty list of strings", lambda v: type(v) is list
+                        and len(v) > 0 and all(type(s) is str for s in v)),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", _finite),
+    "tuple[float, ...]": ("a list of finite numbers",
+                          lambda v: type(v) is list and all(map(_finite, v))),
+    "dict": ("a JSON object", lambda v: type(v) is dict),
+    "MlpConfig": ("a JSON object", lambda v: type(v) is dict),
+}
+
+
+def _array(key: str, value, shape: tuple, dims: dict) -> np.ndarray:
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise _bad(key, "is not a rectangular array") from None
+    if a.dtype.kind not in "iuf":
+        raise _bad(key, "is not an array of numbers")
+    sizes = tuple(dims.setdefault(dim, got) if isinstance(dim, str) else dim
+                  for dim, got in zip(shape, a.shape))
+    if a.ndim != len(shape) or a.shape != sizes:
+        bound = ", ".join(f"{dim}={size}" for dim, size in dims.items())
+        raise _bad(key, f"has shape {a.shape}, expected "
+                        f"({', '.join(map(str, shape))}) with {bound}")
+    if not np.isfinite(a).all():
+        raise _bad(key, "holds a non-finite value")
+    return np.asarray(a, dtype=np.float64)
+
+
+def _decode(cls, payload: dict, arrays: dict, dims: dict, prefix: str = "") -> dict:
+    """The values of cls's init fields in payload, which must hold exactly
+    those keys: the arrays in the shapes arrays gives, the other fields by
+    their declared type. dims binds each shape letter to the first size
+    seen for it; feature_names binds d."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls) if f.init}
+    for key in [*fields, *payload]:
+        if (key in fields) != (key in payload):
+            raise _bad(prefix + key, "is missing" if key in fields
+                       else f"is not a field of {cls.__name__}")
+    values = {}
+    for name, type_ in fields.items():
+        key, value = prefix + name, payload[name]
+        if name in arrays:
+            value = _array(key, value, arrays[name], dims)
+        elif not _ACCEPTS[type_][1](value):
+            raise _bad(key, f"is not {_ACCEPTS[type_][0]}")
+        elif type_ == "MlpConfig":
+            value = MlpConfig(**_decode(MlpConfig, value, {}, {}, key + "."))
+        values[name] = tuple(value) if type_.startswith("tuple") else value
+        if name == "feature_names":
+            dims["d"] = len(value)
+    return values
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    kind = payload.get("kind")
-    names = tuple(payload["feature_names"])
-    provenance = payload.get("provenance", {})
-    if kind == "gnb":
-        return GnbModel(
-            feature_names=names,
-            priors=_frozen(payload["priors"]),
-            means=_frozen(payload["means"]),
-            variances=_frozen(payload["variances"]),
-            smoothing=float(payload["smoothing"]),
-            provenance=provenance,
-        )
-    if kind == "knn":
-        return KnnModel(
-            feature_names=names,
-            points=_frozen(payload["points"]),
-            labels=_frozen(payload["labels"]),
-            k=int(payload["k"]),
-            provenance=provenance,
-        )
-    if kind == "mlp":
-        return MlpModel(
-            feature_names=names,
-            w_in=_frozen(payload["w_in"]),
-            b_in=_frozen(payload["b_in"]),
-            w_out=_frozen(payload["w_out"]),
-            b_out=float(payload["b_out"]),
-            config=MlpConfig(**payload["config"]),
-            epoch_losses=tuple(payload["epoch_losses"]),
-            provenance=provenance,
-        )
-    raise LoadError(f"{path}: unknown model kind {kind!r}")
+    """Read a model file save_model wrote, checking all scoring relies on.
+
+    The file must be a UTF-8 JSON object of "kind" and exactly that kind's
+    fields. feature_names fixes d, and each array must have its kind's
+    shape. Every field must have its declared type, numbers outside
+    provenance must be finite, and the kind's own rules must hold: GNB
+    priors and variances > 0; KNN labels 0 or 1 and 1 <= k <= n; an MLP
+    config mlp_fit accepts, with hidden equal to w_in's column count.
+    Anything else raises LoadError naming the file and the offending key.
+    """
+    payload = _read_json(path, "model file", LoadError)
+    try:
+        if not isinstance(payload, dict):
+            raise LoadError(f"holds a JSON {type(payload).__name__}, not an object")
+        if "kind" not in payload:
+            raise _bad("kind", "is missing")
+        name = payload.pop("kind")
+        if name not in MODEL_NAMES:
+            raise _bad("kind", f"is {name!r}, not one of {MODEL_NAMES}")
+        kind, dims = _KINDS[name], {}
+        values = _decode(kind.cls, payload, kind.arrays, dims)
+        for key, (holds, why) in kind.rules.items():
+            if not holds(values[key], dims):
+                raise _bad(key, why.format(value=values[key], **dims))
+        return kind.cls(**values)
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None

@@ -17,13 +17,14 @@ import json
 import os
 import sys
 
-from .classifiers import fit_model, load_model, save_model
+from .classifiers import MODEL_NAMES, fit_model, load_model, save_model
 from .errors import BotsiftError, ConfigError, SchemaError
-from .evaluate import cross_validate, evaluate_model, percent
-from .experiment import ExperimentConfig, _write_json, run_experiment
+from .evaluate import METRIC_NAMES, cross_validate, evaluate_model, percent
+from .experiment import ExperimentConfig, run_experiment
 from .features import chi2_scores
-from .flows import (Schema, class_summary, load_csv, read_dataset_csv,
-                    to_dataset, write_dataset_csv, write_records_csv)
+from .flows import (Schema, _read_json, _write_json, class_summary, load_csv,
+                    read_dataset_csv, to_dataset, write_dataset_csv,
+                    write_records_csv)
 from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, bundled_profile_path, generate
@@ -55,13 +56,7 @@ def _resolve(args, cfg, key, default=None):
 def _load_cfg(args) -> dict:
     if not getattr(args, "config", None):
         return {}
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
+    cfg = _read_json(args.config, "config file", ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
@@ -198,13 +193,7 @@ def _cmd_evaluate(args) -> None:
     model = load_model(_require(args, cfg, "model_file"))
     dataset, _ = read_dataset_csv(_require(args, cfg, "csv"))
     report = evaluate_model(model, dataset)
-    out = _out_dir(args, cfg)
-    with open(os.path.join(out, f"{report.model}_report.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    _write_json(os.path.join(out, f"{report.model}_metrics.json"),
-                report.to_json_dict())
-    report.curve.to_file(os.path.join(out, f"{report.model}_roc.tsv"))
+    report.write_files(os.path.join(_out_dir(args, cfg), report.model))
     print(report.to_text(), end="")
 
 
@@ -221,7 +210,7 @@ def _cmd_cross_validate(args) -> None:
     out = _out_dir(args, cfg)
     _write_json(os.path.join(out, f"cv_{name}.json"), result.as_dict())
     print(f"{name} {result.k}-fold cross-validation (percent, mean +/- std):")
-    for metric in ("accuracy", "precision", "recall", "f1", "roc_auc"):
+    for metric in METRIC_NAMES:
         print(f"  {metric:<10} {percent(result.mean[metric])} "
               f"+/- {percent(result.std[metric])}")
 
@@ -297,7 +286,7 @@ def build_parser() -> _Parser:
     ])
     add("train", _cmd_train, "fit one classifier and save it", [
         csv_flag,
-        ("--model", {"choices": ["gnb", "knn", "mlp"], "default": None}),
+        ("--model", {"choices": MODEL_NAMES, "default": None}),
         ("--params", {"help": "hyperparameters as a JSON object"}),
     ])
     add("evaluate", _cmd_evaluate, "score a saved model on a test CSV", [
@@ -306,7 +295,7 @@ def build_parser() -> _Parser:
     ])
     add("cross-validate", _cmd_cross_validate, "k-fold cross-validation", [
         csv_flag,
-        ("--model", {"choices": ["gnb", "knn", "mlp"], "default": None}),
+        ("--model", {"choices": MODEL_NAMES, "default": None}),
         ("--folds", {"type": int, "default": None, "help": "fold count (default 5)"}),
         ("--params", {"help": "hyperparameters as a JSON object"}),
     ])
@@ -331,15 +320,9 @@ def main(argv=None) -> int:
         return 1
     try:
         args.handler(args)
-    except (ConfigError, SchemaError) as exc:
+    except (BotsiftError, OSError) as exc:
         print(f"botsift: {exc}", file=sys.stderr)
-        return 1
-    except BotsiftError as exc:
-        print(f"botsift: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"botsift: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ConfigError, SchemaError)) else 2
     return 0
 
 

@@ -14,7 +14,8 @@ class SchemaError(BotsiftError):
 
 
 class LoadError(BotsiftError):
-    """A CSV file cannot be read or contains invalid row values."""
+    """An input file (a CSV, a model, ...) cannot be read or holds invalid
+    values, or rows to score are not a finite matrix of the model's width."""
 
 
 class CleanseError(BotsiftError):

@@ -9,16 +9,16 @@ so extreme class skews still produce a full report.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import fit_model, labels_from_scores, score_batch, tie_rule
+from .classifiers import (fit_model, labels_from_scores, model_kind,
+                          score_batch, tie_rule)
 from .errors import EvaluationError
-from .flows import Dataset
+from .flows import Dataset, _write_json
 from .preprocess import apply_scaler, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import round_half_up
@@ -91,11 +91,10 @@ def metrics_from(cm: ConfusionMatrix, scores: np.ndarray,
         raise EvaluationError("cannot compute metrics over zero rows")
     accuracy = (cm.tp + cm.tn) / cm.total
     if cm.tp + cm.fp == 0:
-        precision, flag = 0.0, True
-    else:
-        precision, flag = cm.tp / (cm.tp + cm.fp), False
-    if flag:
+        precision = 0.0
         degenerate.append("precision")
+    else:
+        precision = cm.tp / (cm.tp + cm.fp)
     if cm.tp + cm.fn == 0:
         recall = 0.0
         degenerate.append("recall")
@@ -411,6 +410,13 @@ class EvalReport:
             payload["tie_rule"] = self.tie_rule
         return payload
 
+    def write_files(self, base: str) -> None:
+        """The report as base_report.txt, base_metrics.json and base_roc.tsv."""
+        with open(f"{base}_report.txt", "w", encoding="utf-8") as fh:
+            fh.write(self.to_text())
+        _write_json(f"{base}_metrics.json", self.to_json_dict())
+        self.curve.to_file(f"{base}_roc.tsv")
+
 
 def evaluate_model(model, test: Dataset, model_name: str | None = None,
                    cv: CvResult | None = None) -> EvalReport:
@@ -420,7 +426,7 @@ def evaluate_model(model, test: Dataset, model_name: str | None = None,
     cm = ConfusionMatrix.from_labels(test.labels, preds)
     metrics = metrics_from(cm, scores, test.labels)
     curve = roc_curve(scores, test.labels)
-    name = model_name or type(model).__name__.removesuffix("Model").lower()
-    return EvalReport(model=name, confusion=cm, metrics=metrics, curve=curve,
+    return EvalReport(model=model_name or model_kind(model), confusion=cm,
+                      metrics=metrics, curve=curve,
                       test_counts=test.class_counts, cv=cv,
                       tie_rule=tie_rule(model))

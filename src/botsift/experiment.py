@@ -30,7 +30,8 @@ from .errors import BotsiftError, ConfigError
 from .evaluate import (EvalReport, METRIC_NAMES, cross_validate,
                        evaluate_model, percent, train_test_split)
 from .features import chi2_scores, select_features
-from .flows import Dataset, Schema, load_csv, to_dataset
+from .flows import (Dataset, Schema, _read_json, _write_json, load_csv,
+                    to_dataset)
 from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, generate
@@ -53,7 +54,7 @@ class ExperimentConfig:
     select: bool = True
     test_fraction: float = 0.2
     cv_folds: int = 5
-    models: tuple[tuple[str, dict], ...] = (("gnb", {}), ("knn", {}), ("mlp", {}))
+    models: tuple[tuple[str, dict], ...] = tuple((name, {}) for name in MODEL_NAMES)
     save_models: bool = False
 
     def validate(self) -> None:
@@ -62,12 +63,11 @@ class ExperimentConfig:
             raise ConfigError(
                 "config must name exactly one input source "
                 "(input.csv or input.profile)")
-        if self.input_csv and not os.path.exists(self.input_csv):
-            raise ConfigError(f"input csv not found: {self.input_csv}")
-        if self.input_profile and not os.path.exists(self.input_profile):
-            raise ConfigError(f"input profile not found: {self.input_profile}")
-        if self.input_schema and not os.path.exists(self.input_schema):
-            raise ConfigError(f"schema not found: {self.input_schema}")
+        for what, path in (("input csv", self.input_csv),
+                           ("input profile", self.input_profile),
+                           ("schema", self.input_schema)):
+            if path and not os.path.exists(path):
+                raise ConfigError(f"{what} not found: {path}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.smote not in SMOTE_CHOICES:
@@ -112,26 +112,23 @@ class ExperimentConfig:
         if not isinstance(source, dict):
             raise ConfigError("config 'input' must be an object")
         models_raw = raw.pop("models", None)
-        models: tuple[tuple[str, dict], ...]
         if models_raw is None:
-            models = (("gnb", {}), ("knn", {}), ("mlp", {}))
-        else:
-            if not isinstance(models_raw, list):
-                raise ConfigError("config 'models' must be a list")
-            parsed = []
-            for entry in models_raw:
-                if not isinstance(entry, dict) or "name" not in entry:
-                    raise ConfigError(f"each model entry needs a 'name': {entry}")
-                entry = dict(entry)
-                parsed.append((entry.pop("name"), entry))
-            models = tuple(parsed)
+            models_raw = [{"name": name} for name in MODEL_NAMES]
+        if not isinstance(models_raw, list):
+            raise ConfigError("config 'models' must be a list")
+        models = []
+        for entry in models_raw:
+            if not isinstance(entry, dict) or "name" not in entry:
+                raise ConfigError(f"each model entry needs a 'name': {entry}")
+            entry = dict(entry)
+            models.append((entry.pop("name"), entry))
         known = {f.name for f in dataclasses.fields(cls)}
         fields = {
             "input_csv": source.get("csv"),
             "input_schema": source.get("schema"),
             "input_profile": source.get("profile"),
             "input_rows": source.get("rows"),
-            "models": models,
+            "models": tuple(models),
         }
         for key, value in raw.items():
             if key not in known or key.startswith("input_"):
@@ -144,14 +141,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config file", ConfigError))
 
 
 @dataclass
@@ -159,14 +149,6 @@ class ExperimentResult:
     outdir: str
     manifest: dict
     reports: dict[tuple[str, str], EvalReport] = field(default_factory=dict)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    """payload as sorted, indented JSON with a final newline; the CLI's
-    outputs and the experiment bundle are written the same way."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_input(config: ExperimentConfig, seeds: dict[str, int],
@@ -255,11 +237,7 @@ def _fit_job(grid: _Grid, job: _Job) -> tuple[str, EvalReport | Exception]:
                     smote_config=grid.smote_config if arm == "smote" else None)
         stage = f"evaluate[{arm}/{name}]"
         report = evaluate_model(model, test_arm, model_name=name, cv=cv)
-        base = os.path.join(grid.outdir, f"{arm}_{name}")
-        with open(f"{base}_report.txt", "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
-        _write_json(f"{base}_metrics.json", report.to_json_dict())
-        report.curve.to_file(f"{base}_roc.tsv")
+        report.write_files(os.path.join(grid.outdir, f"{arm}_{name}"))
         return stage, report
     except Exception as exc:
         return stage, exc

@@ -9,13 +9,12 @@ scoring strictly above the mean score are selected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FeatureScoreError
-from .flows import Dataset
+from .flows import Dataset, _write_json
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,7 @@ class FeatureScoreReport:
             "selected": list(self.selected),
             "ranked": list(self.ranked_names),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
 
 
 def chi2_scores(dataset: Dataset) -> FeatureScoreReport:

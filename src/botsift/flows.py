@@ -50,6 +50,27 @@ LABEL_FIELD = "attack"
 CHUNK_ROWS = 8192
 
 
+def _read_json(path: str, what: str, error: type[Exception]):
+    """The JSON value in the file at path. A missing file, or one that is
+    not UTF-8 JSON, raises error naming path and calling the file what."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{path}: {what} not found") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{path}: {what} is not valid JSON: {exc}") from None
+
+
+def _write_json(path: str, payload: dict, sort_keys: bool = True) -> None:
+    """payload as indented JSON with a final newline, keys sorted unless
+    their order is the format's; every JSON file botsift writes goes
+    through here."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 @dataclass
 class Schema:
     """Maps CSV column names to roles.
@@ -85,22 +106,13 @@ class Schema:
 
     @classmethod
     def from_json(cls, path: str) -> "Schema":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise SchemaError(f"schema file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"schema file {path} is not valid JSON: {exc}")
+        raw = _read_json(path, "schema file", SchemaError)
         if not isinstance(raw, dict) or "roles" not in raw:
             raise SchemaError(f"schema file {path} must contain a 'roles' object")
         return cls(roles=dict(raw["roles"]), default_role=raw.get("default_role", "ignore"))
 
     def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"roles": self.roles, "default_role": self.default_role},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {"roles": self.roles, "default_role": self.default_role})
 
 
 def default_schema() -> Schema:

@@ -9,14 +9,14 @@ serialize to JSON so a pipeline can be re-applied to new data.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CleanseError, EncodingError, SchemaError
-from .flows import CATEGORICAL_FIELDS, Dataset, FlowTable, Schema
+from .errors import CleanseError, EncodingError, LoadError, SchemaError
+from .flows import (CATEGORICAL_FIELDS, Dataset, FlowTable, Schema, _read_json,
+                    _write_json)
 
 # First code assigned per categorical column. proto codes count up from 1,
 # state codes from 10, so the two code ranges cannot be confused in output.
@@ -78,14 +78,11 @@ class EncodingMap:
     def to_json(self, path: str) -> None:
         payload = {"proto": self.proto_codes, "state": self.state_codes}
         payload.update(self.extra_codes)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
 
     @classmethod
     def from_json(cls, path: str) -> "EncodingMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path, "encoding file", LoadError)
         proto = {str(k): int(v) for k, v in payload.pop("proto", {}).items()}
         state = {str(k): int(v) for k, v in payload.pop("state", {}).items()}
         extra = {col: {str(k): int(v) for k, v in codes.items()}
@@ -159,14 +156,11 @@ class ScalerParams:
             "min": [float(v) for v in self.minima],
             "max": [float(v) for v in self.maxima],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, payload, sort_keys=False)
 
     @classmethod
     def from_json(cls, path: str) -> "ScalerParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path, "scaler file", LoadError)
         return cls(feature_names=tuple(payload["features"]),
                    minima=np.asarray(payload["min"], dtype=np.float64),
                    maxima=np.asarray(payload["max"], dtype=np.float64))

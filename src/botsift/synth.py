@@ -12,7 +12,6 @@ reproduce files byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import SynthError
-from .flows import FlowTable
+from .flows import FlowTable, _read_json
 
 CLASS_KEYS = {"normal": 0, "botnet": 1}
 
@@ -85,14 +84,7 @@ class TrafficProfile:
 
     @classmethod
     def from_json(cls, path: str) -> "TrafficProfile":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise SynthError(f"profile not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise SynthError(f"profile {path} is not valid JSON: {exc}")
-        return cls._from_dict(raw, where=path)
+        return cls._from_dict(_read_json(path, "profile", SynthError), where=path)
 
     @classmethod
     def _from_dict(cls, raw: dict, where: str = "profile") -> "TrafficProfile":

@@ -40,14 +40,13 @@ from botsift import (
     fit_model,
     fit_scaler,
     generate,
-    gnb_score,
     knn_fit,
-    knn_predict_batch,
     load_csv,
     make_folds,
     metrics_from,
     mlp_init,
     mlp_loss_and_grads,
+    predict_batch,
     roc_curve,
     run_experiment,
     score_batch,
@@ -198,7 +197,7 @@ def test_04_knn_oracle_equivalence(rng):
     queries = rng.normal(0.0, 2.0, (50, 4))
     train = make_dataset(train_X, train_y)
     for k in (1, 3, 5):
-        got = knn_predict_batch(knn_fit(train, k=k), queries)
+        got = predict_batch(knn_fit(train, k=k), queries)
         want = knn_oracle_predict(train_X, train_y, queries, k)
         assert np.array_equal(got, want), f"k={k} disagrees with oracle"
     _ok(4, "knn-oracle-equivalence")
@@ -227,7 +226,7 @@ def test_05_gnb_closed_form():
         variances=np.array([[1.0], [1.0]]),
         smoothing=0.0,
     )
-    got = gnb_score(model, np.array([0.25]))
+    got = float(score_batch(model, np.array([0.25])[None])[0])
     assert abs(got - expected) <= 1e-9
     _ok(5, "gnb-closed-form")
 

@@ -16,11 +16,10 @@ import botsift
 from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
                      LoadError, MlpConfig, MlpModel, TrainingError,
                      cross_validate, evaluate_model, fit_model, gnb_fit,
-                     gnb_posteriors, gnb_score, gnb_score_batch, knn_fit,
-                     knn_predict, knn_predict_batch, knn_score,
-                     knn_score_batch, load_model, make_folds, mlp_fit,
-                     mlp_init, mlp_loss_and_grads, mlp_score_batch,
-                     predict_batch, save_model, score_batch, threshold_labels)
+                     gnb_posteriors, knn_fit, load_model, make_folds, mlp_fit,
+                     mlp_init, mlp_loss_and_grads, predict_batch, save_model,
+                     score_batch, threshold_labels)
+from botsift.classifiers import MODEL_NAMES
 
 from conftest import make_dataset
 
@@ -68,7 +67,7 @@ class TestGnb:
         y = np.array([0] * 5 + [1] * 5)
         model = gnb_fit(make_dataset(X, y))
         assert model.smoothing == 1e-12
-        scores = gnb_score_batch(model, X)
+        scores = score_batch(model, X)
         assert np.all(np.isfinite(scores))
 
     def test_posteriors_sum_to_one(self, rng):
@@ -87,14 +86,14 @@ class TestGnb:
             smoothing=0.0,
         )
         # equal priors and unit variances: log-odds reduce to x - 1/2
-        got = gnb_score(model, np.array([0.25]))
+        got = float(score_batch(model, np.array([0.25])[None])[0])
         assert math.isclose(got, 1.0 / (1.0 + math.exp(0.25)), rel_tol=1e-12)
 
     def test_matches_direct_density_oracle(self, rng):
         ds = blobs(rng, n0=40, n1=25)
         model = gnb_fit(ds)
         probe = rng.normal(3.0, 3.0, (20, 3))
-        got = gnb_score_batch(model, probe)
+        got = score_batch(model, probe)
         for i, x in enumerate(probe):
             dens = []
             for c in (0, 1):
@@ -111,8 +110,8 @@ class TestGnb:
 
     def test_scoring_is_deterministic(self, rng):
         ds = blobs(rng)
-        a = gnb_score_batch(gnb_fit(ds), ds.features)
-        b = gnb_score_batch(gnb_fit(ds), ds.features)
+        a = score_batch(gnb_fit(ds), ds.features)
+        b = score_batch(gnb_fit(ds), ds.features)
         assert np.array_equal(a, b)
 
 
@@ -171,24 +170,24 @@ class TestKnn:
         y = np.array([1, 1, 0, 0, 0])
         model = knn_fit(make_dataset(X, y), k=3)
         probe = np.array([0.5])
-        assert knn_score(model, probe) == 2.0 / 3.0
-        assert knn_predict(model, probe) == 1
+        assert score_batch(model, probe[None])[0] == 2.0 / 3.0
+        assert predict_batch(model, probe[None])[0] == 1
 
     def test_matches_exhaustive_oracle(self, rng):
         for k in (1, 3, 5, 8):
             train = blobs(rng, n0=30, n1=30, gap=2.0)
             model = knn_fit(train, k=k)
             probe = rng.normal(1.0, 2.0, (25, 3))
-            got = knn_score_batch(model, probe)
+            got = score_batch(model, probe)
             want = knn_score_oracle(train.features, train.labels, probe, k)
             assert np.array_equal(got, want)
 
     def test_scaling_features_by_two_changes_nothing(self, rng):
         train = blobs(rng, n0=20, n1=20, gap=2.0)
         probe = rng.normal(1.0, 2.0, (15, 3))
-        base = knn_score_batch(knn_fit(train, k=5), probe)
+        base = score_batch(knn_fit(train, k=5), probe)
         doubled = make_dataset(2.0 * train.features, train.labels)
-        scaled = knn_score_batch(knn_fit(doubled, k=5), 2.0 * probe)
+        scaled = score_batch(knn_fit(doubled, k=5), 2.0 * probe)
         assert np.array_equal(base, scaled)
 
     def test_k1_memorizes_distinct_training_points(self, rng):
@@ -196,20 +195,20 @@ class TestKnn:
         y = (rng.random(len(X)) < 0.5).astype(int)
         y[:2] = [0, 1]
         model = knn_fit(make_dataset(X, y), k=1)
-        assert np.array_equal(knn_score_batch(model, X), y.astype(float))
+        assert np.array_equal(score_batch(model, X), y.astype(float))
 
     def test_k_equal_to_n_scores_global_fraction(self, rng):
         train = blobs(rng, n0=45, n1=15, gap=2.0)
         model = knn_fit(train, k=60)
-        scores = knn_score_batch(model, rng.normal(0, 3, (10, 3)))
+        scores = score_batch(model, rng.normal(0, 3, (10, 3)))
         assert np.all(scores == 15.0 / 60.0)
 
     def test_batch_equals_row_by_row(self, rng):
         train = blobs(rng, n0=25, n1=25, gap=2.0)
         model = knn_fit(train, k=4)
         probe = rng.normal(1.0, 2.0, (12, 3))
-        batch = knn_score_batch(model, probe)
-        singles = [knn_score(model, row) for row in probe]
+        batch = score_batch(model, probe)
+        singles = [score_batch(model, row[None])[0] for row in probe]
         assert batch.tolist() == singles
 
     def test_even_k_tie_takes_the_nearest_label(self):
@@ -218,19 +217,18 @@ class TestKnn:
         model = knn_fit(make_dataset(X, y), k=2)
         # probe at 1: neighbours are rows 0 (label 0) and 1 (label 1), tied
         # vote, nearest is row 0
-        assert knn_predict(model, np.array([1.0])) == 0
+        assert predict_batch(model, np.array([1.0])[None])[0] == 0
         # probe at 2.5: same two neighbours, nearest is row 1
-        assert knn_predict(model, np.array([2.5])) == 1
+        assert predict_batch(model, np.array([2.5])[None])[0] == 1
 
     @settings(max_examples=150, deadline=None)
     @given(tied_knn_cases())
     def test_lattice_and_duplicate_ties_match_the_oracles(self, case):
         X, y, queries, k = case
         model = knn_fit(make_dataset(X, y), k=k)
-        assert np.array_equal(knn_score_batch(model, queries),
+        assert np.array_equal(score_batch(model, queries),
                               knn_score_oracle(X, y, queries, k))
         want = knn_predict_oracle(X, y, queries, k)
-        assert np.array_equal(knn_predict_batch(model, queries), want)
         assert np.array_equal(predict_batch(model, queries), want)
 
     def test_near_tie_is_ranked_by_the_direct_distance(self):
@@ -238,14 +236,13 @@ class TestKnn:
         # and ranks row 0 first; row 1 is nearer
         model = knn_fit(make_dataset([[1e4], [1e4 + 1e-4]], [0, 1]), k=1)
         probe = np.array([[1e4 + 0.5e-4 + 1e-12]])
-        assert knn_score_batch(model, probe).tolist() == [1.0]
-        assert knn_predict_batch(model, probe).tolist() == [1]
+        assert score_batch(model, probe).tolist() == [1.0]
+        assert predict_batch(model, probe).tolist() == [1]
 
     def test_even_k_tie_rule_holds_in_predict_batch_and_reports(self):
         model = knn_fit(make_dataset([[0.0], [1.0], [3.0], [4.0]],
                                      [0, 0, 1, 1]), k=2)
         probe = np.array([[1.9]])  # votes 1-1, nearest is row 1 (label 0)
-        assert knn_predict_batch(model, probe).tolist() == [0]
         assert predict_batch(model, probe).tolist() == [0]
         test = make_dataset([[1.9], [2.1], [3.5]], [0, 1, 1])
         report = evaluate_model(model, test)
@@ -264,7 +261,6 @@ class TestKnn:
         train = make_dataset([[0.0], [1.0], [3.0], [4.0]], [0, 0, 1, 1])
         probe = np.array([[1.9]])  # a tied vote: the tie rule queries again
         for predict in (lambda m: predict_batch(m, probe),
-                        lambda m: knn_predict_batch(m, probe),
                         lambda m: evaluate_model(m, make_dataset([[1.9], [3.5]],
                                                                  [0, 1]))):
             model = knn_fit(train, k=2)
@@ -294,7 +290,7 @@ class TestKnn:
     def test_non_finite_queries_rejected(self):
         model = knn_fit(make_dataset([[0.0], [1.0]], [0, 1]), k=1)
         with pytest.raises(LoadError, match="finite"):
-            knn_score_batch(model, np.array([[np.nan]]))
+            score_batch(model, np.array([[np.nan]]))
 
     def test_importing_botsift_leaves_the_kd_tree_unloaded(self):
         # scipy.spatial is imported only when KNN scores, and
@@ -336,7 +332,7 @@ class TestMlp:
             w_out=np.zeros(4), b_out=0.0,
             config=MlpConfig(hidden=4),
         )
-        scores = mlp_score_batch(model, np.array([[1.0, -2.0], [0.0, 0.0]]))
+        scores = score_batch(model, np.array([[1.0, -2.0], [0.0, 0.0]]))
         assert scores.tolist() == [0.5, 0.5]
 
     def test_gradients_match_central_differences(self, rng):
@@ -446,6 +442,18 @@ class TestSharedSurface:
         with pytest.raises(Exception, match="features"):
             score_batch(model, np.zeros((4, 7)))
         assert score_batch(model, np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_non_finite_rows_rejected_for_every_kind(self, rng, name):
+        # GNB and MLP once scored a NaN row as nan, which predict_batch
+        # then labelled normal
+        train = blobs(rng, n0=10, n1=10, d=2)
+        model = fit_model(name, train, {"epochs": 1} if name == "mlp" else None)
+        for row in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(LoadError, match="finite"):
+                score_batch(model, np.array([row]))
+            with pytest.raises(LoadError, match="finite"):
+                predict_batch(model, np.array([row]))
 
     def test_scores_stay_in_unit_interval(self, rng):
         train = blobs(rng, n0=30, n1=30)

@@ -276,6 +276,61 @@ class TestTrainEvaluate:
             assert os.path.exists(os.path.join(out, name))
 
 
+def _saved_payload(tmp_path, name, dataset_csv):
+    out = str(tmp_path / f"fit_{name}")
+    params = {"knn": '{"k": 1}', "mlp": '{"epochs": 1}'}.get(name, "{}")
+    assert main(["train", "--csv", dataset_csv, "--model", name,
+                 "--params", params, "--out", out]) == 0
+    with open(os.path.join(out, f"model_{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestMalformedModelFiles:
+    def _evaluate(self, tmp_path, dataset_csv, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--model-file", str(path), "--csv",
+                     dataset_csv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"botsift: {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("text, why", [
+        ('{"kind":"knn","feature_names":["a"]}', "key 'points' is missing"),
+        ("not json", "model file is not valid JSON"),
+        ("[1,2]", "holds a JSON list, not an object"),
+    ])
+    def test_not_a_model_exits_two(self, tmp_path, dataset_csv, capsys,
+                                   text, why):
+        assert why in self._evaluate(tmp_path, dataset_csv, capsys, text)
+
+    def test_unknown_mlp_config_key_exits_two(self, tmp_path, dataset_csv,
+                                              capsys):
+        payload = _saved_payload(tmp_path, "mlp", dataset_csv)
+        payload["config"]["bogus"] = 1
+        err = self._evaluate(tmp_path, dataset_csv, capsys, json.dumps(payload))
+        assert "key 'config.bogus' is not a field of MlpConfig" in err
+
+    def test_nan_gnb_variance_exits_two(self, tmp_path, dataset_csv, capsys):
+        payload = _saved_payload(tmp_path, "gnb", dataset_csv)
+        payload["variances"][0][0] = float("nan")
+        err = self._evaluate(tmp_path, dataset_csv, capsys, json.dumps(payload))
+        assert "key 'variances' holds a non-finite value" in err
+
+    def test_k_over_the_training_rows_exits_two(self, tmp_path, dataset_csv,
+                                                capsys):
+        payload = _saved_payload(tmp_path, "knn", dataset_csv)
+        payload["points"], payload["labels"] = payload["points"][:2], [0.0, 1.0]
+        payload["k"] = 5
+        err = self._evaluate(tmp_path, dataset_csv, capsys, json.dumps(payload))
+        assert "key 'k' is 5, outside 1..2" in err
+
+
 class TestCrossValidate:
     def test_prints_and_writes_fold_summary(self, tmp_path, dataset_csv,
                                             capsys):
@@ -334,6 +389,15 @@ class TestRun:
         cfg = self._config(tmp_path, profile_path, cv_folds=1)
         assert main(["run", "--config", cfg]) == 1
         assert "cv_folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, command,
+                                               capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"botsift: {cfg}: config file is not valid JSON: ")
 
 
 class TestParser:
