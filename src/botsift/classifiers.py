@@ -18,7 +18,6 @@ are each written once over it.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import DivergenceError, LoadError, TrainingError
-from .flows import Dataset, _read_json, _write_json
+from .flows import Dataset, _finite, _read_json, _write_json
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -553,10 +552,6 @@ def save_model(model: Model, path: str) -> None:
                 value = dataclasses.asdict(value)
             payload[f.name] = value
     _write_json(path, payload, sort_keys=False)
-
-
-def _finite(value) -> bool:
-    return type(value) is int or type(value) is float and math.isfinite(value)
 
 
 # What a JSON value must be to decode into a non-array field, by the

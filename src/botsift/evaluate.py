@@ -81,6 +81,12 @@ def metrics_from(cm: ConfusionMatrix, scores: np.ndarray,
     cm must describe the same rows as (scores, y_true); the AUC comes from
     the score ranking, the other four from the confusion counts.
     """
+    return _metrics_and_curve(cm, scores, y_true)[0]
+
+
+def _metrics_and_curve(cm: ConfusionMatrix, scores: np.ndarray,
+                       y_true: np.ndarray) -> tuple[Metrics, RocCurve]:
+    """metrics_from's metrics and the ROC curve their AUC comes from."""
     y_true = np.asarray(y_true, dtype=np.int64)
     if cm.total != len(y_true) or len(scores) != len(y_true):
         raise EvaluationError("confusion matrix does not match the score vectors")
@@ -105,9 +111,9 @@ def metrics_from(cm: ConfusionMatrix, scores: np.ndarray,
         degenerate.append("f1")
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    auc = roc_curve(scores, y_true).auc
+    curve = roc_curve(scores, y_true)
     return Metrics(accuracy=accuracy, precision=precision, recall=recall,
-                   f1=f1, roc_auc=auc, degenerate=tuple(degenerate))
+                   f1=f1, roc_auc=curve.auc, degenerate=tuple(degenerate)), curve
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +430,7 @@ def evaluate_model(model, test: Dataset, model_name: str | None = None,
     scores = score_batch(model, test)
     preds = labels_from_scores(model, test.features, scores)
     cm = ConfusionMatrix.from_labels(test.labels, preds)
-    metrics = metrics_from(cm, scores, test.labels)
-    curve = roc_curve(scores, test.labels)
+    metrics, curve = _metrics_and_curve(cm, scores, test.labels)
     return EvalReport(model=model_name or model_kind(model), confusion=cm,
                       metrics=metrics, curve=curve,
                       test_counts=test.class_counts, cv=cv,

@@ -24,7 +24,9 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
+from functools import partial
 
+from ._pool import fork_map
 from .classifiers import MODEL_NAMES, fit_model, save_model
 from .errors import BotsiftError, ConfigError
 from .evaluate import (EvalReport, METRIC_NAMES, cross_validate,
@@ -243,45 +245,17 @@ def _fit_job(grid: _Grid, job: _Job) -> tuple[str, EvalReport | Exception]:
         return stage, exc
 
 
-# Processes that fit a run's jobs side by side: the jobs are independent,
-# and the MLP's SGD step holds the interpreter lock, so threads cannot help.
-FIT_WORKERS = min(2, os.cpu_count() or 1)
-
-_worker_grid: _Grid | None = None  # set only inside pool processes
-
-
-def _adopt_grid(grid: _Grid) -> None:
-    global _worker_grid
-    _worker_grid = grid
-
-
-def _fit_pooled(job: _Job) -> tuple[str, EvalReport | Exception]:
-    return _fit_job(_worker_grid, job)
-
-
 def _run_jobs(grid: _Grid, jobs: list[_Job]) -> list[tuple[str, EvalReport | Exception]]:
     """_fit_job over every job, results in job order.
 
-    With two or more jobs and workers and the fork start method, the jobs
-    run in a pool of forked processes. The children inherit the grid's
-    datasets through the fork, so only the small job tuples go out and
-    only the reports (or exceptions) come back. MLP jobs, the longest, are
-    sent first so that no worker finishes a long fit alone at the end.
-    Each job's output depends only on its inputs, so bundles are the same
-    bytes whichever process ran it.
+    The jobs run through _pool.fork_map: forked children inherit the
+    grid's datasets, so only the reports (or exceptions) come back. MLP
+    jobs, the longest, are sent first so that no worker finishes a long fit
+    alone at the end. Each job's output depends only on its inputs, so
+    bundles are the same bytes whichever process ran it.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(FIT_WORKERS, len(jobs))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_fit_job(grid, job) for job in jobs]
     order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] != "mlp")
-    # an executor, unlike multiprocessing.Pool, raises BrokenProcessPool
-    # when a worker dies (say, killed for memory) instead of waiting forever
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt_grid, initargs=(grid,)) as pool:
-        done = dict(zip(order, pool.map(_fit_pooled, [jobs[i] for i in order])))
+    done = dict(zip(order, fork_map(partial(_fit_job, grid), [jobs[i] for i in order])))
     return [done[i] for i in range(len(jobs))]
 
 

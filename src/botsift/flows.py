@@ -9,18 +9,32 @@ for the learning stages.
 
 The writers and load_csv work through files CHUNK_ROWS rows at a time, so
 their memory does not grow with the file. read_dataset_csv parses a whole
-file in one numpy.loadtxt call, in C; a file that call cannot parse, or
-whose cells break a rule, is read again by the line-accurate reader, which
-also works CHUNK_ROWS rows at a time and names the first offending line.
-A csv.Error or a byte that is not UTF-8 is a LoadError naming its line.
+file with numpy.loadtxt, in C; a file it cannot parse, or whose cells
+break a rule, is read again by the line-accurate reader, which also works
+CHUNK_ROWS rows at a time and names the first offending line. A csv.Error
+or a byte that is not UTF-8 is a LoadError naming its line.
+
+Files of more than CHUNK_ROWS rows use both cores through _pool.fork_map.
+The writers format contiguous ranges of whole chunks side by side, each
+into its own file, and append the parts in order. read_dataset_csv cuts a
+body in which every record is one physical line (no '"', no lone '\r')
+into ranges of whole lines, which the workers parse into one shared
+array; if a range fails, the file is parsed in one call as before. Either
+way the bytes written and the values read do not depend on the cut.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import mmap
+import os
 import re
+import shutil
+import stat
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,6 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import _pool
 from .errors import LoadError, SchemaError
 
 ROLES = ("numeric", "categorical", "label", "ignore")
@@ -60,6 +75,11 @@ def _read_json(path: str, what: str, error: type[Exception]):
         raise error(f"{path}: {what} not found") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise error(f"{path}: {what} is not valid JSON: {exc}") from None
+
+
+def _finite(value) -> bool:
+    """Whether a value read from JSON is a finite number (a bool is not)."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
 
 
 def _write_json(path: str, payload: dict, sort_keys: bool = True) -> None:
@@ -491,7 +511,18 @@ class Dataset:
         return (self.n_rows - botnet, botnet)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.feature_names)
+        """The rows an index array or boolean mask selects, in that order.
+
+        A row subset of a valid Dataset is valid, so the checks of
+        __post_init__ (finite features, 0/1 labels) are not run again.
+        """
+        subset = object.__new__(Dataset)
+        for name, array in (("features", np.ascontiguousarray(self.features[indices])),
+                            ("labels", self.labels[indices])):
+            array.setflags(write=False)
+            object.__setattr__(subset, name, array)
+        object.__setattr__(subset, "feature_names", self.feature_names)
+        return subset
 
     def with_columns(self, names: Sequence[str]) -> "Dataset":
         index = {n: i for i, n in enumerate(self.feature_names)}
@@ -573,13 +604,40 @@ def _write_chunks(path: str, header: list[str], rows: int,
     """Write header, then the rows chunk_columns formats per CHUNK_ROWS slice.
 
     The cells come formatted, so rows are joined directly: the same bytes
-    csv.writer would write, without its per-cell quoting checks.
+    csv.writer would write, without its per-cell quoting checks. A file of
+    more than CHUNK_ROWS rows is cut at chunk boundaries into up to
+    _pool.WORKERS row ranges, formatted side by side: the first range is
+    written to path after the header, each other one to a part file beside
+    it, which is then appended to path. The part files are removed whether
+    or not the write succeeds.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, rows, CHUNK_ROWS):
-            cells = chunk_columns(slice(start, start + CHUNK_ROWS))
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+    chunks = -(-rows // CHUNK_ROWS)
+    count = max(1, min(_pool.WORKERS, chunks))
+    bounds = [CHUNK_ROWS * (chunks * i // count) for i in range(count)] + [rows]
+    parts: list[str] = []
+
+    def write_range(i: int) -> None:
+        with open(parts[i - 1] if i else path, "a", encoding="utf-8", newline="") as fh:
+            for start in range(bounds[i], bounds[i + 1], CHUNK_ROWS):
+                cells = chunk_columns(slice(start, min(start + CHUNK_ROWS, bounds[i + 1])))
+                fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+
+    try:
+        for _ in range(1, count):
+            fd, part = tempfile.mkstemp(".part", os.path.basename(path) + ".",
+                                        os.path.dirname(os.path.abspath(path)))
+            os.close(fd)
+            parts.append(part)
+        _pool.fork_map(write_range, range(count))
+        with open(path, "ab") as out:
+            for part in parts:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
+    finally:
+        for part in parts:
+            os.remove(part)
 
 
 def write_records_csv(flows: FlowTable, path: str) -> None:
@@ -662,13 +720,15 @@ def _flag_value(cell: str) -> int:
 
 
 def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
-    """read_dataset_csv's result from one numpy.loadtxt call over the file
-    body, or None when the file is not plainly in the writer's shape.
+    """read_dataset_csv's result from numpy.loadtxt over the file body, or
+    None when the file is not plainly in the writer's shape.
 
     The body is read into a structured array, one 8-byte field per column.
     A 2-d float64 read followed by a column copy was slower and, over a
     whole CLI session, left glibc's heap fragmented enough to raise the
-    peak RSS by 1-9%.
+    peak RSS by 1-9%. A body _body_ranges can cut is parsed range by range
+    side by side; if any range fails, the body is parsed again in one call,
+    so the result does not depend on the cut.
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
@@ -684,15 +744,13 @@ def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
         flag_idx = [label_idx] + ([] if synth_idx is None else [synth_idx])
         dtype = np.dtype([(f"f{i}", "i8" if i in flag_idx else "f8")
                           for i in range(len(header))])
-        try:
-            with warnings.catch_warnings():
-                # a body with no rows warns, and reads as zero rows
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1,
-                                  converters=dict.fromkeys(flag_idx, _flag_value))
-        except ValueError:
-            return None
+        converters = dict.fromkeys(flag_idx, _flag_value)
+        body = _read_split(path, dtype, converters)
+        if body is None:
+            try:
+                body = _loadtxt(fh, dtype, converters)
+            except ValueError:
+                return None
     labels = body[f"f{label_idx}"]
     flags = None if synth_idx is None else body[f"f{synth_idx}"]
     features = np.column_stack([body[f"f{i}"] for i in feat_idx])
@@ -702,6 +760,101 @@ def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
     # copies, so the result holds no view into body
     dataset = Dataset(features, labels.copy(), tuple(header[i] for i in feat_idx))
     return dataset, None if flags is None else flags.copy()
+
+
+def _loadtxt(source, dtype: np.dtype, converters: dict) -> np.ndarray:
+    """The rows of source, text after the header, as a structured array."""
+    with warnings.catch_warnings():
+        # a body with no rows warns, and reads as zero rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1, converters=converters)
+
+
+def _read_split(path: str, dtype: np.dtype, converters: dict) -> np.ndarray | None:
+    """The body of the file at path parsed by _loadtxt over _body_ranges's
+    ranges side by side, or None when the body is not cut or a range does
+    not parse to one row per line (it raises, or holds a blank line).
+
+    Each worker fills its rows of one array in an anonymous shared mapping,
+    so no parsed rows pass through the pool's pipes.
+    """
+    ranges = _body_ranges(path, _pool.WORKERS)
+    if ranges is None:
+        return None
+    firsts = np.cumsum([0] + [lines for _, _, lines in ranges]).tolist()
+    body = np.frombuffer(mmap.mmap(-1, firsts[-1] * dtype.itemsize), dtype)
+
+    def fill(i: int) -> bool:
+        start, stop, lines = ranges[i]
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            text = fh.read(stop - start)
+        try:
+            rows = _loadtxt(io.StringIO(text.decode("utf-8")), dtype, converters)
+        except ValueError:  # UnicodeDecodeError included
+            return False
+        if len(rows) != lines:
+            return False
+        body[firsts[i]:firsts[i + 1]] = rows
+        return True
+
+    return body if all(_pool.fork_map(fill, range(len(ranges)))) else None
+
+
+# Bytes _body_ranges scans at a time.
+_SCAN_BYTES = 1 << 20
+
+
+def _body_ranges(path: str, parts: int) -> list[tuple[int, int, int]] | None:
+    """(start, stop, lines) byte ranges that cut the body of the file at
+    path, after its header line, into parts runs of whole lines.
+
+    None when parts < 2 or when a record might span lines, which would
+    make a range parse differently from the whole body: the file holds a
+    '"' or a '\\r' outside '\\r\\n', or its last line has no '\\n'. None too
+    for a body of no more than CHUNK_ROWS lines, which is not worth cutting.
+    """
+    if parts < 2:
+        return None
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
+            return None
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            return None
+        size = info.st_size
+        bounds = [len(header)]
+        for i in range(1, parts):
+            fh.seek(max(bounds[-1], len(header) + (size - len(header)) * i // parts))
+            fh.readline()
+            bounds.append(fh.tell())
+        bounds.append(size)
+        # the scan runs in numpy, several times faster than bytes.count
+        block = bytearray(_SCAN_BYTES)
+        carriage_returns = crlf = 0
+        last_cr = False
+        counts = []
+        fh.seek(0)
+        for stop in bounds:
+            lines = 0
+            while fh.tell() < stop:
+                read = fh.readinto(memoryview(block)[:min(_SCAN_BYTES, stop - fh.tell())])
+                if not read:  # the file shrank under the scan
+                    return None
+                byte = np.frombuffer(block, np.uint8, read)
+                if (byte == ord('"')).any():
+                    return None
+                cr, lf = byte == ord("\r"), byte == ord("\n")
+                carriage_returns += np.count_nonzero(cr)
+                crlf += np.count_nonzero(cr[:-1] & lf[1:]) + (last_cr and lf[0])
+                last_cr, last_lf = cr[-1], lf[-1]
+                lines += np.count_nonzero(lf)
+            counts.append(int(lines))
+    if carriage_returns != crlf or not last_lf or sum(counts[1:]) <= CHUNK_ROWS:
+        return None
+    return list(zip(bounds, bounds[1:], counts[1:]))
 
 
 def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:

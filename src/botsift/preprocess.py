@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CleanseError, EncodingError, LoadError, SchemaError
-from .flows import (CATEGORICAL_FIELDS, Dataset, FlowTable, Schema, _read_json,
-                    _write_json)
+from .flows import (CATEGORICAL_FIELDS, Dataset, FlowTable, Schema, _finite,
+                    _read_json, _write_json)
 
 # First code assigned per categorical column. proto codes count up from 1,
 # state codes from 10, so the two code ranges cannot be confused in output.
@@ -82,12 +82,21 @@ class EncodingMap:
 
     @classmethod
     def from_json(cls, path: str) -> "EncodingMap":
-        payload = _read_json(path, "encoding file", LoadError)
-        proto = {str(k): int(v) for k, v in payload.pop("proto", {}).items()}
-        state = {str(k): int(v) for k, v in payload.pop("state", {}).items()}
-        extra = {col: {str(k): int(v) for k, v in codes.items()}
-                 for col, codes in payload.items()}
-        return cls(proto_codes=proto, state_codes=state, extra_codes=extra)
+        """The map to_json wrote: an object mapping each column to an
+        object of token -> integer code. Anything else is a LoadError
+        naming the path and the key."""
+        payload = _json_object(path, "encoding file")
+        for column, codes in payload.items():
+            if not isinstance(codes, dict):
+                raise LoadError(f"{path}: key {column!r} must hold an object "
+                                f"of token codes")
+            for token, code in codes.items():
+                if type(code) is not int:
+                    raise LoadError(f"{path}: key {column!r}: code of token "
+                                    f"{token!r} is {code!r}, not an integer")
+        proto = payload.pop("proto", {})
+        state = payload.pop("state", {})
+        return cls(proto_codes=proto, state_codes=state, extra_codes=payload)
 
 
 def _categorical_columns(flows: FlowTable, schema: Schema | None) -> list[str]:
@@ -160,10 +169,35 @@ class ScalerParams:
 
     @classmethod
     def from_json(cls, path: str) -> "ScalerParams":
-        payload = _read_json(path, "scaler file", LoadError)
-        return cls(feature_names=tuple(payload["features"]),
-                   minima=np.asarray(payload["min"], dtype=np.float64),
-                   maxima=np.asarray(payload["max"], dtype=np.float64))
+        """The parameters to_json wrote: "features" (names), "min" and
+        "max" (one finite number per feature). Anything else is a LoadError
+        naming the path and the key."""
+        payload = _json_object(path, "scaler file")
+        for key in ("features", "min", "max"):
+            if key not in payload:
+                raise LoadError(f"{path}: key {key!r} is missing")
+            if type(payload[key]) is not list:
+                raise LoadError(f"{path}: key {key!r} must hold a list")
+        names = payload["features"]
+        if not all(type(name) is str for name in names):
+            raise LoadError(f"{path}: key 'features' must list names")
+        for key in ("min", "max"):
+            values = payload[key]
+            if len(values) != len(names):
+                raise LoadError(f"{path}: key {key!r} has {len(values)} values "
+                                f"for {len(names)} features")
+            if not all(map(_finite, values)):
+                raise LoadError(f"{path}: key {key!r} must hold finite numbers")
+        return cls(feature_names=tuple(names),
+                   minima=np.array(payload["min"], dtype=np.float64),
+                   maxima=np.array(payload["max"], dtype=np.float64))
+
+
+def _json_object(path: str, what: str) -> dict:
+    payload = _read_json(path, what, LoadError)
+    if not isinstance(payload, dict):
+        raise LoadError(f"{path}: {what} must hold a JSON object")
+    return payload
 
 
 def fit_scaler(dataset: Dataset) -> ScalerParams:

@@ -294,7 +294,7 @@ class TestKnn:
 
     def test_importing_botsift_leaves_the_kd_tree_unloaded(self):
         # scipy.spatial is imported only when KNN scores, and
-        # multiprocessing only when an experiment fits its grid, so
+        # multiprocessing only when a process pool runs, so
         # importing the package, the CLI and the experiment runner does
         # not pay for either
         src = os.path.dirname(os.path.dirname(botsift.__file__))

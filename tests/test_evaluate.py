@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import botsift.evaluate
 from botsift import (ConfusionMatrix, EvaluationError, Metrics, RocCurve,
                      cross_validate, evaluate_model, fit_model, make_folds,
                      metrics_from, percent, roc_curve, round_half_up,
@@ -408,6 +409,23 @@ class TestEvalReport:
         assert "degenerate" in text
         for name in ("accuracy", "precision", "recall", "f1", "roc_auc"):
             assert name in text
+
+    def test_roc_curve_computed_once(self, rng, monkeypatch):
+        ds = two_blobs(rng, n0=50, n1=30)
+        train, test = train_test_split(ds, 0.25, seed=1)
+        model = fit_model("gnb", train)
+        expected = evaluate_model(model, test)
+        calls = []
+
+        def counted(scores, y_true):
+            calls.append(len(scores))
+            return roc_curve(scores, y_true)
+
+        monkeypatch.setattr(botsift.evaluate, "roc_curve", counted)
+        report = evaluate_model(model, test)
+        assert calls == [test.n_rows]
+        assert report == expected
+        assert report.metrics.roc_auc == report.curve.auc
 
     def test_even_k_knn_report_states_its_tie_rule(self):
         train = make_dataset([[0.0], [1.0], [3.0], [4.0]], [0, 0, 1, 1])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import botsift
+import botsift._pool
 import botsift.experiment
 from botsift import (BotsiftError, ConfigError, DivergenceError,
                      EvaluationError, ExperimentConfig, load_model,
@@ -299,7 +300,7 @@ class TestPooledGrid:
         evaluate_model = botsift.experiment.evaluate_model
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(botsift.experiment, "FIT_WORKERS", workers)
+            monkeypatch.setattr(botsift._pool, "WORKERS", workers)
             pid_dir = tmp_path / f"pids{workers}"
             pid_dir.mkdir()
 
@@ -323,7 +324,7 @@ class TestPooledGrid:
 
     def test_first_failure_in_grid_order_is_raised(self, profile_path,
                                                    tmp_path, monkeypatch):
-        monkeypatch.setattr(botsift.experiment, "FIT_WORKERS", 2)
+        monkeypatch.setattr(botsift._pool, "WORKERS", 2)
         diverging = ("mlp", {"epochs": 2, "learning_rate": 1e308})
         for arms, models, failed in (
                 ("on", (("gnb", {}), diverging), "train[smote/mlp]"),
@@ -339,7 +340,7 @@ class TestPooledGrid:
 
     def test_a_worker_that_dies_fails_the_run(self, profile_path, tmp_path,
                                               monkeypatch):
-        monkeypatch.setattr(botsift.experiment, "FIT_WORKERS", 2)
+        monkeypatch.setattr(botsift._pool, "WORKERS", 2)
         parent = os.getpid()
 
         def die_in_worker(model, *args, **kwargs):

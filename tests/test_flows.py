@@ -3,7 +3,11 @@
 import csv
 import io
 import os
+import re
+import subprocess
+import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from botsift import (Dataset, FlowTable, LoadError, Schema, SchemaError,
                      class_summary, default_schema, load_csv,
                      read_dataset_csv, to_dataset, write_dataset_csv,
                      write_records_csv)
-from botsift import flows
+from botsift import _pool, flows
 from botsift.flows import CHUNK_ROWS
 
 from conftest import make_dataset, make_flows
@@ -312,6 +316,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.labels[0] = 1
 
+    def test_take_selects_rows_into_frozen_arrays(self):
+        ds = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0, 1, 1],
+                          names=("a", "b"))
+        for rows in (np.array([2, 0]), np.array([True, False, True]), slice(None, None, 2)):
+            subset = ds.take(rows)
+            assert np.array_equal(subset.features, ds.features[rows])
+            assert np.array_equal(subset.labels, ds.labels[rows])
+            assert subset.feature_names == ("a", "b")
+            assert subset.features.flags.c_contiguous
+            for array in (subset.features, subset.labels):
+                assert not array.flags.writeable
+        with pytest.raises(IndexError):
+            ds.take(np.array([3]))
+
     def test_to_dataset_uses_fully_numeric_columns(self):
         flows = make_flows([
             dict(pkts=1.0, proto="tcp", dur=2.0, attack=0),
@@ -579,3 +597,119 @@ class TestWholeFileReader:
                 fh.write(line_end.join([header] + body) + line_end)
             assert read_outcome(read_dataset_csv, path) == read_outcome(
                 flows._read_dataset_lines, path)
+
+
+# Edits to one line of the second range of a split body, each with what
+# the split reader's ranges report: None when the body is not cut, else
+# whether each range parsed to one row per line.
+SPLIT_MUTATIONS = {
+    "none": (lambda line: [line], [True, True]),
+    "blank line": (lambda line: [line, ""], [True, False]),
+    "quote": (lambda line: ['"' + line.replace(",", '",', 1)], None),
+    "lone CR": (lambda line: [line[:1] + "\r" + line[1:]], None),
+    "ragged row": (lambda line: [line + ",1"], [True, False]),
+    "bad label": (lambda line: [re.sub(r",\d,(\d)$", r",2,\1", line)], [True, True]),
+    "nan": (lambda line: ["nan" + line[line.index(","):]], [True, True]),
+}
+
+
+class TestSplitIo:
+    """Files of more than CHUNK_ROWS rows are read and written in ranges
+    on _pool.WORKERS processes, with the same results as in one."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(_pool, "WORKERS", 2)
+
+    @pytest.mark.parametrize("rows", [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    @pytest.mark.parametrize("mutation", list(SPLIT_MUTATIONS))
+    def test_split_reader_matches_one_call(self, tmp_path, monkeypatch, rng,
+                                           rows, line_end, mutation):
+        mutate, cut = SPLIT_MUTATIONS[mutation]
+        ds = Dataset(rng.lognormal(0.0, 3.0, (rows, 2)), rng.integers(0, 2, rows),
+                     ("a", "b"))
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(ds, path, rng.integers(0, 2, rows))
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\r\n")[:-1]
+        lines[-3:-2] = mutate(lines[-3])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(line_end.join(lines) + line_end)
+
+        fork_map = _pool.fork_map
+        outcomes = []
+
+        def recorded(fn, items):
+            outcomes.append(fork_map(fn, items))
+            return outcomes[-1]
+
+        monkeypatch.setattr(_pool, "fork_map", recorded)
+        split = read_outcome(read_dataset_csv, path)
+        assert outcomes == ([] if cut is None else [cut])
+        monkeypatch.setattr(_pool, "WORKERS", 1)
+        assert split == read_outcome(read_dataset_csv, path)
+        assert split == read_outcome(flows._read_dataset_lines, path)
+        if mutation == "none":
+            assert split[1] == (ds.features + 0.0).tobytes()
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS - 1,
+                                      2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
+    def test_writers_match_csv_writer(self, tmp_path, rows):
+        values = cycled([1.5, -0.0, 1e16, 2.0 ** 60, 5e-324, 7.0, -3.25], rows)
+        labels = cycled([0, 1, 1], rows)
+        ds = Dataset(np.array(values).reshape(rows, 1), labels, ("a",))
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(ds, path, synthetic=np.array(labels[::-1]))
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_bytes(
+                ["a", "attack", "synthetic"],
+                [[reference_cell(v), str(y), str(f)]
+                 for v, y, f in zip(values, labels, labels[::-1])])
+        tokens = cycled(["tcp", 'a"b', "x,y", "line\nbreak", ""], rows)
+        table = FlowTable({"pkts": np.abs(values),
+                           "proto": np.array(tokens)}, labels)
+        write_records_csv(table, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_bytes(
+                ["pkts", "proto", "attack"],
+                [[reference_cell(abs(v)), t, str(y)]
+                 for v, t, y in zip(values, tokens, labels)])
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+    @pytest.mark.parametrize("failure, error", [("dies", BrokenProcessPool),
+                                                ("raises", OSError)])
+    def test_no_part_file_is_left_when_a_worker_fails(self, tmp_path, monkeypatch,
+                                                      failure, error):
+        parent = os.getpid()
+        format_column = flows._format_column
+
+        def failing(values):
+            if os.getpid() != parent:
+                if failure == "dies":
+                    os._exit(1)
+                raise OSError("disk full")
+            return format_column(values)
+
+        monkeypatch.setattr(flows, "_format_column", failing)
+        ds = Dataset(np.ones((2 * CHUNK_ROWS, 1)), np.zeros(2 * CHUNK_ROWS), ("a",))
+        with pytest.raises(error):
+            write_dataset_csv(ds, str(tmp_path / "data.csv"))
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+    def test_small_files_do_not_import_multiprocessing(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(flows.__file__))
+        code = (
+            "import sys, numpy as np, botsift._pool as pool\n"
+            "from botsift import Dataset, read_dataset_csv, write_dataset_csv\n"
+            "pool.WORKERS = 2\n"
+            "for rows in (CHUNK, CHUNK + 1):\n"
+            "    ds = Dataset(np.ones((rows, 1)), np.zeros(rows), ('a',))\n"
+            "    write_dataset_csv(ds, PATH)\n"
+            "    read_dataset_csv(PATH)\n"
+            "    print('multiprocessing' in sys.modules)\n"
+        ).replace("CHUNK", str(CHUNK_ROWS)).replace("PATH", repr(str(tmp_path / "d.csv")))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]

@@ -1,9 +1,12 @@
 """Cleansing, encoding, and min-max scaling."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from botsift import (CleanseError, EncodingError, EncodingMap, Schema,
+from botsift import (CleanseError, EncodingError, EncodingMap, LoadError, Schema,
                      ScalerParams, apply_encoding, apply_scaler, cleanse,
                      fit_encoding, fit_scaler)
 
@@ -105,6 +108,19 @@ class TestEncoding:
         assert again.proto_codes == mapping.proto_codes
         assert again.state_codes == mapping.state_codes
 
+    @pytest.mark.parametrize("payload, message", [
+        ([1], "encoding file must hold a JSON object"),
+        ({"proto": ["tcp"]}, "key 'proto' must hold an object"),
+        ({"proto": {"tcp": "1"}}, "key 'proto': code of token 'tcp' is '1'"),
+        ({"state": {"CON": 1.5}}, "key 'state': code of token 'CON' is 1.5"),
+        ({"flag": {"x": True}}, "key 'flag': code of token 'x' is True"),
+    ])
+    def test_malformed_file_names_path_and_key(self, tmp_path, payload, message):
+        path = tmp_path / "encoding.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LoadError, match="^" + re.escape(f"{path}: {message}")):
+            EncodingMap.from_json(str(path))
+
 
 class TestScaler:
     def test_basic_scaling(self):
@@ -165,3 +181,24 @@ class TestScaler:
         before = apply_scaler(ds, params).features
         after = apply_scaler(ds, again).features
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("payload, message", [
+        ([1], "scaler file must hold a JSON object"),
+        ({"features": ["a"], "max": [1.0]}, "key 'min' is missing"),
+        ({"min": [0.0], "max": [1.0]}, "key 'features' is missing"),
+        ({"features": ["a"], "min": [0.0]}, "key 'max' is missing"),
+        ({"features": "a", "min": [0.0], "max": [1.0]}, "key 'features' must hold a list"),
+        ({"features": [1], "min": [0.0], "max": [1.0]}, "key 'features' must list names"),
+        ({"features": ["a", "b"], "min": [0.0], "max": [1.0, 2.0]},
+         "key 'min' has 1 values for 2 features"),
+        ({"features": ["a"], "min": [0.0], "max": [1.0, 2.0]},
+         "key 'max' has 2 values for 1 features"),
+        ({"features": ["a"], "min": ["0"], "max": [1.0]}, "key 'min' must hold finite"),
+        ({"features": ["a"], "min": [0.0], "max": [float("nan")]},
+         "key 'max' must hold finite"),
+    ])
+    def test_malformed_file_names_path_and_key(self, tmp_path, payload, message):
+        path = tmp_path / "scaler.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LoadError, match="^" + re.escape(f"{path}: {message}")):
+            ScalerParams.from_json(str(path))
