@@ -4,7 +4,7 @@ and a one-hidden-layer sigmoid MLP.
 All three share one scoring convention: score(x) is the model's degree of
 belief that x is botnet (label 1), in [0, 1]. labels_from_scores turns
 scores into labels, and predict_batch and the evaluation reports go
-through it: botnet when the score is at least 0.5, except that a KNN
+through it: botnet when the score is at least THRESHOLD, except that a KNN
 model with even k gives a tied vote the label of the single nearest
 training row. Models are frozen dataclasses over read-only arrays and
 serialize to JSON, reloading bit-exactly.
@@ -26,6 +26,10 @@ from scipy.special import expit, logsumexp
 
 from .errors import DivergenceError, LoadError, TrainingError
 from .flows import Dataset, _finite, _read_json, _write_json
+
+# The decision threshold: a row is labelled botnet when its score is at
+# least this.
+THRESHOLD = 0.5
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -407,7 +411,7 @@ class _Kind:
     field to a test of a loaded value, given those sizes, and the message
     for a value that fails it. tie_rule and tie_labels are KNN's even-k
     rule: the rule's text, or None when the threshold alone decides, and
-    the labels of the rows X that scored exactly 0.5.
+    the labels of the rows X that scored exactly THRESHOLD.
     """
     cls: type
     score: Callable[[Model, np.ndarray], np.ndarray]
@@ -432,7 +436,7 @@ _KINDS = {
                   "k": (lambda k, dims: 1 <= k <= dims["n"],
                         "is {value}, outside 1..{n} (the training rows)")},
                  lambda m: None if m.k % 2 else (
-                     f"k={m.k} is even, so a score of exactly 0.5 (a tied "
+                     f"k={m.k} is even, so a score of exactly {THRESHOLD} (a tied "
                      f"vote) takes the label of the nearest training row"),
                  lambda m, X: m.labels[_knn_neighbors(m, X)[:, 0]]),
     "mlp": _Kind(MlpModel, _mlp_scores,
@@ -499,14 +503,15 @@ def score_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
 
 
 def threshold_labels(scores: np.ndarray) -> np.ndarray:
-    """Scores to labels: botnet (1) when score >= 0.5. This ignores the
-    KNN even-k tie rule; labels_from_scores applies it."""
-    return (np.asarray(scores) >= 0.5).astype(np.int64)
+    """Scores to labels: botnet (1) when score >= THRESHOLD. This ignores
+    the KNN even-k tie rule; labels_from_scores applies it."""
+    return (np.asarray(scores) >= THRESHOLD).astype(np.int64)
 
 
 def tie_rule(model: Model) -> str | None:
-    """The rule labels_from_scores applies to a score of exactly 0.5 that
-    overrides the threshold, or None when the threshold alone decides."""
+    """The rule labels_from_scores applies to a score of exactly
+    THRESHOLD that overrides the threshold, or None when the threshold
+    alone decides."""
     return _KINDS[model_kind(model)].tie_rule(model)
 
 
@@ -514,14 +519,14 @@ def labels_from_scores(model: Model, X: np.ndarray,
                        scores: np.ndarray) -> np.ndarray:
     """Labels for rows X that model scored as scores.
 
-    Botnet (1) when score >= 0.5. A KNN model with even k gives a row
-    scoring exactly 0.5, a tied vote, the label of its single nearest
-    training row (see tie_rule); only those rows are queried again, so
+    Botnet (1) when score >= THRESHOLD. A KNN model with even k gives a
+    row scoring exactly THRESHOLD, a tied vote, the label of its single
+    nearest training row (see tie_rule); only those rows are queried again, so
     other models and odd k cost nothing beyond the threshold.
     """
     labels, kind = threshold_labels(scores), _KINDS[model_kind(model)]
     if kind.tie_rule(model) is not None:
-        tied = np.flatnonzero(np.asarray(scores) == 0.5)
+        tied = np.flatnonzero(np.asarray(scores) == THRESHOLD)
         if tied.size:
             X = np.asarray(X, dtype=np.float64)
             labels[tied] = kind.tie_labels(model, X[tied])

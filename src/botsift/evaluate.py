@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import (fit_model, labels_from_scores, model_kind,
-                          score_batch, tie_rule)
+from .classifiers import (THRESHOLD, fit_model, labels_from_scores,
+                          model_kind, score_batch, tie_rule)
 from .errors import EvaluationError
 from .flows import Dataset, _write_json
 from .preprocess import apply_scaler, fit_scaler
@@ -307,16 +307,16 @@ class CvResult:
 
 def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                    seed: int = 0, *, params: dict | None = None,
-                   stratified: bool = True, mode: str = "default",
-                   scale: bool = True,
+                   stratified: bool = True, scale: bool = True,
                    smote_config: SmoteConfig | None = None) -> CvResult:
     """k-fold cross-validation of one model.
 
-    In default mode each fold fits its own scaler on the training part and
-    (when smote_config is given) balances only that training part, so no
-    information crosses the fold boundary. In paper mode the dataset is
-    taken as already globally preprocessed and folds are used as-is.
-    Per-metric mean and std are across folds (population std, divide by k).
+    Each fold's training part is prepared on its own, so no information
+    crosses the fold boundary: with scale, it fits the scaler that both
+    parts of the fold are scaled by, and with smote_config, it alone is
+    balanced. With neither, as for a dataset already globally
+    preprocessed, the folds are used as they are. Per-metric mean and std
+    are across folds (population std, divide by k).
     """
     folds = make_folds(dataset.labels, k, seed, stratified)
     results: list[Metrics] = []
@@ -332,13 +332,12 @@ def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                     f"fold {f}: {name} part has a single class "
                     f"(counts {counts}); use stratified folds and a k no "
                     f"larger than the smaller class")
-        if mode == "default":
-            if scale:
-                scaler = fit_scaler(train)
-                train = apply_scaler(train, scaler)
-                test = apply_scaler(test, scaler)
-            if smote_config is not None:
-                train = smote(train, smote_config, seed=seed + f).dataset
+        if scale:
+            scaler = fit_scaler(train)
+            train = apply_scaler(train, scaler)
+            test = apply_scaler(test, scaler)
+        if smote_config is not None:
+            train = smote(train, smote_config, seed=seed + f).dataset
         model = fit_model(model_name, train, params)
         scores = score_batch(model, test)
         preds = labels_from_scores(model, test.features, scores)
@@ -371,7 +370,6 @@ class EvalReport:
     metrics: Metrics
     curve: RocCurve
     test_counts: tuple[int, int]
-    threshold: float = 0.5
     cv: CvResult | None = None
     # how a score of exactly the threshold is labelled when the model
     # overrides the threshold there (even-k KNN); None otherwise
@@ -382,7 +380,7 @@ class EvalReport:
             f"model: {self.model}",
             f"test rows: {self.confusion.total} "
             f"(normal {self.test_counts[0]}, botnet {self.test_counts[1]})",
-            f"decision threshold: score >= {self.threshold}",
+            f"decision threshold: score >= {THRESHOLD}",
             *([f"tie rule: {self.tie_rule}"] if self.tie_rule else []),
             "confusion matrix (positive = botnet):",
             f"  tp {self.confusion.tp}  fn {self.confusion.fn}",
@@ -404,7 +402,7 @@ class EvalReport:
     def to_json_dict(self) -> dict:
         payload = {
             "model": self.model,
-            "threshold": self.threshold,
+            "threshold": THRESHOLD,
             "test_counts": {"normal": self.test_counts[0],
                             "botnet": self.test_counts[1]},
             "confusion": dataclasses.asdict(self.confusion),

@@ -228,15 +228,12 @@ def _fit_job(grid: _Grid, job: _Job) -> tuple[str, EvalReport | Exception]:
         cv = None
         if config.cv_folds:
             stage = f"cross_validate[{arm}/{name}]"
-            if config.mode == "paper":
-                cv = cross_validate(
-                    train_arm, name, config.cv_folds, grid.seeds["cv"],
-                    params=params, mode="paper")
-            else:
-                cv = cross_validate(
-                    grid.cv_source, name, config.cv_folds, grid.seeds["cv"],
-                    params=params, mode="default", scale=True,
-                    smote_config=grid.smote_config if arm == "smote" else None)
+            # paper mode preprocessed the whole arm, so its folds are used as they are
+            paper = config.mode == "paper"
+            cv = cross_validate(
+                train_arm if paper else grid.cv_source, name, config.cv_folds,
+                grid.seeds["cv"], params=params, scale=not paper,
+                smote_config=grid.smote_config if arm == "smote" and not paper else None)
         stage = f"evaluate[{arm}/{name}]"
         report = evaluate_model(model, test_arm, model_name=name, cv=cv)
         report.write_files(os.path.join(grid.outdir, f"{arm}_{name}"))

@@ -8,32 +8,30 @@ cleaned, encoded tables are then assembled into a dense numeric Dataset
 for the learning stages.
 
 The writers and load_csv work through files CHUNK_ROWS rows at a time, so
-their memory does not grow with the file. read_dataset_csv parses a whole
-file with numpy.loadtxt, in C; a file it cannot parse, or whose cells
-break a rule, is read again by the line-accurate reader, which also works
-CHUNK_ROWS rows at a time and names the first offending line. A csv.Error
-or a byte that is not UTF-8 is a LoadError naming its line.
+their memory does not grow with the file. read_dataset_csv parses a
+regular file in which every record is one physical line (no '"', no lone
+'\r', no line over the csv field size limit) with numpy.loadtxt, in C;
+any other file, or one whose cells break a rule, is read by the
+line-accurate reader, which also works CHUNK_ROWS rows at a time and
+names the first offending line. A csv.Error or a byte that is not UTF-8
+is a LoadError naming its line.
 
 Files of more than CHUNK_ROWS rows use both cores through _pool.fork_map.
 The writers format contiguous ranges of whole chunks side by side, each
-into its own file, and append the parts in order. read_dataset_csv cuts a
-body in which every record is one physical line (no '"', no lone '\r')
-into ranges of whole lines, which the workers parse into one shared
-array; if a range fails, the file is parsed in one call as before. Either
-way the bytes written and the values read do not depend on the cut.
+into its own file, and append the parts in order. read_dataset_csv parses
+ranges of whole lines side by side into one shared array. Either way the
+bytes written and the values read do not depend on the cut.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import mmap
 import os
 import re
 import shutil
-import stat
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -126,10 +124,16 @@ class Schema:
 
     @classmethod
     def from_json(cls, path: str) -> "Schema":
+        """The schema in the JSON file at path, an object with a "roles"
+        object and an optional "default_role". Any other shape, or a role
+        that is not one of ROLES, is a SchemaError naming path."""
         raw = _read_json(path, "schema file", SchemaError)
-        if not isinstance(raw, dict) or "roles" not in raw:
-            raise SchemaError(f"schema file {path} must contain a 'roles' object")
-        return cls(roles=dict(raw["roles"]), default_role=raw.get("default_role", "ignore"))
+        if not isinstance(raw, dict) or not isinstance(raw.get("roles"), dict):
+            raise SchemaError(f"{path}: schema file must contain a 'roles' object")
+        try:
+            return cls(roles=raw["roles"], default_role=raw.get("default_role", "ignore"))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
         _write_json(path, {"roles": self.roles, "default_role": self.default_role})
@@ -137,9 +141,9 @@ class Schema:
 
 def default_schema() -> Schema:
     """The bundled schema for the standard flow column vocabulary."""
-    text = resources.files("botsift").joinpath("schemas/flow-default.json").read_text("utf-8")
-    raw = json.loads(text)
-    return Schema(roles=dict(raw["roles"]), default_role=raw.get("default_role", "ignore"))
+    with resources.as_file(resources.files("botsift").joinpath(
+            "schemas/flow-default.json")) as path:
+        return Schema.from_json(str(path))
 
 
 @dataclass(frozen=True)
@@ -690,16 +694,14 @@ def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
     cells as the header; the first line breaking a rule is named in the
     LoadError.
 
-    The path is chosen by the input alone. After csv.reader reads the
-    header, a body in the writer's shape (cells numpy.loadtxt parses,
-    labels and flags exactly "0" or "1", finite features, at least one
-    feature column) is parsed whole in C. Any other file is read again,
-    CHUNK_ROWS rows at a time, by the line-accurate reader: it returns the
-    data when every cell is valid but unusual (such as "1_0", Unicode
-    digits or a " 1 " label) and otherwise raises the LoadError naming the
-    first offending line. One difference is known: a number in a cell
-    longer than the csv module's field size limit (131,072 characters)
-    reads in C, where the line reader raises a LoadError.
+    The path is chosen by the input alone. A regular file in the writer's
+    shape (every record one physical line within the csv module's field
+    size limit, cells numpy.loadtxt parses, labels and flags exactly "0" or
+    "1", finite features, at least one feature column) is parsed in C. Any
+    other file is read, CHUNK_ROWS rows at a time, by the line-accurate
+    reader: it returns the data when every cell is valid but unusual (such
+    as "1_0", Unicode digits or a " 1 " label) and otherwise raises the
+    LoadError naming the first offending line.
     """
     read = _read_dataset_whole(path)
     return read if read is not None else _read_dataset_lines(path)
@@ -713,44 +715,58 @@ def _dataset_columns(header: list[str]) -> tuple[int, int | None, list[int]]:
             [i for i in range(len(header)) if i not in (label_idx, synth_idx)])
 
 
-def _flag_value(cell: str) -> int:
-    """A label or flag cell that is exactly "0" or "1" as its value; -1
-    marks any other, which _read_dataset_whole leaves to the line reader."""
-    return _FLAG_VALUES.get(cell, -1)
-
-
 def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
-    """read_dataset_csv's result from numpy.loadtxt over the file body, or
-    None when the file is not plainly in the writer's shape.
+    """read_dataset_csv's result from numpy.loadtxt over the ranges
+    _body_ranges cuts, or None when the file is not plainly in the
+    writer's shape.
 
-    The body is read into a structured array, one 8-byte field per column.
-    A 2-d float64 read followed by a column copy was slower and, over a
-    whole CLI session, left glibc's heap fragmented enough to raise the
-    peak RSS by 1-9%. A body _body_ranges can cut is parsed range by range
-    side by side; if any range fails, the body is parsed again in one call,
-    so the result does not depend on the cut.
+    The body is read into a structured array, one 8-byte field per column,
+    in an anonymous shared mapping; the ranges fill their rows of it side
+    by side through _pool.fork_map, so no parsed rows pass through the
+    pool's pipes. A 2-d float64 read followed by a column copy was slower
+    and, over a whole CLI session, left glibc's heap fragmented enough to
+    raise the peak RSS by 1-9%. A range that raises, or does not parse to
+    one row per line (it holds a blank line, say), gives None.
     """
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except (StopIteration, ValueError, csv.Error):
-            return None
-        if LABEL_FIELD not in header:
-            return None
-        label_idx, synth_idx, feat_idx = _dataset_columns(header)
-        if not feat_idx:  # column_stack below needs a column
-            return None
-        flag_idx = [label_idx] + ([] if synth_idx is None else [synth_idx])
-        dtype = np.dtype([(f"f{i}", "i8" if i in flag_idx else "f8")
-                          for i in range(len(header))])
-        converters = dict.fromkeys(flag_idx, _flag_value)
-        body = _read_split(path, dtype, converters)
-        if body is None:
+    cut = _body_ranges(path)
+    if cut is None:
+        return None
+    header, ranges = cut
+    if LABEL_FIELD not in header:
+        return None
+    label_idx, synth_idx, feat_idx = _dataset_columns(header)
+    if not feat_idx:  # column_stack below needs a column
+        return None
+    flag_idx = [label_idx] + ([] if synth_idx is None else [synth_idx])
+    dtype = np.dtype([(f"f{i}", "i8" if i in flag_idx else "f8")
+                      for i in range(len(header))])
+    # a label or flag other than exactly "0" or "1" reads as -1, which the
+    # check below leaves to the line reader
+    converters = dict.fromkeys(flag_idx, lambda cell: _FLAG_VALUES.get(cell, -1))
+    firsts = np.cumsum([0] + [lines for _, lines in ranges]).tolist()
+    # a mapping cannot be empty, so a body of no rows maps one spare byte
+    body = np.frombuffer(mmap.mmap(-1, max(1, firsts[-1] * dtype.itemsize)),
+                         dtype, firsts[-1])
+
+    def fill(i: int) -> bool:
+        start, lines = ranges[i]
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            # a range with no rows warns, and reads as zero rows
+            warnings.simplefilter("ignore", UserWarning)
+            fh.seek(start)
             try:
-                body = _loadtxt(fh, dtype, converters)
-            except ValueError:
-                return None
+                rows = np.loadtxt(islice(fh, lines), dtype=dtype, delimiter=",",
+                                  quotechar='"', comments=None, ndmin=1,
+                                  converters=converters, encoding="utf-8")
+            except ValueError:  # UnicodeDecodeError included
+                return False
+        if len(rows) != lines:
+            return False
+        body[firsts[i]:firsts[i + 1]] = rows
+        return True
+
+    if not all(_pool.fork_map(fill, range(len(ranges)))):
+        return None
     labels = body[f"f{label_idx}"]
     flags = None if synth_idx is None else body[f"f{synth_idx}"]
     features = np.column_stack([body[f"f{i}"] for i in feat_idx])
@@ -762,85 +778,45 @@ def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
     return dataset, None if flags is None else flags.copy()
 
 
-def _loadtxt(source, dtype: np.dtype, converters: dict) -> np.ndarray:
-    """The rows of source, text after the header, as a structured array."""
-    with warnings.catch_warnings():
-        # a body with no rows warns, and reads as zero rows
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
-                          comments=None, ndmin=1, converters=converters)
-
-
-def _read_split(path: str, dtype: np.dtype, converters: dict) -> np.ndarray | None:
-    """The body of the file at path parsed by _loadtxt over _body_ranges's
-    ranges side by side, or None when the body is not cut or a range does
-    not parse to one row per line (it raises, or holds a blank line).
-
-    Each worker fills its rows of one array in an anonymous shared mapping,
-    so no parsed rows pass through the pool's pipes.
-    """
-    ranges = _body_ranges(path, _pool.WORKERS)
-    if ranges is None:
-        return None
-    firsts = np.cumsum([0] + [lines for _, _, lines in ranges]).tolist()
-    body = np.frombuffer(mmap.mmap(-1, firsts[-1] * dtype.itemsize), dtype)
-
-    def fill(i: int) -> bool:
-        start, stop, lines = ranges[i]
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            text = fh.read(stop - start)
-        try:
-            rows = _loadtxt(io.StringIO(text.decode("utf-8")), dtype, converters)
-        except ValueError:  # UnicodeDecodeError included
-            return False
-        if len(rows) != lines:
-            return False
-        body[firsts[i]:firsts[i + 1]] = rows
-        return True
-
-    return body if all(_pool.fork_map(fill, range(len(ranges)))) else None
-
-
 # Bytes _body_ranges scans at a time.
 _SCAN_BYTES = 1 << 20
 
 
-def _body_ranges(path: str, parts: int) -> list[tuple[int, int, int]] | None:
-    """(start, stop, lines) byte ranges that cut the body of the file at
-    path, after its header line, into parts runs of whole lines.
+def _body_ranges(path: str) -> tuple[list[str], list[tuple[int, int]]] | None:
+    """(header names, (start offset, line count) per range) of the file at
+    path. The names are its first line split at commas. The ranges cut the
+    body after it into runs of whole lines: one run for a body of up to
+    CHUNK_ROWS lines, else up to _pool.WORKERS runs.
 
-    None when parts < 2 or when a record might span lines, which would
-    make a range parse differently from the whole body: the file holds a
-    '"' or a '\\r' outside '\\r\\n', or its last line has no '\\n'. None too
-    for a body of no more than CHUNK_ROWS lines, which is not worth cutting.
+    None for a path that is not a regular file, which is then not opened
+    (opening and closing a pipe can end its writer's stream), and when a
+    record might not be one physical line that csv.reader reads as
+    numpy.loadtxt does: the file holds a '"', a '\\r' outside '\\r\\n' or
+    a line (with its line break) of more than csv.field_size_limit()
+    bytes, its last line has no '\\n', or its header is not UTF-8.
     """
-    if parts < 2:
+    if not os.path.isfile(path):
         return None
+    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):  # a pipe cannot be read twice
-            return None
-        header = fh.readline()
-        if not header.endswith(b"\n"):
-            return None
-        size = info.st_size
-        bounds = [len(header)]
-        for i in range(1, parts):
-            fh.seek(max(bounds[-1], len(header) + (size - len(header)) * i // parts))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.readline()
+        bounds = [len(head)]
+        for i in range(1, _pool.WORKERS):
+            fh.seek(max(bounds[-1], len(head) + (size - len(head)) * i // _pool.WORKERS))
             fh.readline()
             bounds.append(fh.tell())
         bounds.append(size)
         # the scan runs in numpy, several times faster than bytes.count
         block = bytearray(_SCAN_BYTES)
         carriage_returns = crlf = 0
-        last_cr = False
+        last_cr, last_lf = False, -1
         counts = []
         fh.seek(0)
         for stop in bounds:
             lines = 0
-            while fh.tell() < stop:
-                read = fh.readinto(memoryview(block)[:min(_SCAN_BYTES, stop - fh.tell())])
+            while (offset := fh.tell()) < stop:
+                read = fh.readinto(memoryview(block)[:min(_SCAN_BYTES, stop - offset)])
                 if not read:  # the file shrank under the scan
                     return None
                 byte = np.frombuffer(block, np.uint8, read)
@@ -849,12 +825,23 @@ def _body_ranges(path: str, parts: int) -> list[tuple[int, int, int]] | None:
                 cr, lf = byte == ord("\r"), byte == ord("\n")
                 carriage_returns += np.count_nonzero(cr)
                 crlf += np.count_nonzero(cr[:-1] & lf[1:]) + (last_cr and lf[0])
-                last_cr, last_lf = cr[-1], lf[-1]
-                lines += np.count_nonzero(lf)
+                last_cr = cr[-1]
+                ends = np.flatnonzero(lf) + offset
+                if ends.size:
+                    if np.diff(ends, prepend=last_lf).max() > limit:
+                        return None
+                    last_lf, lines = ends[-1], lines + ends.size
             counts.append(int(lines))
-    if carriage_returns != crlf or not last_lf or sum(counts[1:]) <= CHUNK_ROWS:
+    if carriage_returns != crlf or last_lf != size - 1:
         return None
-    return list(zip(bounds, bounds[1:], counts[1:]))
+    try:
+        header = [name.strip() for name in head.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        return None
+    body = counts[1:]
+    if sum(body) <= CHUNK_ROWS:
+        return header, [(bounds[0], sum(body))]
+    return header, list(zip(bounds, body))
 
 
 def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:

@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import SynthError
-from .flows import FlowTable, _read_json
+from .flows import FlowTable, _finite, _read_json
 
 CLASS_KEYS = {"normal": 0, "botnet": 1}
 
@@ -84,43 +84,63 @@ class TrafficProfile:
 
     @classmethod
     def from_json(cls, path: str) -> "TrafficProfile":
-        return cls._from_dict(_read_json(path, "profile", SynthError), where=path)
+        """The profile in the JSON file at path. A malformed one raises a
+        SynthError naming path and the key, such as features.dur.normal.mean.
+        """
+        raw = _read_json(path, "profile", SynthError)
 
-    @classmethod
-    def _from_dict(cls, raw: dict, where: str = "profile") -> "TrafficProfile":
+        def need(ok: bool, key: str, what: str, value) -> None:
+            if not ok:
+                raise SynthError(f"{path}: {key} must be {what}, got {value!r}")
+
+        def table(value, key: str) -> dict:
+            need(isinstance(value, dict), key, "an object", value)
+            return value
+
+        def number(value, key: str) -> float:
+            need(_finite(value), key, "a finite number", value)
+            return float(value)
+
+        def whole(value, key: str) -> int:
+            need(_finite(value) and value == int(value), key, "a whole number", value)
+            return int(value)
+
+        def weights(value, key: str) -> dict[str, float]:
+            return {t: number(w, f"{key}.{t}") for t, w in table(value, key).items()}
+
         if not isinstance(raw, dict) or "features" not in raw:
-            raise SynthError(f"{where}: profile must be an object with 'features'")
+            raise SynthError(f"{path}: profile must be an object with 'features'")
         features: dict[str, dict[int, FeatureSpec]] = {}
-        for name, per_class in raw["features"].items():
-            if not isinstance(per_class, dict):
-                raise SynthError(f"{where}: feature {name!r} must map classes")
-            parsed: dict[int, FeatureSpec] = {}
-            for key, spec in per_class.items():
+        for name, per_class in table(raw["features"], "features").items():
+            features[name] = {}
+            for key, spec in table(per_class, f"features.{name}").items():
+                where = f"features.{name}.{key}"
                 if key not in CLASS_KEYS:
-                    raise SynthError(f"{where}: unknown class key {key!r}")
-                parsed[CLASS_KEYS[key]] = FeatureSpec(
-                    mean=float(spec["mean"]), cv=float(spec.get("cv", 1.0)))
-            features[name] = parsed
+                    raise SynthError(f"{path}: {where}: unknown class key {key!r}")
+                if "mean" not in table(spec, where):
+                    raise SynthError(f"{path}: {where} has no 'mean'")
+                features[name][CLASS_KEYS[key]] = FeatureSpec(
+                    mean=number(spec["mean"], f"{where}.mean"),
+                    cv=number(spec.get("cv", 1.0), f"{where}.cv"))
         tokens: dict[str, dict[int, dict[str, float]]] = {}
-        for column, value in raw.get("tokens", {}).items():
-            if set(value) <= set(CLASS_KEYS):
-                tokens[column] = {
-                    CLASS_KEYS[k]: {t: float(w) for t, w in v.items()}
-                    for k, v in value.items()}
-                for c in (0, 1):
-                    if c not in tokens[column]:
-                        raise SynthError(
-                            f"{where}: token column {column!r} needs both classes")
+        for column, value in table(raw.get("tokens", {}), "tokens").items():
+            where = f"tokens.{column}"
+            if set(table(value, where)) <= set(CLASS_KEYS):
+                tokens[column] = {CLASS_KEYS[k]: weights(v, f"{where}.{k}")
+                                  for k, v in value.items()}
+                if len(tokens[column]) != 2:
+                    raise SynthError(
+                        f"{path}: token column {column!r} needs both classes")
             else:  # one flat weight table shared by both classes
-                shared = {t: float(w) for t, w in value.items()}
+                shared = weights(value, where)
                 tokens[column] = {0: shared, 1: dict(shared)}
-        return cls(
-            features=features,
-            tokens=tokens,
-            class_ratio=float(raw.get("class_ratio", 0.5)),
-            row_count=int(raw.get("row_count", 1000)),
-            seed=int(raw.get("seed", 0)),
-        )
+        fields = dict(class_ratio=number(raw.get("class_ratio", 0.5), "class_ratio"),
+                      row_count=whole(raw.get("row_count", 1000), "row_count"),
+                      seed=whole(raw.get("seed", 0), "seed"))
+        try:
+            return cls(features=features, tokens=tokens, **fields)
+        except SynthError as exc:
+            raise SynthError(f"{path}: {exc}") from None
 
 
 def bundled_profile_path(name: str = "botiot-means") -> str:

@@ -279,7 +279,7 @@ class TestKnn:
         y = np.array([0, 1] * 10)
         ds = make_dataset(X, y)
         cv = cross_validate(ds, "knn", k=4, seed=3, params={"k": 2},
-                            mode="paper")
+                            scale=False)
         for fold, test_idx in zip(cv.fold_metrics,
                                   make_folds(y, 4, 3, True)):
             mask = np.ones(len(y), dtype=bool)
@@ -292,19 +292,29 @@ class TestKnn:
         with pytest.raises(LoadError, match="finite"):
             score_batch(model, np.array([[np.nan]]))
 
-    def test_importing_botsift_leaves_the_kd_tree_unloaded(self):
+    def test_importing_botsift_leaves_the_kd_tree_unloaded(self, tmp_path):
         # scipy.spatial is imported only when KNN scores, and
         # multiprocessing only when a process pool runs, so
         # importing the package, the CLI and the experiment runner does
-        # not pay for either
+        # not pay for either; nor does the smote command, whose neighbour
+        # search is its own
         src = os.path.dirname(os.path.dirname(botsift.__file__))
-        code = ("import sys, botsift, botsift.cli, botsift.experiment; "
-                "print('scipy.spatial' in sys.modules, "
-                "'multiprocessing' in sys.modules)")
+        code = (
+            "import sys, botsift, botsift.cli, botsift.experiment\n"
+            "loaded = ['scipy.spatial' in sys.modules, 'multiprocessing' in sys.modules]\n"
+            "import numpy as np\n"
+            "data, out = sys.argv[1:]\n"
+            "X = np.random.default_rng(0).normal(size=(40, 2))\n"
+            "ds = botsift.Dataset(X, [0] * 10 + [1] * 30, ('a', 'b'))\n"
+            "botsift.write_dataset_csv(ds, data)\n"
+            "code = botsift.cli.main(['smote', '--csv', data, '--out', out])\n"
+            "print(*loaded, 'scipy.spatial' in sys.modules, code)\n"
+        )
         env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "data.csv"),
+                              str(tmp_path / "balanced")], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False False"
+        assert out.stdout.splitlines()[-1] == "False False False 0"
 
     def test_k_bounds_enforced(self, rng):
         train = blobs(rng, n0=5, n1=5)

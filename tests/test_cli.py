@@ -81,6 +81,19 @@ class TestSynth:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("raw", [{"features": 1},
+                                     {"features": {"dur": {"normal": {"mean": "x"}}}}])
+    def test_malformed_profile_exits_two(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(raw))
+        code = main(["synth", "--profile", str(path), "--rows", "10",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"botsift: {path}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 class TestOutputBytes:
     # sha256 of the files these commands wrote before the flow table was
     # held column by column; the CSV format must not drift
@@ -146,6 +159,23 @@ class TestIngest:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"botsift: {bad}:3: byte 0xff")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw, why", [
+        ({"roles": [1]}, "schema file must contain a 'roles' object"),
+        ({"roles": "x"}, "schema file must contain a 'roles' object"),
+        ({"roles": {"attack": 1}}, "column 'attack' has unknown role 1"),
+        ({"roles": {"attack": "label"}, "default_role": 3}, "invalid default role 3"),
+        ({"roles": {"attack": "numeric"}}, "exactly one label column"),
+    ])
+    def test_malformed_schema_exits_one(self, tmp_path, flows_csv, capsys, raw, why):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(raw))
+        code = main(["ingest", "--csv", flows_csv, "--schema", str(path),
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"botsift: {path}: ") and why in err
+        assert "Traceback" not in err
 
     def test_options_can_come_from_config_file(self, tmp_path, flows_csv,
                                                capsys):

@@ -377,14 +377,6 @@ class TestCrossValidate:
                                 smote_config=SmoteConfig(k_neighbors=2))
         assert all(0.0 <= m.roc_auc <= 1.0 for m in result.fold_metrics)
 
-    def test_prescaled_paper_mode_equals_unscaled_default_mode(self, rng):
-        from botsift import apply_scaler, fit_scaler
-        ds = two_blobs(rng, n0=30, n1=30)
-        scaled = apply_scaler(ds, fit_scaler(ds))
-        a = cross_validate(scaled, "gnb", k=3, seed=2, mode="paper")
-        b = cross_validate(scaled, "gnb", k=3, seed=2, scale=False)
-        assert a == b
-
     def test_as_dict_shape(self, rng):
         ds = two_blobs(rng, n0=20, n1=20)
         payload = cross_validate(ds, "gnb", k=2, seed=0).as_dict()

@@ -1,5 +1,6 @@
 """Seeded synthetic flow generation."""
 
+import json
 import math
 
 import numpy as np
@@ -161,6 +162,60 @@ class TestProfileValidation:
                     "pkts": {0: FeatureSpec(mean=999.0), 1: FeatureSpec(mean=2.0)},
                 },
                 class_ratio=0.5, row_count=10, seed=0)
+
+
+# A valid profile, then malformed ones: each with the key its SynthError names.
+GOOD_FEATURES = {"dur": {"normal": {"mean": 70.0}, "botnet": {"mean": 7.0, "cv": 2.0}}}
+BAD_PROFILES = [
+    ([1], "profile must be an object with 'features'"),
+    ({"features": 1}, "features must be an object, got 1"),
+    ({"features": {"dur": []}}, "features.dur must be an object"),
+    ({"features": {"dur": {"normal": 1}}}, "features.dur.normal must be an object"),
+    ({"features": {"dur": {"normal": {"cv": 1.0}}}}, "features.dur.normal has no 'mean'"),
+    ({"features": {"dur": {"normal": {"mean": "x"}}}},
+     "features.dur.normal.mean must be a finite number, got 'x'"),
+    ({"features": {"dur": {"normal": {"mean": True}}}},
+     "features.dur.normal.mean must be a finite number, got True"),
+    ({"features": {"dur": {"botnet": {"mean": 1.0, "cv": None}}}},
+     "features.dur.botnet.cv must be a finite number, got None"),
+    ({"features": {"dur": {"other": {"mean": 1.0}}}}, "unknown class key 'other'"),
+    ({"features": GOOD_FEATURES, "tokens": 1}, "tokens must be an object"),
+    ({"features": GOOD_FEATURES, "tokens": {"proto": "tcp"}},
+     "tokens.proto must be an object"),
+    ({"features": GOOD_FEATURES, "tokens": {"proto": {"tcp": "x"}}},
+     "tokens.proto.tcp must be a finite number"),
+    ({"features": GOOD_FEATURES, "tokens": {"proto": {"normal": 1, "botnet": {}}}},
+     "tokens.proto.normal must be an object"),
+    ({"features": GOOD_FEATURES,
+      "tokens": {"proto": {"normal": {"tcp": [1]}, "botnet": {"tcp": 1.0}}}},
+     "tokens.proto.normal.tcp must be a finite number"),
+    ({"features": GOOD_FEATURES, "tokens": {"proto": {"normal": {"tcp": 1.0}}}},
+     "token column 'proto' needs both classes"),
+    ({"features": GOOD_FEATURES, "class_ratio": "0.5"},
+     "class_ratio must be a finite number"),
+    ({"features": GOOD_FEATURES, "row_count": 10.5}, "row_count must be a whole number"),
+    ({"features": GOOD_FEATURES, "row_count": "10"}, "row_count must be a whole number"),
+    ({"features": GOOD_FEATURES, "seed": None}, "seed must be a whole number"),
+    ({"features": GOOD_FEATURES, "class_ratio": 1.5}, "class_ratio must be in (0, 1)"),
+]
+
+
+class TestProfileFiles:
+    def test_a_valid_file_loads(self, tmp_path):
+        path = tmp_path / "ok.profile"
+        path.write_text(json.dumps({"features": GOOD_FEATURES, "row_count": 1e3}))
+        profile = TrafficProfile.from_json(str(path))
+        assert profile.row_count == 1000 and profile.features["dur"][1].cv == 2.0
+
+    @pytest.mark.parametrize("raw, message", BAD_PROFILES,
+                             ids=[m for _, m in BAD_PROFILES])
+    def test_a_malformed_file_names_itself_and_the_key(self, tmp_path, raw, message):
+        path = tmp_path / "bad.profile"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SynthError) as info:
+            TrafficProfile.from_json(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
 
 
 class TestBundledProfile:
