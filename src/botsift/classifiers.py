@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .errors import DivergenceError, LoadError, TrainingError
-from .flows import Dataset, _finite, _read_json, _write_json
+from .flows import _ACCEPTS, Dataset, _read_json, _write_json
 
 # The decision threshold: a row is labelled botnet when its score is at
 # least this.
@@ -462,7 +462,8 @@ def model_kind(model: Model) -> str:
 
 def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
     """Fit a classifier by name. params are the model's hyperparameters:
-    {"k": ...} for knn, MlpConfig fields for mlp, nothing for gnb."""
+    {"k": ...} for knn, MlpConfig fields for mlp, nothing for gnb. Each
+    must have the type a model file holds (see load_model)."""
     params = dict(params or {})
     if name == "gnb":
         if params:
@@ -472,13 +473,16 @@ def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
         k = params.pop("k", 5)
         if params:
             raise TrainingError(f"unknown knn hyperparameters: {params}")
+        if not _ACCEPTS["int"][1](k):
+            raise TrainingError(f"knn hyperparameter 'k' is not an integer, got {k!r}")
         return knn_fit(train, k=k)
     if name == "mlp":
         try:
-            config = MlpConfig(**params)
-        except TypeError:
-            raise TrainingError(f"invalid mlp hyperparameters: {params}")
-        return mlp_fit(train, config)
+            filled = {**dataclasses.asdict(MlpConfig()), **params}
+            fields = _decode(MlpConfig, filled, {}, {})
+        except LoadError as exc:
+            raise TrainingError(f"invalid mlp hyperparameters: {exc}") from None
+        return mlp_fit(train, MlpConfig(**fields))
     raise TrainingError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
 
 
@@ -557,20 +561,6 @@ def save_model(model: Model, path: str) -> None:
                 value = dataclasses.asdict(value)
             payload[f.name] = value
     _write_json(path, payload, sort_keys=False)
-
-
-# What a JSON value must be to decode into a non-array field, by the
-# field's declared type
-_ACCEPTS = {
-    "tuple[str, ...]": ("a non-empty list of strings", lambda v: type(v) is list
-                        and len(v) > 0 and all(type(s) is str for s in v)),
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a finite number", _finite),
-    "tuple[float, ...]": ("a list of finite numbers",
-                          lambda v: type(v) is list and all(map(_finite, v))),
-    "dict": ("a JSON object", lambda v: type(v) is dict),
-    "MlpConfig": ("a JSON object", lambda v: type(v) is dict),
-}
 
 
 def _array(key: str, value, shape: tuple, dims: dict) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Subcommands mirror the pipeline stages: ingest, profile-stats,
 score-features, smote, train, evaluate, cross-validate, synth, and run.
-Every subcommand accepts --seed, --out, and --config (a JSON object that
-fills in options not given on the command line; explicit flags win). The
-default output directory is $BOTSIFT_OUT when set, else ./botsift-out.
+Every subcommand accepts --seed, --out, and --config: for run the
+experiment config, else a JSON object of options keyed by name (model_file
+for --model-file), checked like flags, which win over it. The default
+output directory is $BOTSIFT_OUT when set, else ./botsift-out.
 
 Exit codes: 0 success, 1 validation/configuration error, 2 stage failure.
 """
@@ -30,51 +31,67 @@ from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, bundled_profile_path, generate
 
 
+class _UsageError(Exception):
+    """argparse refused a command line; args are (parser, message)."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1."""
+    """argparse parser whose usage errors raise _UsageError, so main can
+    name the --config file a refused value came from."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise _UsageError(self, message)
 
 
-def _out_dir(args, cfg) -> str:
-    # Creates the directory, so handlers call this only after inputs validate;
-    # a failed invocation must not leave an empty output dir behind.
-    out = args.out or cfg.get("out") or os.environ.get("BOTSIFT_OUT") or "botsift-out"
-    os.makedirs(out, exist_ok=True)
+def _parse(parser: _Parser, argv: list, config: str | None = None):
+    """argv parsed; a usage error exits 1, or with config (the file the
+    options came from) raises a ConfigError naming it."""
+    try:
+        return parser.parse_args(argv)
+    except _UsageError as exc:
+        sub, message = exc.args
+        if config:
+            raise ConfigError(f"{config}: {message}") from None
+        sub.print_usage(sys.stderr)
+        sub.exit(1, f"{sub.prog}: error: {message}\n")
+
+
+def _with_config(parser: _Parser, args, argv: list):
+    """args with the --config file's options put before argv's: each key
+    becomes its flag (model_file is --model-file, a non-string value its
+    JSON text, null leaves it unset), so argparse checks it like a flag
+    and an explicit flag, coming later, wins."""
+    cfg = _read_json(args.config, "config file", ConfigError)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.config}: config file must hold a JSON object")
+    flags = []
+    for key, value in cfg.items():
+        if key not in vars(args) or key in ("command", "handler", "config"):
+            raise ConfigError(f"{args.config}: unknown option {key!r}")
+        if value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"--{key.replace('_', '-')}={text}")
+    return _parse(parser, [args.command, *flags, *argv[1:]], args.config)
+
+
+def _out_dir(args, create: bool = True) -> str:
+    # Handlers call this only after inputs validate: with create it makes the
+    # directory, and a failed invocation must not leave an empty one behind.
+    out = args.out or os.environ.get("BOTSIFT_OUT") or "botsift-out"
+    if create:
+        os.makedirs(out, exist_ok=True)
     return out
 
 
-def _resolve(args, cfg, key, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key, default)
-    return value
+def _schema_arg(args) -> Schema | None:
+    return Schema.from_json(args.schema) if args.schema else None
 
 
-def _load_cfg(args) -> dict:
-    if not getattr(args, "config", None):
+def _params_arg(args) -> dict:
+    if args.params is None:
         return {}
-    cfg = _read_json(args.config, "config file", ConfigError)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return cfg
-
-
-def _schema_arg(args, cfg) -> Schema | None:
-    path = _resolve(args, cfg, "schema")
-    return Schema.from_json(path) if path else None
-
-
-def _params_arg(args, cfg) -> dict:
-    raw = _resolve(args, cfg, "params")
-    if raw is None:
-        return {}
-    if isinstance(raw, dict):
-        return dict(raw)
     try:
-        parsed = json.loads(raw)
+        parsed = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params is not valid JSON: {exc}")
     if not isinstance(parsed, dict):
@@ -82,8 +99,8 @@ def _params_arg(args, cfg) -> dict:
     return parsed
 
 
-def _require(args, cfg, key: str):
-    value = _resolve(args, cfg, key)
+def _require(args, key: str):
+    value = getattr(args, key)
     if value is None:
         raise ConfigError(f"missing required option --{key.replace('_', '-')}")
     return value
@@ -94,13 +111,12 @@ def _require(args, cfg, key: str):
 
 
 def _cmd_ingest(args) -> None:
-    cfg = _load_cfg(args)
-    schema = _schema_arg(args, cfg)
-    loaded = load_csv(_require(args, cfg, "csv"), schema)
+    schema = _schema_arg(args)
+    loaded = load_csv(_require(args, "csv"), schema)
     flows = cleanse(loaded, schema)
     encoding = fit_encoding(flows, schema)
     dataset = to_dataset(apply_encoding(flows, encoding))
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
     encoding.to_json(os.path.join(out, "encoding.json"))
     normal, botnet = dataset.class_counts
@@ -115,9 +131,8 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_profile_stats(args) -> None:
-    cfg = _load_cfg(args)
-    schema = _schema_arg(args, cfg)
-    summary = class_summary(load_csv(_require(args, cfg, "csv"), schema))
+    schema = _schema_arg(args)
+    summary = class_summary(load_csv(_require(args, "csv"), schema))
     print(f"rows: {summary.total} "
           f"(normal {summary.counts[0]}, botnet {summary.counts[1]})")
     for label, name in ((0, "normal"), (1, "botnet")):
@@ -127,7 +142,7 @@ def _cmd_profile_stats(args) -> None:
         for feature, mean in summary.means[label].items():
             print(f"  {feature:<8} {mean:.6g}")
     if args.out:
-        out = _out_dir(args, cfg)
+        out = _out_dir(args)
         _write_json(os.path.join(out, "profile_stats.json"), {
             "counts": {"normal": summary.counts[0], "botnet": summary.counts[1]},
             "means": {str(k): v for k, v in summary.means.items()},
@@ -135,11 +150,10 @@ def _cmd_profile_stats(args) -> None:
 
 
 def _cmd_score_features(args) -> None:
-    cfg = _load_cfg(args)
-    dataset, _ = read_dataset_csv(_require(args, cfg, "csv"))
+    dataset, _ = read_dataset_csv(_require(args, "csv"))
     scaled = apply_scaler(dataset, fit_scaler(dataset))
     report = chi2_scores(scaled)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     report.to_table(os.path.join(out, "feature_scores.txt"))
     report.to_json(os.path.join(out, "feature_scores.json"))
     print(f"scored {len(report.feature_names)} features; "
@@ -147,14 +161,10 @@ def _cmd_score_features(args) -> None:
 
 
 def _cmd_smote(args) -> None:
-    cfg = _load_cfg(args)
-    dataset, _ = read_dataset_csv(_require(args, cfg, "csv"))
-    config = SmoteConfig(
-        k_neighbors=int(_resolve(args, cfg, "k", 5)),
-        target_minority_count=_resolve(args, cfg, "target"),
-    )
-    result = smote(dataset, config, seed=int(_resolve(args, cfg, "seed", 0)))
-    out = _out_dir(args, cfg)
+    dataset, _ = read_dataset_csv(_require(args, "csv"))
+    config = SmoteConfig(k_neighbors=args.k, target_minority_count=args.target)
+    result = smote(dataset, config, seed=args.seed)
+    out = _out_dir(args)
     write_dataset_csv(result.dataset, os.path.join(out, "balanced.csv"),
                       synthetic=result.synthetic)
     _write_json(os.path.join(out, "counts.json"), {
@@ -168,13 +178,11 @@ def _cmd_smote(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    cfg = _load_cfg(args)
-    dataset, _ = read_dataset_csv(_require(args, cfg, "csv"))
-    name = _require(args, cfg, "model")
-    params = _params_arg(args, cfg)
-    seed = _resolve(args, cfg, "seed")
-    if name == "mlp" and seed is not None and "seed" not in params:
-        params["seed"] = int(seed)
+    dataset, _ = read_dataset_csv(_require(args, "csv"))
+    name = _require(args, "model")
+    params = _params_arg(args)
+    if name == "mlp" and args.seed is not None and "seed" not in params:
+        params["seed"] = args.seed
     model = fit_model(name, dataset, params)
     normal, botnet = dataset.class_counts
     model = dataclasses.replace(model, provenance={
@@ -182,32 +190,28 @@ def _cmd_train(args) -> None:
         "class_counts": {"normal": normal, "botnet": botnet},
         "params": params,
     })
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     path = os.path.join(out, f"model_{name}.json")
     save_model(model, path)
     print(f"trained {name} on {dataset.n_rows} rows -> {path}")
 
 
 def _cmd_evaluate(args) -> None:
-    cfg = _load_cfg(args)
-    model = load_model(_require(args, cfg, "model_file"))
-    dataset, _ = read_dataset_csv(_require(args, cfg, "csv"))
+    model = load_model(_require(args, "model_file"))
+    dataset, _ = read_dataset_csv(_require(args, "csv"))
     report = evaluate_model(model, dataset)
-    report.write_files(os.path.join(_out_dir(args, cfg), report.model))
+    report.write_files(os.path.join(_out_dir(args), report.model))
     print(report.to_text(), end="")
 
 
 def _cmd_cross_validate(args) -> None:
-    cfg = _load_cfg(args)
-    dataset, _ = read_dataset_csv(_require(args, cfg, "csv"))
-    name = _require(args, cfg, "model")
+    dataset, _ = read_dataset_csv(_require(args, "csv"))
+    name = _require(args, "model")
     result = cross_validate(
         dataset, name,
-        k=int(_resolve(args, cfg, "folds", 5)),
-        seed=int(_resolve(args, cfg, "seed", 0)),
-        params=_params_arg(args, cfg),
+        k=args.folds, seed=args.seed, params=_params_arg(args),
     )
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     _write_json(os.path.join(out, f"cv_{name}.json"), result.as_dict())
     print(f"{name} {result.k}-fold cross-validation (percent, mean +/- std):")
     for metric in METRIC_NAMES:
@@ -216,16 +220,10 @@ def _cmd_cross_validate(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    cfg = _load_cfg(args)
-    name = _resolve(args, cfg, "profile", "botiot-means")
-    path = name if os.path.exists(name) else bundled_profile_path(name)
-    profile = TrafficProfile.from_json(path)
-    rows = _resolve(args, cfg, "rows")
-    seed = _resolve(args, cfg, "seed")
-    flows = generate(profile,
-                     rows=int(rows) if rows is not None else None,
-                     seed=int(seed) if seed is not None else None)
-    csv_path = os.path.join(_out_dir(args, cfg), "synth.csv")
+    path = (args.profile if os.path.exists(args.profile)
+            else bundled_profile_path(args.profile))
+    flows = generate(TrafficProfile.from_json(path), rows=args.rows, seed=args.seed)
+    csv_path = os.path.join(_out_dir(args), "synth.csv")
     write_records_csv(flows, csv_path)
     botnet = int(flows.labels.sum())
     print(f"generated {len(flows)} rows "
@@ -233,16 +231,12 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    config = ExperimentConfig.from_json(_require(args, {}, "config"))
-    overrides = {}
+    config = ExperimentConfig.from_json(_require(args, "config"))
     if args.seed is not None:
-        overrides["seed"] = int(args.seed)
+        config = dataclasses.replace(config, seed=args.seed)
     if args.paper_mode:
-        overrides["mode"] = "paper"
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    out = args.out or os.environ.get("BOTSIFT_OUT") or "botsift-out"
-    result = run_experiment(config, out)
+        config = dataclasses.replace(config, mode="paper")
+    result = run_experiment(config, _out_dir(args, create=False))
     print(f"experiment bundle written to {result.outdir}")
     with open(os.path.join(result.outdir, "summary.txt"), "r",
               encoding="utf-8") as fh:
@@ -258,15 +252,14 @@ def build_parser() -> _Parser:
                      description="Botnet flow detection toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, handler, help_, flags):
+    def add(name, handler, help_, flags, seed=None):
         p = sub.add_parser(name, help=help_)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=int, default=seed,
                        help="seed for every random stage")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None,
-                       help="JSON file supplying unset options")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--config", help="JSON object of options; flags win")
         p.set_defaults(handler=handler)
         return p
 
@@ -280,13 +273,13 @@ def build_parser() -> _Parser:
         "chi-square feature scores and mean-threshold selection", [csv_flag])
     add("smote", _cmd_smote, "balance a dataset with SMOTE", [
         csv_flag,
-        ("--k", {"type": int, "default": None, "help": "neighbourhood size (default 5)"}),
-        ("--target", {"type": int, "default": None,
-                      "help": "final minority count (default: match majority)"}),
-    ])
+        ("--k", {"type": int, "default": 5,
+                 "help": "neighbourhood size (default %(default)s)"}),
+        ("--target", {"type": int, "help": "minority count (default: match majority)"}),
+    ], seed=0)
     add("train", _cmd_train, "fit one classifier and save it", [
         csv_flag,
-        ("--model", {"choices": MODEL_NAMES, "default": None}),
+        ("--model", {"choices": MODEL_NAMES}),
         ("--params", {"help": "hyperparameters as a JSON object"}),
     ])
     add("evaluate", _cmd_evaluate, "score a saved model on a test CSV", [
@@ -295,13 +288,14 @@ def build_parser() -> _Parser:
     ])
     add("cross-validate", _cmd_cross_validate, "k-fold cross-validation", [
         csv_flag,
-        ("--model", {"choices": MODEL_NAMES, "default": None}),
-        ("--folds", {"type": int, "default": None, "help": "fold count (default 5)"}),
+        ("--model", {"choices": MODEL_NAMES}),
+        ("--folds", {"type": int, "default": 5, "help": "fold count (default %(default)s)"}),
         ("--params", {"help": "hyperparameters as a JSON object"}),
-    ])
+    ], seed=0)
     add("synth", _cmd_synth, "generate synthetic flows from a profile", [
-        ("--profile", {"help": "profile path or bundled profile name"}),
-        ("--rows", {"type": int, "default": None, "help": "row count override"}),
+        ("--profile", {"default": "botiot-means",
+                       "help": "profile path or bundled name (default %(default)s)"}),
+        ("--rows", {"type": int, "help": "row count override"}),
     ])
     add("run", _cmd_run, "full experiment from a config file", [
         ("--paper-mode", {"action": "store_true",
@@ -314,11 +308,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse(parser, argv)
     if not getattr(args, "handler", None):
         parser.print_help()
         return 1
     try:
+        if args.config and args.command != "run":
+            args = _with_config(parser, args, argv)
         args.handler(args)
     except (BotsiftError, OSError) as exc:
         print(f"botsift: {exc}", file=sys.stderr)

@@ -32,8 +32,8 @@ from .errors import BotsiftError, ConfigError
 from .evaluate import (EvalReport, METRIC_NAMES, cross_validate,
                        evaluate_model, percent, train_test_split)
 from .features import chi2_scores, select_features
-from .flows import (Dataset, Schema, _read_json, _write_json, load_csv,
-                    to_dataset)
+from .flows import (_ACCEPTS, Dataset, Schema, _read_json, _write_json,
+                    load_csv, to_dataset)
 from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, generate
@@ -60,6 +60,14 @@ class ExperimentConfig:
     save_models: bool = False
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            type_, value = f.type.removesuffix(" | None"), getattr(self, f.name)
+            if type_ not in _ACCEPTS or value is None and type_ != f.type:
+                continue  # an unset optional field, or models (checked below)
+            what, accepts = _ACCEPTS[type_]
+            if not accepts(value):
+                key = f.name.replace("input_", "input.")
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
         sources = [s for s in (self.input_csv, self.input_profile) if s]
         if len(sources) != 1:
             raise ConfigError(

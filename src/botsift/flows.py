@@ -80,6 +80,22 @@ def _finite(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
 
+# What a value read from JSON must be to fill a dataclass field, by the
+# field's declared type: (what to call it in an error, test)
+_ACCEPTS = {
+    "str": ("a string", lambda v: type(v) is str),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", _finite),
+    "tuple[str, ...]": ("a non-empty list of strings", lambda v: type(v) is list
+                        and len(v) > 0 and all(type(s) is str for s in v)),
+    "tuple[float, ...]": ("a list of finite numbers",
+                          lambda v: type(v) is list and all(map(_finite, v))),
+    "dict": ("a JSON object", lambda v: type(v) is dict),
+    "MlpConfig": ("a JSON object", lambda v: type(v) is dict),
+}
+
+
 def _write_json(path: str, payload: dict, sort_keys: bool = True) -> None:
     """payload as indented JSON with a final newline, keys sorted unless
     their order is the format's; every JSON file botsift writes goes
@@ -125,11 +141,13 @@ class Schema:
     @classmethod
     def from_json(cls, path: str) -> "Schema":
         """The schema in the JSON file at path, an object with a "roles"
-        object and an optional "default_role". Any other shape, or a role
-        that is not one of ROLES, is a SchemaError naming path."""
+        object and an optional "default_role". Any other shape or key, or a
+        role that is not one of ROLES, is a SchemaError naming path."""
         raw = _read_json(path, "schema file", SchemaError)
         if not isinstance(raw, dict) or not isinstance(raw.get("roles"), dict):
             raise SchemaError(f"{path}: schema file must contain a 'roles' object")
+        if unknown := sorted(raw.keys() - {"roles", "default_role"}):
+            raise SchemaError(f"{path}: unknown schema key {unknown[0]!r}")
         try:
             return cls(roles=raw["roles"], default_role=raw.get("default_role", "ignore"))
         except SchemaError as exc:

@@ -23,6 +23,7 @@ from .errors import SynthError
 from .flows import FlowTable, _finite, _read_json
 
 CLASS_KEYS = {"normal": 0, "botnet": 1}
+PROFILE_KEYS = {"features", "tokens", "class_ratio", "row_count", "seed"}
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,10 @@ class TrafficProfile:
 
     @classmethod
     def from_json(cls, path: str) -> "TrafficProfile":
-        """The profile in the JSON file at path. A malformed one raises a
-        SynthError naming path and the key, such as features.dur.normal.mean.
-        """
+        """The profile in the JSON file at path. A malformed one, or one
+        with a key the format does not define, raises a SynthError naming
+        path and the key, such as features.dur.normal.mean. Token names are
+        free."""
         raw = _read_json(path, "profile", SynthError)
 
         def need(ok: bool, key: str, what: str, value) -> None:
@@ -110,6 +112,8 @@ class TrafficProfile:
 
         if not isinstance(raw, dict) or "features" not in raw:
             raise SynthError(f"{path}: profile must be an object with 'features'")
+        if unknown := sorted(raw.keys() - PROFILE_KEYS):
+            raise SynthError(f"{path}: unknown profile key {unknown[0]!r}")
         features: dict[str, dict[int, FeatureSpec]] = {}
         for name, per_class in table(raw["features"], "features").items():
             features[name] = {}
@@ -119,6 +123,8 @@ class TrafficProfile:
                     raise SynthError(f"{path}: {where}: unknown class key {key!r}")
                 if "mean" not in table(spec, where):
                     raise SynthError(f"{path}: {where} has no 'mean'")
+                if unknown := sorted(spec.keys() - {"mean", "cv"}):
+                    raise SynthError(f"{path}: {where}: unknown key {unknown[0]!r}")
                 features[name][CLASS_KEYS[key]] = FeatureSpec(
                     mean=number(spec["mean"], f"{where}.mean"),
                     cv=number(spec.get("cv", 1.0), f"{where}.cv"))

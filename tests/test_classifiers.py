@@ -440,6 +440,21 @@ class TestSharedSurface:
         with pytest.raises(TrainingError, match="unknown model"):
             fit_model("forest", train)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("knn", {"k": "5"}, "knn hyperparameter 'k' is not an integer, got '5'"),
+        ("knn", {"k": True}, "knn hyperparameter 'k' is not an integer, got True"),
+        ("knn", {"k": 3.0}, "knn hyperparameter 'k' is not an integer, got 3.0"),
+        ("mlp", {"epochs": "2"}, "key 'epochs' is not an integer"),
+        ("mlp", {"hidden": True}, "key 'hidden' is not an integer"),
+        ("mlp", {"learning_rate": "0.1"}, "key 'learning_rate' is not a finite number"),
+        ("mlp", {"learning_rate": float("nan")}, "key 'learning_rate' is not a finite"),
+    ])
+    def test_fit_model_rejects_mistyped_hyperparameters(self, rng, name, params,
+                                                         message):
+        train = blobs(rng, n0=10, n1=10)
+        with pytest.raises(TrainingError, match=message):
+            fit_model(name, train, params)
+
     def test_threshold_is_inclusive_at_half(self):
         scores = np.array([0.49, 0.5, 0.51, 0.0, 1.0])
         assert threshold_labels(scores).tolist() == [0, 1, 1, 0, 1]

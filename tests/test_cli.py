@@ -166,6 +166,8 @@ class TestIngest:
         ({"roles": {"attack": 1}}, "column 'attack' has unknown role 1"),
         ({"roles": {"attack": "label"}, "default_role": 3}, "invalid default role 3"),
         ({"roles": {"attack": "numeric"}}, "exactly one label column"),
+        ({"roles": {"attack": "label"}, "default_rol": "numeric"},
+         "unknown schema key 'default_rol'"),
     ])
     def test_malformed_schema_exits_one(self, tmp_path, flows_csv, capsys, raw, why):
         path = tmp_path / "schema.json"
@@ -428,6 +430,78 @@ class TestRun:
         assert main([command, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(
             f"botsift: {cfg}: config file is not valid JSON: ")
+
+
+class TestConfigFile:
+    """--config for every command but run: keys are option names, checked
+    by the same parser as the flags."""
+
+    def _write(self, tmp_path, body):
+        path = tmp_path / "cli.json"
+        path.write_text(json.dumps(body))
+        return str(path)
+
+    @pytest.mark.parametrize("command, body, why", [
+        ("ingest", {"csvv": "x"}, "unknown option 'csvv'"),
+        ("ingest", {"cs": "x"}, "unknown option 'cs'"),
+        ("smote", {"k": "x"}, "argument --k: invalid int value: 'x'"),
+        ("synth", {"rows": "abc"}, "argument --rows: invalid int value"),
+        ("cross-validate", {"folds": 2.9}, "argument --folds: invalid int value: '2.9'"),
+        ("smote", {"seed": True}, "argument --seed: invalid int value: 'true'"),
+        ("cross-validate", {"model": "forest"}, "argument --model: invalid choice"),
+        ("train", [1], "config file must hold a JSON object"),
+    ])
+    def test_config_fault_exits_one_naming_the_file(self, tmp_path, dataset_csv,
+                                                    capsys, command, body, why):
+        cfg = self._write(tmp_path, body)
+        out = tmp_path / "never"
+        csv = ["--csv", dataset_csv] if command != "synth" else []
+        code = main([command, "--config", cfg, *csv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"botsift: {cfg}: ") and why in err
+        assert "Traceback" not in err and "usage:" not in err
+        assert not out.exists()
+
+    def test_explicit_flag_beats_config_value(self, tmp_path, dataset_csv):
+        cfg = self._write(tmp_path, {"csv": dataset_csv, "model": "gnb",
+                                     "folds": 4, "seed": None,
+                                     "out": str(tmp_path / "from-config")})
+        out = tmp_path / "from-flag"
+        assert main(["cross-validate", "--config", cfg, "--folds", "3",
+                     "--out", str(out)]) == 0
+        assert not (tmp_path / "from-config").exists()
+        with open(out / "cv_gnb.json", encoding="utf-8") as fh:
+            assert json.load(fh)["k"] == 3
+
+    def test_params_may_be_a_json_object(self, tmp_path, dataset_csv):
+        out = tmp_path / "fit"
+        cfg = self._write(tmp_path, {"csv": dataset_csv, "model": "knn",
+                                     "params": {"k": 3}, "out": str(out)})
+        assert main(["train", "--config", cfg]) == 0
+        with open(out / "model_knn.json", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["k"] == 3 and payload["provenance"]["params"] == {"k": 3}
+
+    def test_profile_stats_writes_json_to_config_out(self, tmp_path, flows_csv):
+        out = tmp_path / "stats"
+        cfg = self._write(tmp_path, {"csv": flows_csv, "out": str(out)})
+        assert main(["profile-stats", "--config", cfg]) == 0
+        assert (out / "profile_stats.json").exists()
+
+    @pytest.mark.parametrize("model, params, key", [
+        ("knn", '{"k": "5"}', "'k'"),
+        ("knn", '{"k": true}', "'k'"),
+        ("mlp", '{"epochs": "2"}', "'epochs'"),
+    ])
+    def test_mistyped_params_exit_two_naming_the_key(self, tmp_path, dataset_csv,
+                                                     capsys, model, params, key):
+        code = main(["train", "--csv", dataset_csv, "--model", model,
+                     "--params", params, "--out", str(tmp_path / "fit")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("botsift: ") and "Traceback" not in err
+        assert key in err
 
 
 class TestParser:

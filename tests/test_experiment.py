@@ -81,6 +81,23 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=fragment):
                 config.validate()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"cv_folds": "5"}, "cv_folds must be an integer, got '5'"),
+        ({"seed": "7"}, "seed must be an integer, got '7'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"smote_k": 2.5}, "smote_k must be an integer, got 2.5"),
+        ({"test_fraction": "0.2"}, "test_fraction must be a finite number"),
+        ({"select": "no"}, "select must be true or false, got 'no'"),
+        ({"mode": 1}, "mode must be a string, got 1"),
+        ({"input": {"rows": "200"}}, "input.rows must be an integer, got '200'"),
+    ])
+    def test_mistyped_fields_name_the_key(self, profile_path, raw, message):
+        raw = {**raw, "input": {"profile": profile_path, **raw.get("input", {})}}
+        config = ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        assert message in str(info.value)
+
     def test_validation_happens_before_any_output(self, profile_path, tmp_path):
         config = quick_config(profile_path, cv_folds=1)
         outdir = str(tmp_path / "never")

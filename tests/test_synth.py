@@ -197,6 +197,10 @@ BAD_PROFILES = [
     ({"features": GOOD_FEATURES, "row_count": "10"}, "row_count must be a whole number"),
     ({"features": GOOD_FEATURES, "seed": None}, "seed must be a whole number"),
     ({"features": GOOD_FEATURES, "class_ratio": 1.5}, "class_ratio must be in (0, 1)"),
+    ({"features": GOOD_FEATURES, "class_ration": 0.9},
+     "unknown profile key 'class_ration'"),
+    ({"features": {"dur": {"normal": {"mean": 1.0, "cvv": 9}}}},
+     "features.dur.normal: unknown key 'cvv'"),
 ]
 
 
