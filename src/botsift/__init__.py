@@ -16,18 +16,18 @@ from .errors import (BotsiftError, CleanseError, ConfigError, DivergenceError,
                      EncodingError, EvaluationError, FeatureScoreError,
                      LoadError, ResampleError, SchemaError, SynthError,
                      TrainingError)
-from .evaluate import (ConfusionMatrix, CvResult, EvalReport, Metrics,
-                       RocCurve, cross_validate, evaluate_model, make_folds,
+from .evaluate import (ConfusionMatrix, EvalReport, Metrics, RocCurve,
+                       cross_validate, evaluate_model, make_folds,
                        metrics_from, percent, roc_curve, split_indices,
                        train_test_split)
-from .experiment import ExperimentConfig, ExperimentResult, run_experiment
+from .experiment import ExperimentConfig, run_experiment
 from .features import FeatureScoreReport, chi2_scores, select_features
-from .flows import (ClassSummary, Dataset, FlowTable, Schema, class_summary,
-                    default_schema, load_csv, read_dataset_csv, to_dataset,
-                    write_dataset_csv, write_records_csv)
+from .flows import (Dataset, FlowTable, Schema, class_summary, default_schema,
+                    load_csv, read_dataset_csv, to_dataset, write_dataset_csv,
+                    write_records_csv)
 from .preprocess import (EncodingMap, ScalerParams, apply_encoding,
                          apply_scaler, cleanse, fit_encoding, fit_scaler)
-from .smote import SmoteConfig, SmoteResult, minority_neighbors, smote
+from .smote import SmoteConfig, minority_neighbors, smote
 from .synth import (FeatureSpec, TrafficProfile, bundled_profile_path,
                     class_counts_for, default_profile, generate,
                     round_half_up)

@@ -1,7 +1,7 @@
 """The one process pool botsift uses: a function over items on both cores.
 
-The experiment's (arm, model) jobs and the large CSV reads and writes run
-through fork_map. Forked children inherit the function and the items, so
+The experiment's fold and full-fit jobs and the large CSV reads and writes
+run through fork_map. Forked children inherit the function and the items, so
 neither is pickled: only item indices go out, and only the results come
 back. Callers keep large data out of the results; a child that fills a
 shared buffer or writes a file returns a small status instead.

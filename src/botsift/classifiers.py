@@ -460,40 +460,68 @@ def model_kind(model: Model) -> str:
 # Shared prediction surface
 
 
-def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
-    """Fit a classifier by name. params are the model's hyperparameters:
-    {"k": ...} for knn, MlpConfig fields for mlp, nothing for gnb. Each
-    must have the type a model file holds (see load_model)."""
-    params = dict(params or {})
-    if name == "gnb":
-        if params:
-            raise TrainingError(f"gnb takes no hyperparameters, got {params}")
-        return gnb_fit(train)
+def check_params(name: str, params: dict, error: type[Exception] = TrainingError) -> None:
+    """Raise error unless params are valid hyperparameters of the model
+    name: nothing for gnb, an integer k >= 1 for knn, and for mlp
+    MlpConfig fields, each of its declared type, that mlp_fit accepts.
+    These are the types a model file holds (see load_model). A name not in
+    MODEL_NAMES is left to the caller."""
+    if name == "gnb" and params:
+        raise error(f"gnb takes no hyperparameters, got {params}")
     if name == "knn":
-        k = params.pop("k", 5)
-        if params:
-            raise TrainingError(f"unknown knn hyperparameters: {params}")
+        unknown = {key: value for key, value in params.items() if key != "k"}
+        if unknown:
+            raise error(f"unknown knn hyperparameters: {unknown}")
+        k = params.get("k", 5)
         if not _ACCEPTS["int"][1](k):
-            raise TrainingError(f"knn hyperparameter 'k' is not an integer, got {k!r}")
-        return knn_fit(train, k=k)
+            raise error(f"knn hyperparameter 'k' is not an integer, got {k!r}")
+        if k < 1:
+            raise error(f"knn hyperparameter 'k' must be >= 1, got {k}")
     if name == "mlp":
         try:
             filled = {**dataclasses.asdict(MlpConfig()), **params}
-            fields = _decode(MlpConfig, filled, {}, {})
+            config = MlpConfig(**_decode(MlpConfig, filled, {}, {}))
         except LoadError as exc:
-            raise TrainingError(f"invalid mlp hyperparameters: {exc}") from None
-        return mlp_fit(train, MlpConfig(**fields))
+            raise error(f"invalid mlp hyperparameters: {exc}") from None
+        if not config.valid():
+            raise error(f"invalid mlp hyperparameters: {config}")
+
+
+def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
+    """Fit a classifier by name; params are its hyperparameters, as
+    check_params accepts them."""
+    params = dict(params or {})
+    check_params(name, params)
+    if name == "gnb":
+        return gnb_fit(train)
+    if name == "knn":
+        return knn_fit(train, **params)
+    if name == "mlp":
+        return mlp_fit(train, MlpConfig(**params))
     raise TrainingError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
+
+
+def _features_for(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
+    """data's feature matrix in the model's column order. A Dataset's
+    columns are taken by name, with no copy when they already match, and
+    a LoadError names any the model needs that data lacks; a bare array
+    is taken as it is."""
+    if not isinstance(data, Dataset):
+        return np.asarray(data, dtype=np.float64)
+    if data.feature_names != tuple(model.feature_names):
+        data = data.with_columns(model.feature_names)
+    return data.features
 
 
 def score_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
     """Botnet scores in [0, 1] for every row.
 
     The one input rule for every kind: a 2-d matrix with one column per
-    model feature, all finite. Empty input yields an empty vector.
+    model feature, all finite; a Dataset's columns are matched to the
+    model's by name. Empty input yields an empty vector.
     """
     kind = _KINDS[model_kind(model)]
-    X = data.features if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    X = _features_for(model, data)
     if X.ndim != 2:
         raise LoadError("score_batch expects a 2-d feature matrix")
     if X.shape[1] != len(model.feature_names):
@@ -539,7 +567,7 @@ def labels_from_scores(model: Model, X: np.ndarray,
 
 def predict_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
     """Labels for every row; empty input yields an empty vector."""
-    X = data.features if isinstance(data, Dataset) else data
+    X = _features_for(model, data)
     return labels_from_scores(model, X, score_batch(model, X))
 
 

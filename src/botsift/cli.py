@@ -231,11 +231,16 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    config = ExperimentConfig.from_json(_require(args, "config"))
+    path = _require(args, "config")
+    config = ExperimentConfig.from_json(path)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.paper_mode:
         config = dataclasses.replace(config, mode="paper")
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     result = run_experiment(config, _out_dir(args, create=False))
     print(f"experiment bundle written to {result.outdir}")
     with open(os.path.join(result.outdir, "summary.txt"), "r",

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import (THRESHOLD, fit_model, labels_from_scores,
-                          model_kind, score_batch, tie_rule)
+from .classifiers import (THRESHOLD, _features_for, fit_model,
+                          labels_from_scores, model_kind, score_batch, tie_rule)
 from .errors import EvaluationError
 from .flows import Dataset, _write_json
 from .preprocess import apply_scaler, fit_scaler
@@ -219,21 +219,16 @@ def split_indices(labels: np.ndarray, test_fraction: float, seed: int = 0,
 
     class_idx = [np.flatnonzero(labels == c) for c in (0, 1)]
     quotas = [Fraction(test_fraction) * len(ci) for ci in class_idx]
-    base = [int(q) for q in quotas]  # floor of a non-negative Fraction
-    shortfall = t - sum(base)
+    counts = [int(q) for q in quotas]  # floor of a non-negative Fraction
+    # the t - sum(counts) rows left over (at most one per class) go to the
+    # largest remainders first
     remainders = sorted(
         range(2),
-        key=lambda c: (quotas[c] - base[c], len(class_idx[c]), -c),
+        key=lambda c: (quotas[c] - counts[c], len(class_idx[c]), -c),
         reverse=True,
     )
-    counts = list(base)
-    for c in remainders:
-        if shortfall <= 0:
-            break
-        room = len(class_idx[c]) - counts[c]
-        add = min(room, shortfall)
-        counts[c] += add
-        shortfall -= add
+    for c in remainders[:t - sum(counts)]:
+        counts[c] += 1
     test_parts = []
     for c in (0, 1):
         perm = rng.permutation(len(class_idx[c]))
@@ -282,6 +277,35 @@ def make_folds(labels: np.ndarray, k: int, seed: int = 0,
 # Cross-validation
 
 
+def fold_sets(dataset: Dataset, folds: list[np.ndarray], f: int, seed: int, *,
+              scale: bool, smote_config: SmoteConfig | None) -> tuple[Dataset, Dataset]:
+    """Fold f's (training, test) parts of dataset, ready to fit and score.
+
+    The test part is folds[f] and the training part every other row; each
+    must hold both classes. The training part is prepared on its own, so
+    no information crosses the fold boundary: with scale, it fits the
+    scaler that both parts are scaled by, and with smote_config, it alone
+    is balanced, seeded seed + f. With neither, as for a dataset already
+    globally preprocessed, the parts are used as they are.
+    """
+    mask = np.ones(dataset.n_rows, dtype=bool)
+    mask[folds[f]] = False
+    train, test = dataset.take(np.flatnonzero(mask)), dataset.take(folds[f])
+    for side, name in ((train, "training"), (test, "test")):
+        counts = side.class_counts
+        if counts[0] == 0 or counts[1] == 0:
+            raise EvaluationError(
+                f"fold {f}: {name} part has a single class "
+                f"(counts {counts}); use stratified folds and a k no "
+                f"larger than the smaller class")
+    if scale:
+        scaler = fit_scaler(train)
+        train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)
+    if smote_config is not None:
+        train = smote(train, smote_config, seed=seed + f).dataset
+    return train, test
+
+
 @dataclass(frozen=True)
 class CvResult:
     model: str
@@ -291,6 +315,19 @@ class CvResult:
     fold_metrics: tuple[Metrics, ...]
     mean: dict[str, float]
     std: dict[str, float]
+
+    @classmethod
+    def from_folds(cls, model: str, seed: int, folds: list[np.ndarray],
+                   metrics: list[Metrics]) -> "CvResult":
+        """The result of model scoring metrics on folds, in fold order.
+        Per-metric mean and std are across folds (population std, divide
+        by k)."""
+        columns = {name: [getattr(m, name) for m in metrics] for name in METRIC_NAMES}
+        return cls(model=model, k=len(folds), seed=seed,
+                   fold_sizes=tuple(len(fold) for fold in folds),
+                   fold_metrics=tuple(metrics),
+                   mean={name: float(np.mean(v)) for name, v in columns.items()},
+                   std={name: float(np.std(v)) for name, v in columns.items()})
 
     def as_dict(self) -> dict:
         return {
@@ -309,54 +346,16 @@ def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                    seed: int = 0, *, params: dict | None = None,
                    stratified: bool = True, scale: bool = True,
                    smote_config: SmoteConfig | None = None) -> CvResult:
-    """k-fold cross-validation of one model.
-
-    Each fold's training part is prepared on its own, so no information
-    crosses the fold boundary: with scale, it fits the scaler that both
-    parts of the fold are scaled by, and with smote_config, it alone is
-    balanced. With neither, as for a dataset already globally
-    preprocessed, the folds are used as they are. Per-metric mean and std
-    are across folds (population std, divide by k).
-    """
+    """k-fold cross-validation of one model: each fold's parts come from
+    fold_sets, and the model is fitted on the training part and scored on
+    the test part."""
     folds = make_folds(dataset.labels, k, seed, stratified)
-    results: list[Metrics] = []
-    for f, test_idx in enumerate(folds):
-        mask = np.ones(dataset.n_rows, dtype=bool)
-        mask[test_idx] = False
-        train = dataset.take(np.flatnonzero(mask))
-        test = dataset.take(test_idx)
-        for side, name in ((train, "training"), (test, "test")):
-            counts = side.class_counts
-            if counts[0] == 0 or counts[1] == 0:
-                raise EvaluationError(
-                    f"fold {f}: {name} part has a single class "
-                    f"(counts {counts}); use stratified folds and a k no "
-                    f"larger than the smaller class")
-        if scale:
-            scaler = fit_scaler(train)
-            train = apply_scaler(train, scaler)
-            test = apply_scaler(test, scaler)
-        if smote_config is not None:
-            train = smote(train, smote_config, seed=seed + f).dataset
-        model = fit_model(model_name, train, params)
-        scores = score_batch(model, test)
-        preds = labels_from_scores(model, test.features, scores)
-        cm = ConfusionMatrix.from_labels(test.labels, preds)
-        results.append(metrics_from(cm, scores, test.labels))
-
-    mean = {name: float(np.mean([getattr(m, name) for m in results]))
-            for name in METRIC_NAMES}
-    std = {name: float(np.std([getattr(m, name) for m in results]))
-           for name in METRIC_NAMES}
-    return CvResult(
-        model=model_name,
-        k=k,
-        seed=seed,
-        fold_sizes=tuple(len(fi) for fi in folds),
-        fold_metrics=tuple(results),
-        mean=mean,
-        std=std,
-    )
+    metrics = []
+    for f in range(k):
+        train, test = fold_sets(dataset, folds, f, seed, scale=scale,
+                                smote_config=smote_config)
+        metrics.append(evaluate_model(fit_model(model_name, train, params), test).metrics)
+    return CvResult.from_folds(model_name, seed, folds, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +424,9 @@ class EvalReport:
 def evaluate_model(model, test: Dataset, model_name: str | None = None,
                    cv: CvResult | None = None) -> EvalReport:
     """Score a fitted model on a test dataset and assemble the report."""
-    scores = score_batch(model, test)
-    preds = labels_from_scores(model, test.features, scores)
+    X = _features_for(model, test)
+    scores = score_batch(model, X)
+    preds = labels_from_scores(model, X, scores)
     cm = ConfusionMatrix.from_labels(test.labels, preds)
     metrics, curve = _metrics_and_curve(cm, scores, test.labels)
     return EvalReport(model=model_name or model_kind(model), confusion=cm,

@@ -12,6 +12,12 @@ Two pipeline modes:
       split; reproduces the global-preprocessing protocol some published
       benchmarks use.
 
+Cross-validation prepares each fold once per arm (evaluate.fold_sets)
+and scores every model on it. Jobs go through _pool.fork_map: fold jobs
+(arm, fold, every model) first, then one full fit per (arm, model), MLP
+first. The first failing job in submission order names the stage, as in
+cross_validate[raw/fold 3], cross_validate[raw/knn] or train[raw/knn].
+
 Every stage seed is the master seed plus a fixed labelled offset, the
 manifest records seeds, mode, and executed stage order, and no output
 contains timestamps, so equal configs give byte-identical bundles.
@@ -25,12 +31,13 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from ._pool import fork_map
-from .classifiers import MODEL_NAMES, fit_model, save_model
+from .classifiers import MODEL_NAMES, check_params, fit_model, save_model
 from .errors import BotsiftError, ConfigError
-from .evaluate import (EvalReport, METRIC_NAMES, cross_validate,
-                       evaluate_model, percent, train_test_split)
+from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
+                       fold_sets, make_folds, percent, train_test_split)
 from .features import chi2_scores, select_features
 from .flows import (_ACCEPTS, Dataset, Schema, _read_json, _write_json,
                     load_csv, to_dataset)
@@ -85,12 +92,16 @@ class ExperimentConfig:
                 f"smote must be one of {SMOTE_CHOICES}, got {self.smote!r}")
         if not self.models:
             raise ConfigError("config lists no models to train")
+        names = [name for name, _ in self.models]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"config lists a model more than once: {names}")
         for name, params in self.models:
             if name not in MODEL_NAMES:
                 raise ConfigError(
                     f"unknown model {name!r}, expected one of {MODEL_NAMES}")
             if not isinstance(params, dict):
                 raise ConfigError(f"model {name!r} parameters must be an object")
+            check_params(name, params, ConfigError)
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction}")
@@ -151,7 +162,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        return cls.from_dict(_read_json(path, "config file", ConfigError))
+        raw = _read_json(path, "config file", ConfigError)
+        try:
+            return cls.from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -195,73 +210,82 @@ def _summary_table(reports: dict[tuple[str, str], EvalReport],
     return "\n".join(lines) + "\n"
 
 
+def _prepare(config: ExperimentConfig, dataset: Dataset, arms: list[str],
+             seeds: dict[str, int], smote_config: SmoteConfig, stages: list[str],
+             class_counts: dict
+             ) -> tuple[dict[str, tuple[Dataset, Dataset]], Dataset | None]:
+    """Each arm's (training, test) sets, and in default mode the unscaled
+    training split, which cross-validation rescales (and rebalances) fold
+    by fold; None in paper mode."""
+    if config.mode == "paper":
+        stages.append("scale")
+        sources = {"raw": apply_scaler(dataset, fit_scaler(dataset))}
+        stages += ["split"] if "raw" in arms else []
+        if "smote" in arms:
+            stages.append("smote")
+            sources["smote"] = smote(sources["raw"], smote_config, seeds["smote"]).dataset
+            class_counts["after_smote"] = _counts_dict(sources["smote"])
+            stages += [] if "split" in stages else ["split"]
+        return {arm: train_test_split(sources[arm], config.test_fraction, seeds["split"])
+                for arm in arms}, None
+    stages += ["split", "scale"]
+    train, test = train_test_split(dataset, config.test_fraction, seeds["split"])
+    scaler = fit_scaler(train)
+    train_scaled, test_scaled = apply_scaler(train, scaler), apply_scaler(test, scaler)
+    arm_sets = {"raw": (train_scaled, test_scaled)} if "raw" in arms else {}
+    if "smote" in arms:
+        stages.append("smote")
+        balanced = smote(train_scaled, smote_config, seeds["smote"]).dataset
+        class_counts["after_smote"] = _counts_dict(balanced)
+        arm_sets["smote"] = (balanced, test_scaled)
+    return arm_sets, train
+
+
 @dataclass(frozen=True)
 class _Grid:
-    """What every (arm, model) job of one run reads."""
+    """What every job of one run reads."""
 
     config: ExperimentConfig
     outdir: str
     seeds: dict[str, int]
-    smote_config: SmoteConfig
     arm_sets: dict[str, tuple[Dataset, Dataset]]
-    # default mode's unscaled training split, which cross-validation
-    # rescales (and rebalances) fold by fold; None in paper mode
-    cv_source: Dataset | None
+    cv_sets: dict[str, tuple[list, Callable]]  # arm: (folds, fold f -> its sets)
 
 
-# One job: (arm, model name, model parameters).
-_Job = tuple[str, str, dict]
+# One job: (arm, fold index, or None to fit on the arm's whole training
+# set, and the (name, params) of each model it fits).
+_Job = tuple[str, int | None, tuple[tuple[str, dict], ...]]
 
 
-def _fit_job(grid: _Grid, job: _Job) -> tuple[str, EvalReport | Exception]:
-    """Fit, save, cross-validate and evaluate one model on one arm, and
-    write its report files.
+def _run_job(grid: _Grid, job: _Job) -> tuple[str, list | Exception]:
+    """Prepare the job's sets once, then fit and score each of its models.
 
-    Returns the last stage label entered and the report, or the exception
-    that stage raised, so a caller can re-raise failures in job order.
+    Returns the last stage label entered and each model's Metrics on the
+    fold, or for a full fit its EvalReport (its model saved when the
+    config asks), or else the exception that stage raised, so the caller
+    can re-raise failures in job order.
     """
-    arm, name, params = job
-    config = grid.config
-    train_arm, test_arm = grid.arm_sets[arm]
-    stage = f"train[{arm}/{name}]"
+    arm, f, models = job
+    stage = f"cross_validate[{arm}/fold {f}]"
     try:
-        model = fit_model(name, train_arm, params)
-        if config.save_models:
-            tagged = dataclasses.replace(model, provenance={
-                "arm": arm, "mode": config.mode,
-                "stage_seeds": grid.seeds,
-                "features": list(train_arm.feature_names),
-            })
-            save_model(tagged, os.path.join(grid.outdir, f"model_{arm}_{name}.json"))
-        cv = None
-        if config.cv_folds:
-            stage = f"cross_validate[{arm}/{name}]"
-            # paper mode preprocessed the whole arm, so its folds are used as they are
-            paper = config.mode == "paper"
-            cv = cross_validate(
-                train_arm if paper else grid.cv_source, name, config.cv_folds,
-                grid.seeds["cv"], params=params, scale=not paper,
-                smote_config=grid.smote_config if arm == "smote" and not paper else None)
-        stage = f"evaluate[{arm}/{name}]"
-        report = evaluate_model(model, test_arm, model_name=name, cv=cv)
-        report.write_files(os.path.join(grid.outdir, f"{arm}_{name}"))
-        return stage, report
+        train, test = grid.arm_sets[arm] if f is None else grid.cv_sets[arm][1](f)
+        results = []
+        for name, params in models:
+            stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
+            params = {"seed": grid.seeds["mlp"], **params} if name == "mlp" else params
+            model = fit_model(name, train, params)
+            if f is None and grid.config.save_models:
+                tagged = dataclasses.replace(model, provenance={
+                    "arm": arm, "mode": grid.config.mode, "stage_seeds": grid.seeds,
+                    "features": list(train.feature_names)})
+                save_model(tagged, os.path.join(grid.outdir, f"model_{arm}_{name}.json"))
+            if f is None:
+                stage = f"evaluate[{arm}/{name}]"
+            report = evaluate_model(model, test, model_name=name)
+            results.append(report if f is None else report.metrics)
+        return stage, results
     except Exception as exc:
         return stage, exc
-
-
-def _run_jobs(grid: _Grid, jobs: list[_Job]) -> list[tuple[str, EvalReport | Exception]]:
-    """_fit_job over every job, results in job order.
-
-    The jobs run through _pool.fork_map: forked children inherit the
-    grid's datasets, so only the reports (or exceptions) come back. MLP
-    jobs, the longest, are sent first so that no worker finishes a long fit
-    alone at the end. Each job's output depends only on its inputs, so
-    bundles are the same bytes whichever process ran it.
-    """
-    order = sorted(range(len(jobs)), key=lambda i: jobs[i][1] != "mlp")
-    done = dict(zip(order, fork_map(partial(_fit_job, grid), [jobs[i] for i in order])))
-    return [done[i] for i in range(len(jobs))]
 
 
 def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
@@ -282,7 +306,6 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         seeds = config.stage_seeds()
         stages: list[str] = []
         arms = {"off": ["raw"], "on": ["smote"], "both": ["raw", "smote"]}[config.smote]
-        smote_config = SmoteConfig(k_neighbors=config.smote_k)
         manifest: dict = {
             "config": config.to_dict(),
             "mode": config.mode,
@@ -290,7 +313,6 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
             "arms": arms,
         }
         class_counts: dict = {}
-        reports: dict[tuple[str, str], EvalReport] = {}
 
         stage = "load"
         dataset = _load_input(config, seeds, stages)
@@ -301,8 +323,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         # scaled over all rows (the statistic needs non-negative values).
         stage = "score_features"
         stages.append("score_features")
-        scoring_copy = apply_scaler(dataset, fit_scaler(dataset))
-        score_report = chi2_scores(scoring_copy)
+        score_report = chi2_scores(apply_scaler(dataset, fit_scaler(dataset)))
         score_report.to_table(os.path.join(outdir, "feature_scores.txt"))
         score_report.to_json(os.path.join(outdir, "feature_scores.json"))
         manifest["feature_scoring"] = "pre-split, min-max scaled over all rows"
@@ -313,61 +334,48 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         manifest["selected_features"] = list(dataset.feature_names)
 
         stage = "prepare"
-        arm_sets: dict[str, tuple[Dataset, Dataset]] = {}
-        cv_source: Dataset | None = None
-        if config.mode == "paper":
-            stages.append("scale")
-            scaled = apply_scaler(dataset, fit_scaler(dataset))
-            if "raw" in arms:
-                stages.append("split")
-                arm_sets["raw"] = train_test_split(
-                    scaled, config.test_fraction, seeds["split"])
-            if "smote" in arms:
-                stages.append("smote")
-                balanced = smote(scaled, smote_config, seeds["smote"]).dataset
-                class_counts["after_smote"] = _counts_dict(balanced)
-                if "split" not in stages:
-                    stages.append("split")
-                arm_sets["smote"] = train_test_split(
-                    balanced, config.test_fraction, seeds["split"])
-        else:
-            stages.append("split")
-            train, test = train_test_split(
-                dataset, config.test_fraction, seeds["split"])
-            stages.append("scale")
-            scaler = fit_scaler(train)
-            train_scaled = apply_scaler(train, scaler)
-            test_scaled = apply_scaler(test, scaler)
-            if "raw" in arms:
-                arm_sets["raw"] = (train_scaled, test_scaled)
-            if "smote" in arms:
-                stages.append("smote")
-                balanced = smote(train_scaled, smote_config, seeds["smote"]).dataset
-                class_counts["after_smote"] = _counts_dict(balanced)
-                arm_sets["smote"] = (balanced, test_scaled)
-            # cross-validation refits scaler and SMOTE inside each fold,
-            # so it runs on the unscaled training split
-            cv_source = train
-
-        jobs: list[_Job] = []
-        for arm in arms:
-            train_arm, test_arm = arm_sets[arm]
-            class_counts[f"train_{arm}"] = _counts_dict(train_arm)
-            class_counts[f"test_{arm}"] = _counts_dict(test_arm)
-            for name, params in config.models:
-                params = dict(params)
-                if name == "mlp" and "seed" not in params:
-                    params["seed"] = seeds["mlp"]
-                jobs.append((arm, name, params))
-
+        smote_config = SmoteConfig(k_neighbors=config.smote_k)
+        arm_sets, cv_source = _prepare(config, dataset, arms, seeds, smote_config,
+                                       stages, class_counts)
+        class_counts |= {f"{side}_{arm}": _counts_dict(part) for arm in arms
+                         for side, part in zip(("train", "test"), arm_sets[arm])}
+        # Each arm's folds are prepared once and score every model; paper
+        # mode preprocessed the whole arm, so its folds are used as they are.
+        cv_sets = {}
+        for arm in arms if config.cv_folds else ():
+            paper = config.mode == "paper"
+            rows = arm_sets[arm][0] if paper else cv_source
+            folds = make_folds(rows.labels, config.cv_folds, seeds["cv"])
+            cv_sets[arm] = (folds, partial(
+                fold_sets, rows, folds, seed=seeds["cv"], scale=not paper,
+                smote_config=smote_config if arm == "smote" and not paper else None))
+        del dataset, cv_source  # no job reads them, so no child need inherit them
+        # Fold jobs go first, then one full fit per (arm, model) with MLP,
+        # the longest, first. Each job's output depends only on its inputs,
+        # so the bundle is the same bytes whichever process ran it.
+        jobs: list[_Job] = [(arm, f, config.models) for arm in cv_sets
+                            for f in range(config.cv_folds)]
+        jobs += sorted(((arm, None, (model,)) for arm in arms for model in config.models),
+                       key=lambda job: job[2][0][0] != "mlp")
         stages += ["train", "evaluate"] + (["cross_validate"] if config.cv_folds else [])
-        grid = _Grid(config, outdir, seeds, smote_config, arm_sets, cv_source)
-        for (arm, name, _), (stage, outcome) in zip(jobs, _run_jobs(grid, jobs)):
+        grid = _Grid(config, outdir, seeds, arm_sets, cv_sets)
+        results: dict[tuple[str, str], list] = {}
+        for (arm, _, job_models), (stage, outcome) in zip(
+                jobs, fork_map(partial(_run_job, grid), jobs)):
             if isinstance(outcome, Exception):
                 raise outcome
-            reports[(arm, name)] = outcome
+            for (name, _), result in zip(job_models, outcome):
+                results.setdefault((arm, name), []).append(result)
 
         stage = "finalize"
+        reports: dict[tuple[str, str], EvalReport] = {}
+        for arm in arms:
+            for name, _ in config.models:
+                *fold_metrics, report = results[(arm, name)]
+                cv = (CvResult.from_folds(name, seeds["cv"], cv_sets[arm][0],
+                                          fold_metrics) if config.cv_folds else None)
+                reports[(arm, name)] = dataclasses.replace(report, cv=cv)
+                reports[(arm, name)].write_files(os.path.join(outdir, f"{arm}_{name}"))
         manifest["class_counts"] = class_counts
         manifest["stage_order"] = stages
         summary = _summary_table(reports, arms, [name for name, _ in config.models])

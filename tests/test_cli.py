@@ -4,9 +4,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from botsift import read_dataset_csv
+from botsift import Dataset, read_dataset_csv, write_dataset_csv
 from botsift.cli import main
 
 PROFILE = {
@@ -308,6 +309,54 @@ class TestTrainEvaluate:
             assert os.path.exists(os.path.join(out, name))
 
 
+class TestEvaluateColumns:
+    """evaluate matches the CSV's columns to the model's by name."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = (rng.random(400) < 0.5).astype(np.int64)
+        X = np.column_stack([rng.normal(labels * 4.0, 1.0), rng.normal(0.0, 9.0, 400)])
+        self.X, self.labels = X, labels
+        csv = self.write(tmp_path, "train.csv", ("a", "b"), X)
+        fit = str(tmp_path / "fit")
+        assert main(["train", "--csv", csv, "--model", "gnb", "--out", fit]) == 0
+        return os.path.join(fit, "model_gnb.json"), csv
+
+    def write(self, tmp_path, name, names, X):
+        path = str(tmp_path / name)
+        write_dataset_csv(Dataset(X, self.labels, names), path)
+        return path
+
+    def evaluate(self, model, csv, out, capsys):
+        capsys.readouterr()
+        code = main(["evaluate", "--model-file", model, "--csv", csv, "--out", out])
+        return code, capsys.readouterr()
+
+    def test_swapped_columns_score_as_trained(self, tmp_path, trained, capsys):
+        model, csv = trained
+        swapped = self.write(tmp_path, "swapped.csv", ("b", "a"), self.X[:, ::-1])
+        code, same = self.evaluate(model, csv, str(tmp_path / "same"), capsys)
+        assert code == 0 and "accuracy" in same.out
+        code, got = self.evaluate(model, swapped, str(tmp_path / "swap"), capsys)
+        assert code == 0
+        assert got.out == same.out
+
+    @pytest.mark.parametrize("names, missing", [
+        (("c", "d"), "['a', 'b']"),
+        (("a",), "['b']"),
+    ])
+    def test_missing_columns_exit_two_naming_them(self, tmp_path, trained, capsys,
+                                                  names, missing):
+        model, _ = trained
+        csv = self.write(tmp_path, "other.csv", names, self.X[:, :len(names)])
+        out = tmp_path / "never"
+        code, got = self.evaluate(model, csv, str(out), capsys)
+        assert code == 2
+        assert got.err == f"botsift: unknown feature columns: {missing}\n"
+        assert not out.exists()
+
+
 def _saved_payload(tmp_path, name, dataset_csv):
     out = str(tmp_path / f"fit_{name}")
     params = {"knn": '{"k": 1}', "mlp": '{"epochs": 1}'}.get(name, "{}")
@@ -421,6 +470,25 @@ class TestRun:
         cfg = self._config(tmp_path, profile_path, cv_folds=1)
         assert main(["run", "--config", cfg]) == 1
         assert "cv_folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"cv_folds": "5"}, "cv_folds must be an integer, got '5'"),
+        ({"cvfolds": 5}, "unknown config key 'cvfolds'"),
+        ({"models": [{"name": "knn", "k": "5"}]},
+         "knn hyperparameter 'k' is not an integer, got '5'"),
+        ({"models": [{"name": "mlp", "epochs": 2.5}]},
+         "invalid mlp hyperparameters: key 'epochs' is not an integer"),
+        ({"models": [{"name": "knn", "k": 0}]},
+         "knn hyperparameter 'k' must be >= 1, got 0"),
+    ])
+    def test_config_fault_exits_one_naming_the_file(self, tmp_path, profile_path,
+                                                    capsys, extra, message):
+        cfg = self._config(tmp_path, profile_path, **extra)
+        out = tmp_path / "never"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        # checked before any stage runs: no stage label, no config echo
+        assert capsys.readouterr().err == f"botsift: {cfg}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "synth"])
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, command,

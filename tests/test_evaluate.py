@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import botsift.evaluate
 from botsift import (ConfusionMatrix, EvaluationError, Metrics, RocCurve,
@@ -326,6 +328,67 @@ class TestMakeFolds:
         c = make_folds(labels, 5, seed=8)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+
+
+label_lists = st.lists(st.integers(0, 1), min_size=2, max_size=300).map(
+    lambda values: np.array(values, dtype=np.int64))
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestPartitionProperties:
+    """split_indices and make_folds over arbitrary label vectors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_lists, st.floats(0.01, 0.99), seeds, st.booleans())
+    def test_split_covers_every_row_once_and_repeats_per_seed(
+            self, labels, fraction, seed, stratified):
+        n = len(labels)
+        t = round_half_up(Fraction(fraction) * n)
+        assume(0 < t < n)
+        train, test = split_indices(labels, fraction, seed, stratified)
+        for part in (train, test):
+            assert np.all(np.diff(part) > 0)
+        assert len(test) == t
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+        again = split_indices(labels, fraction, seed, stratified)
+        assert np.array_equal(again[0], train) and np.array_equal(again[1], test)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_lists, st.floats(0.01, 0.99), seeds)
+    def test_stratified_test_quota_is_proportional_within_one_row(
+            self, labels, fraction, seed):
+        t = round_half_up(Fraction(fraction) * len(labels))
+        assume(0 < t < len(labels))
+        _, test = split_indices(labels, fraction, seed)
+        for c in (0, 1):
+            share = Fraction(fraction) * int(np.sum(labels == c))
+            assert abs(int(np.sum(labels[test] == c)) - share) <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_lists, st.integers(2, 12), seeds, st.booleans())
+    def test_folds_cover_every_row_once_and_repeat_per_seed(
+            self, labels, k, seed, stratified):
+        assume(k <= len(labels))
+        folds = make_folds(labels, k, seed, stratified)
+        assert len(folds) == k
+        for fold in folds:
+            assert np.all(np.diff(fold) > 0)
+        assert np.array_equal(np.sort(np.concatenate(folds)),
+                              np.arange(len(labels)))
+        sizes = [len(fold) for fold in folds]
+        assert max(sizes) - min(sizes) <= 1
+        again = make_folds(labels, k, seed, stratified)
+        assert all(np.array_equal(a, b) for a, b in zip(folds, again))
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_lists, st.integers(2, 12), seeds)
+    def test_stratified_folds_keep_each_class_within_one_row(
+            self, labels, k, seed):
+        assume(k <= len(labels))
+        for c in (0, 1):
+            count = int(np.sum(labels == c))
+            for fold in make_folds(labels, k, seed):
+                assert abs(int(np.sum(labels[fold] == c)) - Fraction(count, k)) < 1
 
 
 class TestCrossValidate:

@@ -10,10 +10,13 @@ import pytest
 
 import botsift
 import botsift._pool
+import botsift.evaluate
 import botsift.experiment
 from botsift import (BotsiftError, ConfigError, DivergenceError,
-                     EvaluationError, ExperimentConfig, load_model,
-                     run_experiment)
+                     EvaluationError, ExperimentConfig, SmoteConfig,
+                     TrafficProfile, TrainingError, apply_encoding, cleanse,
+                     cross_validate, fit_encoding, generate, load_model,
+                     run_experiment, to_dataset, train_test_split)
 
 PROFILE = {
     "features": {
@@ -75,6 +78,8 @@ class TestConfigValidation:
             (dict(input_rows=0), "input rows"),
             (dict(models=()), "no models"),
             (dict(models=(("tree", {}),)), "unknown model"),
+            (dict(models=(("gnb", {}), ("gnb", {}))), "more than once"),
+            (dict(models=(("knn", {"k": "5"}),)), "'k' is not an integer"),
         ]
         for overrides, fragment in cases:
             config = quick_config(profile_path, **overrides)
@@ -278,7 +283,7 @@ class TestRunExperiment:
         with pytest.raises(EvaluationError) as err:
             run_experiment(config, outdir)
         message = str(err.value)
-        assert "stage 'cross_validate[raw/gnb]' failed" in message
+        assert "stage 'cross_validate[raw/fold 3]' failed" in message
         assert "[config:" in message
         assert not os.path.exists(outdir)
 
@@ -296,6 +301,46 @@ class TestRunExperiment:
                 assert any(line.startswith(arm) and model in line
                            for line in text.splitlines())
         assert "percentages" in text
+
+
+class TestFoldJobs:
+    def test_each_fold_is_prepared_once_for_every_model(self, profile_path,
+                                                        tmp_path, monkeypatch):
+        monkeypatch.setattr(botsift._pool, "WORKERS", 1)
+        calls = []
+        for module in (botsift.evaluate, botsift.experiment):
+            def counted(*args, smote=module.smote, **kwargs):
+                calls.append(args[2] if len(args) > 2 else kwargs["seed"])
+                return smote(*args, **kwargs)
+            monkeypatch.setattr(module, "smote", counted)
+        k, models = 3, (("gnb", {}), ("knn", {"k": 2}), ("mlp", {"epochs": 2}))
+        config = quick_config(profile_path, smote="both", cv_folds=k, models=models)
+        result = run_experiment(config, str(tmp_path / "bundle"))
+        seeds = config.stage_seeds()
+        # the smote arm's training set once, then each fold once
+        assert sorted(calls) == [seeds["smote"]] + [seeds["cv"] + f for f in range(k)]
+
+        flows = cleanse(generate(TrafficProfile.from_json(profile_path),
+                                 seed=seeds["synth"]))
+        dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
+        train, _ = train_test_split(dataset, config.test_fraction, seeds["split"])
+        for arm, balance in (("raw", None), ("smote", SmoteConfig(config.smote_k))):
+            for name, params in models:
+                if name == "mlp":
+                    params = dict(params, seed=seeds["mlp"])
+                alone = cross_validate(train, name, k, seeds["cv"], params=params,
+                                       smote_config=balance)
+                assert result.reports[(arm, name)].cv == alone
+
+    def test_a_model_failing_on_a_fold_names_the_model(self, profile_path,
+                                                       tmp_path):
+        # 320 training rows fit k=200; a 2-fold training part of 160 does not
+        config = quick_config(profile_path, cv_folds=2, models=(("knn", {"k": 200}),))
+        outdir = str(tmp_path / "failed")
+        with pytest.raises(TrainingError) as err:
+            run_experiment(config, outdir)
+        assert "stage 'cross_validate[raw/knn]' failed" in str(err.value)
+        assert not os.path.exists(outdir)
 
 
 def bundle_bytes(outdir):
