@@ -162,27 +162,31 @@ def _rank(q: np.ndarray, points: np.ndarray, cand: np.ndarray):
 _TIE_SLACK = 1e-9
 
 
-def _knn_neighbors(model: KnnModel, X: np.ndarray) -> np.ndarray:
-    """Training indices of each row's k nearest, shape (n, k), ordered by
-    (squared distance, training index).
+def _nearest(X: np.ndarray, points: np.ndarray, k: int, cand: np.ndarray,
+             ball: Callable[[int, float], np.ndarray]) -> np.ndarray:
+    """The one neighbour rule of KNN and SMOTE: each row of X's k nearest
+    points, shape (n, k), by (squared distance, index). cand proposes each
+    row's k + 1 nearest allowed points, or all when there are no more. A
+    row whose (k+1)-th lies within the tie slack of its k-th is ranked
+    instead over ball(i, r2), every allowed point within squared distance
+    r2, so a tie at the k-th rank admits the lower index."""
+    d2, cand = _rank(X[:, None, :], points, cand)
+    nearest = cand[:, :k]
+    if cand.shape[1] > k:
+        for i in np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1.0 + _TIE_SLACK)):
+            r2 = d2[i, k - 1] * (1.0 + _TIE_SLACK)
+            nearest[i] = _rank(X[i], points, ball(i, r2))[1][:k]
+    return nearest
 
-    Exact: a k-d tree proposes k + 1 candidates per row, which are ranked
-    by squared_distances. A row whose (k+1)-th candidate lies within the
-    tie slack of its k-th is ranked again over every training row in a
-    ball of the k-th radius, so ties at the k-th rank admit the lower
-    training index.
-    """
+
+def _knn_neighbors(model: KnnModel, X: np.ndarray) -> np.ndarray:
+    """Training indices of each row's k nearest by _nearest's rule; a k-d
+    tree proposes the candidates and answers the ball queries."""
     pts, k, tree = model.points, model.k, model.tree()
     m = min(k + 1, pts.shape[0])
     _, cand = tree.query(X, k=m)
-    d2, cand = _rank(X[:, None, :], pts, cand.reshape(X.shape[0], m))
-    nearest = cand[:, :k]
-    if m > k:
-        for i in np.flatnonzero(d2[:, k] <= d2[:, k - 1] * (1.0 + _TIE_SLACK)):
-            radius = np.sqrt(d2[i, k - 1] * (1.0 + _TIE_SLACK))
-            ball = np.asarray(tree.query_ball_point(X[i], radius), dtype=np.intp)
-            nearest[i] = _rank(X[i], pts, ball)[1][:k]
-    return nearest
+    return _nearest(X, pts, k, cand.reshape(X.shape[0], m), lambda i, r2: np.asarray(
+        tree.query_ball_point(X[i], np.sqrt(r2)), dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,17 @@ def _with_config(parser: _Parser, args, argv: list):
     return _parse(parser, [args.command, *flags, *argv[1:]], args.config)
 
 
+def _at_least(low: int):
+    """An argparse type: an int no less than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def _out_dir(args, create: bool = True) -> str:
     # Handlers call this only after inputs validate: with create it makes the
     # directory, and a failed invocation must not leave an empty one behind.
@@ -261,7 +272,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--seed", type=int, default=seed,
+        p.add_argument("--seed", type=_at_least(0), default=seed,
                        help="seed for every random stage")
         p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="JSON object of options; flags win")
@@ -278,7 +289,7 @@ def build_parser() -> _Parser:
         "chi-square feature scores and mean-threshold selection", [csv_flag])
     add("smote", _cmd_smote, "balance a dataset with SMOTE", [
         csv_flag,
-        ("--k", {"type": int, "default": 5,
+        ("--k", {"type": _at_least(1), "default": 5,
                  "help": "neighbourhood size (default %(default)s)"}),
         ("--target", {"type": int, "help": "minority count (default: match majority)"}),
     ], seed=0)
@@ -294,13 +305,14 @@ def build_parser() -> _Parser:
     add("cross-validate", _cmd_cross_validate, "k-fold cross-validation", [
         csv_flag,
         ("--model", {"choices": MODEL_NAMES}),
-        ("--folds", {"type": int, "default": 5, "help": "fold count (default %(default)s)"}),
+        ("--folds", {"type": _at_least(2), "default": 5,
+                     "help": "fold count (default %(default)s)"}),
         ("--params", {"help": "hyperparameters as a JSON object"}),
     ], seed=0)
     add("synth", _cmd_synth, "generate synthetic flows from a profile", [
         ("--profile", {"default": "botiot-means",
                        "help": "profile path or bundled name (default %(default)s)"}),
-        ("--rows", {"type": int, "help": "row count override"}),
+        ("--rows", {"type": _at_least(1), "help": "row count override"}),
     ])
     add("run", _cmd_run, "full experiment from a config file", [
         ("--paper-mode", {"action": "store_true",

@@ -1,11 +1,10 @@
 """Synthetic minority oversampling (SMOTE).
 
 Each synthetic row is p + u * (q - p) for a minority row p, one of its k
-nearest minority neighbours q, and a fresh uniform u in [0, 1). Neighbours
-are ranked by the squared Euclidean distance KNN uses
-(classifiers.squared_distances), with ties going to the lower row index.
-Majority rows pass through untouched; synthetic rows are appended after
-all original rows.
+nearest minority neighbours q, and a fresh uniform u in [0, 1). The
+neighbours follow KNN's one rule (classifiers._nearest): squared distance,
+ties to the lower row index. Majority rows pass through untouched;
+synthetic rows are appended after all original rows.
 
 Randomness is split into independent streams: the per-point quota
 permutation uses stream (seed, 0) and minority point i draws its neighbour
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import squared_distances
+from .classifiers import _nearest, squared_distances
 from .errors import ResampleError
 from .flows import Dataset
 
@@ -45,30 +44,26 @@ class SmoteResult:
 
 
 def minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """k nearest neighbours of each row among the other rows.
-
-    Exact squared Euclidean distances (squared_distances), compared
-    block by block against every row; ties broken toward the lower row
-    index. Returns an (m, k) index array.
-    """
+    """k nearest neighbours of each row among the other rows, by KNN's
+    rule, as an (m, k) index array. Each block of rows is compared with
+    every row; np.argpartition proposes the candidates."""
     m = points.shape[0]
     if k < 1:
         raise ResampleError(f"k_neighbors must be >= 1, got {k}")
     if k >= m:
         raise ResampleError(
             f"k_neighbors={k} needs more than {m} minority rows")
+    c = min(k + 1, m - 1)
     out = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, _NEIGHBOR_CHUNK):
         block = points[start:start + _NEIGHBOR_CHUNK]
         d2 = squared_distances(block[:, None, :], points[None, :, :])
-        # stable sort on distance keeps equal-distance candidates in index order
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k + 1]
-        for row in range(order.shape[0]):
-            i = start + row
-            # drop self; when i is outside the first k+1 the leading entries
-            # are all duplicates of point i at distance 0 and lower index,
-            # which are valid neighbours under the tie rule
-            out[i] = order[row][order[row] != i][:k]
+        rows = np.arange(len(block))
+        # NaN sorts last and fails every <=; +inf would tie an overflow
+        d2[rows, start + rows] = np.nan
+        cand = np.argpartition(d2, c - 1, axis=1)[:, :c]
+        out[start:start + len(block)] = _nearest(
+            block, points, k, cand, lambda i, r2: np.flatnonzero(d2[i] <= r2))
     return out
 
 
@@ -107,30 +102,30 @@ def smote(dataset: Dataset, config: SmoteConfig = SmoteConfig(),
         perm = np.random.default_rng([seed, 0]).permutation(m)
         quotas[perm[:remainder]] += 1
 
-    blocks = []
-    for i in range(m):
-        if quotas[i] == 0:
-            continue
+    n, ends = dataset.n_rows, np.cumsum(quotas)
+    picks, u = np.empty(total_new, dtype=np.int64), np.empty((total_new, 1))
+    for i in np.flatnonzero(quotas).tolist():
         rng = np.random.default_rng([seed, 1, i])
-        picks = rng.integers(config.k_neighbors, size=quotas[i])
-        u = rng.random(quotas[i])
-        p = points[i]
-        q = points[neighbors[i][picks]]
-        blocks.append(p + u[:, None] * (q - p))
+        rows = slice(ends[i] - quotas[i], ends[i])
+        picks[rows] = rng.integers(config.k_neighbors, size=quotas[i])
+        u[rows, 0] = rng.random(quotas[i])
 
-    if blocks:
-        synth = np.concatenate(blocks, axis=0)
-        features = np.concatenate([dataset.features, synth], axis=0)
-        labels = np.concatenate([
-            dataset.labels,
-            np.full(total_new, minority_label, dtype=np.int64),
-        ])
-    else:
-        features = dataset.features.copy()
-        labels = dataset.labels.copy()
+    # p + u * (q - p), one array pass written in place after the originals
+    features = np.empty((n + total_new, dataset.n_features))
+    features[:n] = dataset.features
+    src = np.repeat(np.arange(m), quotas)
+    p = points[src]
+    # the indices are in range; mode="clip" spares mode="raise"'s out buffer
+    synth = np.take(points, neighbors[src, picks], axis=0, out=features[n:],
+                    mode="clip")
+    synth -= p
+    synth *= u
+    synth += p
+    labels = np.concatenate([
+        dataset.labels, np.full(total_new, minority_label, dtype=np.int64)])
 
     flags = np.zeros(len(labels), dtype=np.int64)
-    flags[dataset.n_rows:] = 1
+    flags[n:] = 1
     balanced = Dataset(features, labels, dataset.feature_names)
     return SmoteResult(
         dataset=balanced,

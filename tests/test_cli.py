@@ -517,6 +517,9 @@ class TestConfigFile:
         ("cross-validate", {"folds": 2.9}, "argument --folds: invalid int value: '2.9'"),
         ("smote", {"seed": True}, "argument --seed: invalid int value: 'true'"),
         ("cross-validate", {"model": "forest"}, "argument --model: invalid choice"),
+        ("smote", {"k": 0}, "argument --k: must be >= 1, got 0"),
+        ("cross-validate", {"folds": 1}, "argument --folds: must be >= 2, got 1"),
+        ("synth", {"rows": 0}, "argument --rows: must be >= 1, got 0"),
         ("train", [1], "config file must hold a JSON object"),
     ])
     def test_config_fault_exits_one_naming_the_file(self, tmp_path, dataset_csv,
@@ -570,6 +573,38 @@ class TestConfigFile:
         assert code == 2
         assert err.startswith("botsift: ") and "Traceback" not in err
         assert key in err
+
+
+class TestFlagRanges:
+    """Values a flag can never take are usage errors (exit 1), refused
+    before any input is read."""
+
+    @pytest.mark.parametrize("argv, why", [
+        (["smote", "--k", "0"], "argument --k: must be >= 1, got 0"),
+        (["smote", "--k", "-3"], "argument --k: must be >= 1, got -3"),
+        (["cross-validate", "--model", "gnb", "--folds", "1"],
+         "argument --folds: must be >= 2, got 1"),
+        (["synth", "--rows", "0"], "argument --rows: must be >= 1, got 0"),
+        (["synth", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["cross-validate", "--model", "gnb", "--seed", "-1"],
+         "argument --seed: must be >= 0, got -1"),
+    ])
+    def test_out_of_range_flag_exits_one(self, tmp_path, capsys, argv, why):
+        out = tmp_path / "never"
+        csv = [] if argv[0] == "synth" else ["--csv", str(tmp_path / "absent.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *csv, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and why in err
+        assert not out.exists()
+
+    def test_lowest_accepted_values_run(self, tmp_path, dataset_csv):
+        assert main(["smote", "--csv", dataset_csv, "--k", "1",
+                     "--out", str(tmp_path / "bal")]) == 0
+        assert main(["cross-validate", "--csv", dataset_csv, "--model", "gnb",
+                     "--folds", "2", "--out", str(tmp_path / "cv")]) == 0
+        assert main(["synth", "--rows", "1", "--out", str(tmp_path / "one")]) == 0
 
 
 class TestParser:

@@ -170,11 +170,34 @@ class TestNeighborSearch:
             pool = data.draw(arrays(
                 np.float64, (data.draw(st.integers(1, 6)), d),
                 elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
+        if data.draw(st.booleans()):
+            # cells near +-1e200 overflow some squared distances to inf
+            huge = data.draw(arrays(np.float64, pool.shape, elements=st.sampled_from(
+                [0.0, -1e200, 1e200, 3e200])))
+            pool = np.where(huge != 0.0, huge, pool)
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
                                    min_size=2, max_size=30))
         points = pool[picks]
         k = data.draw(st.integers(1, len(points) - 1))
-        assert minority_neighbors(points, k).tolist() == knn_oracle(points, k)
+        with np.errstate(over="ignore"):
+            assert minority_neighbors(points, k).tolist() == knn_oracle(points, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_blocks_after_the_first_match_a_matrix_oracle(self, k):
+        # 1,100 rows span three 512-row blocks; each duplicate group
+        # straddles a block boundary (rows 511/512 and 1023/1024)
+        rng = np.random.default_rng(12)
+        points = rng.integers(0, 9, (1100, 3)) * 0.5
+        points[505:520] = points[3]
+        points[1018:1030] = [4.0, 0.5, 2.0]
+        points[700] = points[1100 - 1] = [4.0, 0.5, 2.0]
+        d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+        index = np.arange(len(points))
+        want = []
+        for i in index:
+            order = np.lexsort((index, d2[i]))
+            want.append(order[order != i][:k].tolist())
+        assert minority_neighbors(points, k).tolist() == want
 
     def test_requires_more_rows_than_k(self):
         points = np.zeros((3, 2))
@@ -182,6 +205,62 @@ class TestNeighborSearch:
             minority_neighbors(points, 3)
         with pytest.raises(ResampleError, match=">= 1"):
             minority_neighbors(points, 0)
+
+
+def on_neighbour_segment(s, points, neighbour_lists):
+    """Whether row s is p + t * (q - p), 0 <= t <= 1, for some minority
+    row p and one of its neighbours q, within rounding."""
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(points))))
+    for i, p in enumerate(points):
+        for j in neighbour_lists[i]:
+            pq = points[j] - p
+            denom = float(pq @ pq)
+            t = float((s - p) @ pq) / denom if denom else 0.0
+            if -1e-9 <= t <= 1.0 + 1e-9 and np.max(np.abs(p + t * pq - s)) <= tol:
+                return True
+    return False
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invariants_on_random_imbalanced_sets(self, data):
+        d = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(2, 12))
+        if data.draw(st.booleans()):
+            minority = data.draw(arrays(np.int64, (m, d),
+                                        elements=st.integers(-3, 3))) * 0.5
+        else:
+            minority = data.draw(arrays(
+                np.float64, (m, d),
+                elements=st.floats(-1e3, 1e3, allow_nan=False, width=64)))
+        majority_count = data.draw(st.integers(m + 1, 40))
+        label = data.draw(st.sampled_from([0, 1]))
+        k = data.draw(st.integers(1, m - 1))
+        target = data.draw(st.one_of(st.none(), st.integers(m, majority_count + 20)))
+        ds = imbalanced(minority, majority_count, minority_label=label)
+        result = smote(ds, SmoteConfig(k_neighbors=k, target_minority_count=target),
+                       seed=data.draw(st.integers(0, 2**32 - 1)))
+        out, n = result.dataset, ds.n_rows
+        want = majority_count if target is None else target
+        new = want - m
+
+        # the original rows come first, bitwise unchanged
+        assert np.array_equal(out.features[:n].view(np.uint64),
+                              ds.features.view(np.uint64))
+        assert np.array_equal(out.labels[:n], ds.labels)
+        # the counts equal the target
+        assert result.minority_label == label
+        assert result.counts == ((want, majority_count) if label == 0
+                                 else (majority_count, want))
+        assert out.n_rows == n + new
+        assert result.synthetic.tolist() == [0] * n + [1] * new
+        # the synthetic rows carry the minority label
+        assert np.all(out.labels[n:] == result.minority_label)
+        # each lies on a segment from a minority row to an oracle neighbour
+        neighbour_lists = knn_oracle(minority, k)
+        for s in out.features[n:]:
+            assert on_neighbour_segment(s, minority, neighbour_lists), s
 
 
 class TestErrors:
