@@ -7,20 +7,20 @@ assigns each column a role and held column by column in a FlowTable;
 cleaned, encoded tables are then assembled into a dense numeric Dataset
 for the learning stages.
 
-The writers and load_csv work through files CHUNK_ROWS rows at a time, so
-their memory does not grow with the file. read_dataset_csv parses a
-regular file in which every record is one physical line (no '"', no lone
-'\r', no line over the csv field size limit) with numpy.loadtxt, in C;
-any other file, or one whose cells break a rule, is read by the
-line-accurate reader, which also works CHUNK_ROWS rows at a time and
-names the first offending line. A csv.Error or a byte that is not UTF-8
-is a LoadError naming its line.
+The writers work through files CHUNK_ROWS rows at a time, so their memory
+does not grow with the file. load_csv and read_dataset_csv parse a regular
+file whose every record is one physical line (no '"', no control byte but
+line breaks, no line over the csv field size limit) with numpy.loadtxt, in
+C. Any other file, or one with a missing, invalid or unusual cell (" 1 ",
+"1_0", a token of TOKEN_WIDTH characters), is read CHUNK_ROWS rows at a
+time by the line-accurate reader, which gives the same values or names the
+first offending line, as it names that of a csv.Error or a non-UTF-8 byte.
 
 Files of more than CHUNK_ROWS rows use both cores through _pool.fork_map.
 The writers format contiguous ranges of whole chunks side by side, each
-into its own file, and append the parts in order. read_dataset_csv parses
-ranges of whole lines side by side into one shared array. Either way the
-bytes written and the values read do not depend on the cut.
+into its own file, and append the parts in order. The readers parse ranges
+of whole lines side by side into one shared array. Either way the bytes
+written and the values read do not depend on the cut.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ LABEL_FIELD = "attack"
 
 # Rows the CSV readers and writers hold at a time.
 CHUNK_ROWS = 8192
+
+# Characters of a token load_csv parses in C; numpy.loadtxt cuts a longer
+# token short without a word, so a file with one this long is read by line.
+TOKEN_WIDTH = 16
 
 
 def _read_json(path: str, what: str, error: type[Exception]):
@@ -391,25 +395,65 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
     Every row must have as many cells as the header, its label must be 0
     or 1, and its count, duration and rate fields must not be negative; the
     first line breaking a rule is named in the LoadError. Row order is
-    preserved.
+    preserved. The file is parsed in C or by line as the module docstring
+    says; the result does not depend on which.
     """
     if schema is None:
         schema = default_schema()
+    flows = _load_csv_whole(path, schema)
+    return flows if flows is not None else _load_csv_lines(path, schema)
+
+
+def _flow_columns(path: str, header: list[str],
+                  schema: Schema) -> tuple[list[tuple[int, str, str]], int]:
+    """((index, name, role) per kept column, label index) of a flow CSV header."""
+    label = schema.label_column
+    if label not in header:
+        raise LoadError(f"{path}: header has no column {label!r} (declared label column)")
+    kept = [(j, name, schema.role_of(name)) for j, name in enumerate(header)
+            if schema.role_of(name) in ("numeric", "categorical")]
+    names = [name for _, name, _ in kept] + [label]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
+    return kept, header.index(label)
+
+
+def _load_csv_whole(path: str, schema: Schema) -> FlowTable | None:
+    """load_csv's result parsed in C, or None for a file _body_ranges or
+    _parse_ranges declines or with a label not exactly "0" or "1", a token
+    filling its field or a negative count, duration or rate."""
+    cut = _body_ranges(path)
+    if cut is None:
+        return None
+    header, ranges = cut
+    kept, label_idx = _flow_columns(path, header, schema)
+    types = {j: "f8" if role == "numeric" else f"U{TOKEN_WIDTH}" for j, _, role in kept}
+    types[label_idx] = "i8"  # and "U1" for an ignored column, whose cells are not kept
+    body = _parse_ranges(path, ranges, [types.get(j, "U1") for j in range(len(header))])
+    if body is None or (body[f"f{label_idx}"] < 0).any():
+        return None
+    columns = {}
+    for j, name, role in kept:
+        values = body[f"f{j}"]
+        if role == "numeric":
+            values = np.where(np.isfinite(values), values, np.nan)
+            if name in NONNEGATIVE_FIELDS and (values < 0).any():
+                return None
+        elif np.char.str_len(values).max(initial=0) >= TOKEN_WIDTH:
+            return None
+        else:  # stripped as str.strip strips, as wide as the longest token
+            values = np.char.strip(values)
+            values = values.astype(f"U{max(1, np.char.str_len(values).max(initial=0))}")
+        columns[name] = values
+    return FlowTable(columns, body[f"f{label_idx}"].copy())  # no views into body
+
+
+def _load_csv_lines(path: str, schema: Schema) -> FlowTable:
+    """load_csv by line through csv.reader; a LoadError names the first bad line."""
     with _csv_reader(path) as reader:
         header = _read_header(reader, path)
-        label = schema.label_column
-        if label not in header:
-            raise LoadError(
-                f"{path}: header has no column {label!r} "
-                f"(declared label column)")
-        kept = [(j, name, schema.role_of(name)) for j, name in enumerate(header)
-                if schema.role_of(name) in ("numeric", "categorical")]
-        names = [name for _, name, _ in kept] + [label]
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
-        label_idx = header.index(label)
-
+        kept, label_idx = _flow_columns(path, header, schema)
         parts: dict[str, list[np.ndarray]] = {name: [] for _, name, _ in kept}
         label_parts: list[np.ndarray] = []
         line_parts: list[np.ndarray] = []
@@ -417,7 +461,7 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
             cells = list(zip(*rows))
             labels = _parse_flags(cells[label_idx], len(rows))
             checks = [(labels < 0, lambda i: (
-                f"label column {label!r} has value {cells[label_idx][i]!r}, "
+                f"label column {schema.label_column!r} has value {cells[label_idx][i]!r}, "
                 f"expected 0 or 1"))]
             chunk: dict[str, np.ndarray] = {}
             for j, name, role in kept:
@@ -426,8 +470,8 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
                 else:
                     chunk[name] = _parse_numeric(cells[j])
             for name in NONNEGATIVE_FIELDS:
-                if name in chunk:
-                    values = chunk[name]
+                values = chunk.get(name)
+                if values is not None and values.dtype.kind == "f":  # not tokens
                     checks.append((values < 0, lambda i, name=name, values=values: (
                         f"field {name!r} is negative ({float(values[i])!r})")))
             _raise_first(path, lines, checks)
@@ -710,16 +754,8 @@ def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
     is the label, `synthetic` is the optional 0/1 provenance flag, and
     every other cell must hold a finite number. Every row must have as many
     cells as the header; the first line breaking a rule is named in the
-    LoadError.
-
-    The path is chosen by the input alone. A regular file in the writer's
-    shape (every record one physical line within the csv module's field
-    size limit, cells numpy.loadtxt parses, labels and flags exactly "0" or
-    "1", finite features, at least one feature column) is parsed in C. Any
-    other file is read, CHUNK_ROWS rows at a time, by the line-accurate
-    reader: it returns the data when every cell is valid but unusual (such
-    as "1_0", Unicode digits or a " 1 " label) and otherwise raises the
-    LoadError naming the first offending line.
+    LoadError. The file is parsed in C or by line as the module docstring
+    says; the result does not depend on which.
     """
     read = _read_dataset_whole(path)
     return read if read is not None else _read_dataset_lines(path)
@@ -734,33 +770,42 @@ def _dataset_columns(header: list[str]) -> tuple[int, int | None, list[int]]:
 
 
 def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
-    """read_dataset_csv's result from numpy.loadtxt over the ranges
-    _body_ranges cuts, or None when the file is not plainly in the
-    writer's shape.
-
-    The body is read into a structured array, one 8-byte field per column,
-    in an anonymous shared mapping; the ranges fill their rows of it side
-    by side through _pool.fork_map, so no parsed rows pass through the
-    pool's pipes. A 2-d float64 read followed by a column copy was slower
-    and, over a whole CLI session, left glibc's heap fragmented enough to
-    raise the peak RSS by 1-9%. A range that raises, or does not parse to
-    one row per line (it holds a blank line, say), gives None.
-    """
+    """read_dataset_csv's result parsed in C, or None for a file _body_ranges or
+    _parse_ranges declines, or with no feature, a non-finite one or a bad flag."""
     cut = _body_ranges(path)
-    if cut is None:
+    if cut is None or LABEL_FIELD not in cut[0]:
         return None
     header, ranges = cut
-    if LABEL_FIELD not in header:
-        return None
     label_idx, synth_idx, feat_idx = _dataset_columns(header)
     if not feat_idx:  # column_stack below needs a column
         return None
-    flag_idx = [label_idx] + ([] if synth_idx is None else [synth_idx])
-    dtype = np.dtype([(f"f{i}", "i8" if i in flag_idx else "f8")
-                      for i in range(len(header))])
-    # a label or flag other than exactly "0" or "1" reads as -1, which the
-    # check below leaves to the line reader
-    converters = dict.fromkeys(flag_idx, lambda cell: _FLAG_VALUES.get(cell, -1))
+    types = ["f8" if i in feat_idx else "i8" for i in range(len(header))]  # "i8": flags
+    body = _parse_ranges(path, ranges, types)
+    if body is None:
+        return None
+    flags = [body[f"f{i}"] for i in range(len(header)) if i not in feat_idx]
+    features = np.column_stack([body[f"f{i}"] for i in feat_idx])
+    if any((flag < 0).any() for flag in flags) or not np.isfinite(features).all():
+        return None
+    # copies, so the result holds no view into body
+    dataset = Dataset(features, body[f"f{label_idx}"].copy(),
+                      tuple(header[i] for i in feat_idx))
+    return dataset, None if synth_idx is None else body[f"f{synth_idx}"].copy()
+
+
+def _parse_ranges(path: str, ranges: list[tuple[int, int]],
+                  types: list[str]) -> np.ndarray | None:
+    """The ranges of the file at path parsed by numpy.loadtxt into field
+    f{i} of type types[i] per header column i ("i8": a 0/1 flag, any other
+    cell -1) of a structured array, or None when a range raises or parses
+    to fewer rows than lines (a blank line). Every column is parsed, as
+    loadtxt counts a row's cells only over the columns it parses. The ranges
+    fill the array side by side through _pool.fork_map in an anonymous
+    shared mapping, so no rows pass through the pool's pipes (sending them
+    back left glibc's heap fragmented)."""
+    dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(types)])
+    converters = {i: lambda cell: _FLAG_VALUES.get(cell, -1)
+                  for i, kind in enumerate(types) if kind == "i8"}
     firsts = np.cumsum([0] + [lines for _, lines in ranges]).tolist()
     # a mapping cannot be empty, so a body of no rows maps one spare byte
     body = np.frombuffer(mmap.mmap(-1, max(1, firsts[-1] * dtype.itemsize)),
@@ -783,17 +828,7 @@ def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
         body[firsts[i]:firsts[i + 1]] = rows
         return True
 
-    if not all(_pool.fork_map(fill, range(len(ranges)))):
-        return None
-    labels = body[f"f{label_idx}"]
-    flags = None if synth_idx is None else body[f"f{synth_idx}"]
-    features = np.column_stack([body[f"f{i}"] for i in feat_idx])
-    if ((labels < 0).any() or not np.isfinite(features).all()
-            or (flags is not None and (flags < 0).any())):
-        return None
-    # copies, so the result holds no view into body
-    dataset = Dataset(features, labels.copy(), tuple(header[i] for i in feat_idx))
-    return dataset, None if flags is None else flags.copy()
+    return body if all(_pool.fork_map(fill, range(len(ranges)))) else None
 
 
 # Bytes _body_ranges scans at a time.
@@ -807,11 +842,13 @@ def _body_ranges(path: str) -> tuple[list[str], list[tuple[int, int]]] | None:
     CHUNK_ROWS lines, else up to _pool.WORKERS runs.
 
     None for a path that is not a regular file, which is then not opened
-    (opening and closing a pipe can end its writer's stream), and when a
-    record might not be one physical line that csv.reader reads as
-    numpy.loadtxt does: the file holds a '"', a '\\r' outside '\\r\\n' or
-    a line (with its line break) of more than csv.field_size_limit()
-    bytes, its last line has no '\\n', or its header is not UTF-8.
+    (opening and closing a pipe can end its writer's stream), for a file
+    with an empty cell (a missing value: no parse is spent on it), and when
+    a record might not be one physical line that csv.reader reads as
+    numpy.loadtxt does: the file is empty or holds a '"', a control byte
+    but '\\r\\n' and '\\n' (loadtxt reads "\\x1c1" as 1.0, float() not) or a
+    line (with its line break) over csv.field_size_limit() bytes, its last
+    line has no '\\n', or its header is not UTF-8.
     """
     if not os.path.isfile(path):
         return None
@@ -827,8 +864,8 @@ def _body_ranges(path: str) -> tuple[list[str], list[tuple[int, int]]] | None:
         bounds.append(size)
         # the scan runs in numpy, several times faster than bytes.count
         block = bytearray(_SCAN_BYTES)
-        carriage_returns = crlf = 0
-        last_cr, last_lf = False, -1
+        carriage_returns = crlf = controls = last = 0
+        last_lf = -1
         counts = []
         fh.seek(0)
         for stop in bounds:
@@ -840,17 +877,24 @@ def _body_ranges(path: str) -> tuple[list[str], list[tuple[int, int]]] | None:
                 byte = np.frombuffer(block, np.uint8, read)
                 if (byte == ord('"')).any():
                     return None
-                cr, lf = byte == ord("\r"), byte == ord("\n")
+                controls += np.count_nonzero(byte < 0x20)
+                comma, cr, lf = byte == ord(","), byte == ord("\r"), byte == ord("\n")
                 carriage_returns += np.count_nonzero(cr)
-                crlf += np.count_nonzero(cr[:-1] & lf[1:]) + (last_cr and lf[0])
-                last_cr = cr[-1]
+                crlf += np.count_nonzero(cr[:-1] & lf[1:]) + (last == ord("\r") and lf[0])
+                # an empty cell: a ',' before a ',' or a line break, or after a '\n'
+                cell_end = comma | cr | lf
+                if ((comma[:-1] & cell_end[1:]).any() or (lf[:-1] & comma[1:]).any()
+                        or last == ord(",") and cell_end[0] or last == ord("\n") and comma[0]):
+                    return None
+                last = byte[-1]
                 ends = np.flatnonzero(lf) + offset
                 if ends.size:
                     if np.diff(ends, prepend=last_lf).max() > limit:
                         return None
                     last_lf, lines = ends[-1], lines + ends.size
             counts.append(int(lines))
-    if carriage_returns != crlf or last_lf != size - 1:
+    if (carriage_returns != crlf or controls != carriage_returns + sum(counts)
+            or not head or last_lf != size - 1):
         return None
     try:
         header = [name.strip() for name in head.decode("utf-8").split(",")]
@@ -880,16 +924,12 @@ def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:
             try:
                 values = np.fromiter(map(float, chain.from_iterable(rows)),
                                      np.float64, n * width).reshape(n, width)
-            except ValueError:
-                values = None
+            except ValueError:  # a cell float() refuses, maybe a label, is NaN
+                values = np.array([[*map(_float_or_none, row)] for row in rows], float)
             labels = _parse_flags(map(itemgetter(label_idx), rows), n)
             checks = [(labels < 0, lambda i: (
                 f"label value {rows[i][label_idx].strip()!r}"))]
-            if values is None:  # some cell, maybe a label or flag, is no number
-                bad = np.array([not all(_is_finite(row[j]) for j in feat_idx)
-                                for row in rows], dtype=bool)
-            else:
-                bad = ~np.isfinite(values[:, feat_idx]).all(axis=1)
+            bad = ~np.isfinite(values[:, feat_idx]).all(axis=1)
 
             def not_finite(i: int) -> str:
                 cell = next(rows[i][j] for j in feat_idx if not _is_finite(rows[i][j]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from botsift import Dataset, FlowTable
+from botsift import Dataset, FlowTable, LoadError
 
 
 @pytest.fixture
@@ -31,3 +31,23 @@ def make_flows(rows) -> FlowTable:
         else:
             columns[name] = np.array(values, dtype=np.float64)  # None -> NaN
     return FlowTable(columns, [row["attack"] for row in rows])
+
+
+def table_bytes(table):
+    """A flow table's columns (names, dtypes, values), labels and lines as bytes."""
+    return ([(name, column.dtype.str, column.tobytes())
+             for name, column in table.columns.items()],
+            table.labels.tobytes(), table.lines.tobytes())
+
+
+def read_outcome(read, path):
+    """What read returns for path, as bytes, or the LoadError it raises."""
+    try:
+        result = read(path)
+    except LoadError as exc:
+        return str(exc)
+    if isinstance(result, FlowTable):
+        return table_bytes(result)
+    dataset, flags = result
+    return (dataset.feature_names, dataset.features.tobytes(),
+            dataset.labels.tobytes(), None if flags is None else flags.tobytes())

@@ -180,6 +180,18 @@ class TestRocCurve:
                            for line in fh)
         assert parsed == curve.points
 
+    @pytest.mark.parametrize("points", [0, 1, 7, 256, 513])
+    def test_file_bytes_match_a_per_point_format(self, tmp_path, rng, points):
+        # the bytes are those of repr per point, so every value reads back
+        special = [0.0, 2.5e-05, 1 / 3, 0.1, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0]
+        fpr = (special + rng.random(points).tolist())[:points]
+        tpr = (special[::-1] + rng.random(points).tolist())[:points]
+        path = str(tmp_path / "roc.tsv")
+        RocCurve(np.array(fpr), np.array(tpr), 0.5).to_file(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == "".join(f"{f!r}\t{t!r}\n"
+                                        for f, t in zip(fpr, tpr)).encode("utf-8")
+
     def test_curve_is_read_only_and_pickles_whole(self, rng):
         scores = rng.random(30)
         y = rng.integers(0, 2, 30)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from botsift import (Dataset, FlowTable, LoadError, Schema, SchemaError,
 from botsift import _pool, flows
 from botsift.flows import CHUNK_ROWS
 
-from conftest import make_dataset, make_flows
+from conftest import make_dataset, make_flows, read_outcome, table_bytes
 
 
 def write(tmp_path, text, name="flows.csv"):
@@ -197,6 +198,12 @@ class TestLoadCsv:
         path = write(tmp_path, "pkts,pkts,attack\n1,2,0\n")
         with pytest.raises(LoadError, match="repeats column 'pkts'"):
             load_csv(path)
+
+    @pytest.mark.parametrize("text", ["pkts,attack\n-3,0\n", 'pkts,attack\n"-3",0\n'])
+    def test_a_count_declared_categorical_holds_tokens(self, tmp_path, text):
+        # only numbers can be negative; a token column is not checked
+        schema = Schema(roles={"attack": "label", "pkts": "categorical"})
+        assert load_csv(write(tmp_path, text), schema).columns["pkts"].tolist() == ["-3"]
 
 
 class TestReadDatasetCsv:
@@ -441,6 +448,11 @@ CELL_MUTATIONS = (
     lambda c: "1_0", lambda c: "\uff11", lambda c: "\u0661", lambda c: "\u00a01",
     lambda c: "nan", lambda c: "inf", lambda c: "-inf", lambda c: "1e400",
     lambda c: "", lambda c: '""', lambda c: "x", lambda c: "0", lambda c: "1",
+    lambda c: "-1", lambda c: "\x1c" + c, lambda c: c + "\x1f", lambda c: c + "\x00 ",
+    # tokens below, at and over the whole-file reader's field width
+    lambda c: "x" * (flows.TOKEN_WIDTH - 1), lambda c: "x" * flows.TOKEN_WIDTH,
+    lambda c: " " + "x" * (flows.TOKEN_WIDTH - 2) + " ",
+    lambda c: "é" * (flows.TOKEN_WIDTH + 3),
 )
 # Edits to one data line, as the lines that replace it.
 LINE_MUTATIONS = (
@@ -451,14 +463,23 @@ LINE_MUTATIONS = (
 )
 
 
-def read_outcome(read, path):
-    """What read returns for path, as bytes, or the LoadError it raises."""
-    try:
-        dataset, flags = read(path)
-    except LoadError as exc:
-        return str(exc)
-    return (dataset.feature_names, dataset.features.tobytes(),
-            dataset.labels.tobytes(), None if flags is None else flags.tobytes())
+# A flow CSV's columns as write_records_csv orders them, read under this
+# schema: two numbers (x may be negative), a token column and a column the
+# schema leaves to the default role, "ignore".
+RECORDS_SCHEMA = Schema(roles={"attack": "label", "pkts": "numeric",
+                               "proto": "categorical", "x": "numeric"})
+RECORD_TOKENS = ("tcp", "ipv6-icmp", "é", "udp", "y" * (flows.TOKEN_WIDTH - 1))
+
+
+def records_table(rng, rows: int, x: str = "x") -> FlowTable:
+    """rows flows with every value present: lognormal counts, signed x
+    values (the special floats first) and tokens in the junk column too."""
+    values = rng.lognormal(0.0, 6.0, (rows, 2)) * [1.0, -1.0]
+    values[::3, 1] = np.round(values[::3, 1])
+    values[:len(SPECIAL_FLOATS), 1] = SPECIAL_FLOATS[:rows]
+    tokens = np.array(cycled(RECORD_TOKENS, rows))
+    return FlowTable({"pkts": values[:, 0], "proto": tokens, x: values[:, 1],
+                      "junk": tokens[::-1]}, rng.integers(0, 2, rows))
 
 
 class TestCsvProperties:
@@ -535,24 +556,65 @@ class TestCsvProperties:
         assert np.array_equal(again.lines, 2 + np.cumsum([0] + spans)[:-1])
 
 
+# Draws of a small file and of edits to its cells and lines.
+MUTATION_DRAWS = dict(
+    rows=st.integers(1, 5), header_break=st.booleans(),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+    cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                             st.sampled_from(CELL_MUTATIONS)), max_size=4),
+    lines=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(LINE_MUTATIONS)),
+                   max_size=2))
+
+
+def mutate_csv(path: str, rows: int, line_end: str, cells, lines) -> None:
+    """Rewrite a CSV the writers wrote with the drawn edits to its cells and
+    lines, its lines ending in line_end."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *body = fh.read().split("\r\n")[:-1]
+    table = [row.split(",") for row in body]
+    for row, col, mutate in cells:
+        row = table[row % rows]
+        row[col % len(row)] = mutate(row[col % len(row)])
+    body = [",".join(row) for row in table]
+    for row, mutate in lines:
+        if body:
+            row %= len(body)
+            body[row:row + 1] = mutate(body[row])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(line_end.join([header] + body) + line_end)
+
+
 class TestWholeFileReader:
-    """read_dataset_csv parses a file whole with numpy.loadtxt and defers
-    any file it doubts to the line-accurate reader."""
+    """read_dataset_csv and load_csv parse a file whole with numpy.loadtxt
+    and defer any file they doubt to their line-accurate readers."""
 
     @pytest.mark.parametrize("rows", [1, CHUNK_ROWS, CHUNK_ROWS + 1])
-    @pytest.mark.parametrize("flagged", [False, True])
+    @pytest.mark.parametrize("output", ["dataset", "flagged dataset", "records"])
     def test_writer_output_never_defers(self, tmp_path, monkeypatch, rng,
-                                        rows, flagged):
-        def deferred(path):
+                                        rows, output):
+        def deferred(path, *args):
             raise AssertionError(f"{path} was left to the line reader")
 
+        monkeypatch.setattr(_pool, "WORKERS", 2)  # so CHUNK_ROWS + 1 rows are split
         monkeypatch.setattr(flows, "_read_dataset_lines", deferred)
+        monkeypatch.setattr(flows, "_load_csv_lines", deferred)
+        path = str(tmp_path / "data.csv")
+        if output == "records":
+            table = records_table(rng, rows)
+            write_records_csv(table, path)
+            # -0.0 is written as 0, so compare with it as +0.0; the junk
+            # column has the default role, "ignore"
+            want = FlowTable({name: column + 0.0 if column.dtype.kind == "f" else column
+                              for name, column in table.columns.items() if name != "junk"},
+                             table.labels)
+            assert table_bytes(load_csv(path, RECORDS_SCHEMA)) == table_bytes(want)
+            return
         X = rng.lognormal(0.0, 6.0, (rows, 3)) * rng.choice([-1.0, 1.0], (rows, 3))
         X[::3, 1] = np.round(X[::3, 1])
         X[:len(SPECIAL_FLOATS), 2] = SPECIAL_FLOATS[:rows]
         ds = Dataset(X, rng.integers(0, 2, rows), ("a", "b", "c"))
+        flagged = output == "flagged dataset"
         synthetic = rng.integers(0, 2, rows) if flagged else None
-        path = str(tmp_path / "data.csv")
         write_dataset_csv(ds, path, synthetic=synthetic)
         again, flags = read_dataset_csv(path)
         assert again.feature_names == ds.feature_names
@@ -565,39 +627,63 @@ class TestWholeFileReader:
             assert flags is None
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(1, 5), flagged=st.booleans(),
-           header_break=st.booleans(), line_end=st.sampled_from(["\n", "\r\n"]),
-           cells=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
-                                    st.sampled_from(CELL_MUTATIONS)), max_size=4),
-           lines=st.lists(st.tuples(st.integers(0, 99),
-                                    st.sampled_from(LINE_MUTATIONS)), max_size=2))
+    @given(flagged=st.booleans(), **MUTATION_DRAWS)
     # the one row a cell too long, so no row is ragged against another
-    @example(rows=1, flagged=False, header_break=False, line_end="\n", cells=[],
-             lines=[(0, LINE_MUTATIONS[3])])
-    def test_matches_the_line_reader(self, rows, flagged, header_break, line_end,
-                                     cells, lines):
+    @example(rows=1, flagged=False, header_break=False, line_end="\n",
+             cells=[], lines=[(0, LINE_MUTATIONS[3])])
+    # "\x1c1": a label the line reader strips and float() refuses, and a
+    # feature loadtxt would read as 1.0
+    @example(rows=1, flagged=False, header_break=False, line_end="\n",
+             cells=[(0, 2, lambda c: "\x1c" + c)], lines=[])
+    @example(rows=1, flagged=False, header_break=False, line_end="\n",
+             cells=[(0, 0, lambda c: "\x1c" + c)], lines=[])
+    def test_matches_the_line_reader(self, rows, flagged, header_break,
+                                     line_end, cells, lines):
+        """read_dataset_csv gives what its line reader gives, the same
+        values or the same error."""
         rng = np.random.default_rng(rows)
         ds = Dataset(rng.lognormal(0.0, 3.0, (rows, 2)), rng.integers(0, 2, rows),
                      ("a", "b\nc" if header_break else "b"))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             write_dataset_csv(ds, path, rng.integers(0, 2, rows) if flagged else None)
-            with open(path, encoding="utf-8", newline="") as fh:
-                header, *body = fh.read().split("\r\n")[:-1]
-            table = [row.split(",") for row in body]
-            for row, col, mutate in cells:
-                row = table[row % rows]
-                row[col % len(row)] = mutate(row[col % len(row)])
-            body = [",".join(row) for row in table]
-            for row, mutate in lines:
-                if body:
-                    row %= len(body)
-                    body[row:row + 1] = mutate(body[row])
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(line_end.join([header] + body) + line_end)
-            assert read_outcome(read_dataset_csv, path) == read_outcome(
-                flows._read_dataset_lines, path)
+            mutate_csv(path, rows, line_end, cells, lines)
+            assert (read_outcome(read_dataset_csv, path)
+                    == read_outcome(flows._read_dataset_lines, path))
 
+    @settings(max_examples=300, deadline=None)
+    @given(**MUTATION_DRAWS)
+    @example(rows=5, header_break=False, line_end="\r\n", cells=[], lines=[])
+    def test_load_csv_matches_the_line_reader(self, rows, header_break, line_end,
+                                              cells, lines):
+        """load_csv gives what its line reader gives, the same table or the
+        same error."""
+        x = "x\ny" if header_break else "x"
+        schema = Schema({**RECORDS_SCHEMA.roles, x: "numeric"})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            write_records_csv(records_table(np.random.default_rng(rows), rows, x), path)
+            mutate_csv(path, rows, line_end, cells, lines)
+            assert (read_outcome(partial(load_csv, schema=schema), path)
+                    == read_outcome(partial(flows._load_csv_lines, schema=schema), path))
+
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 5, 1 << 20])
+    def test_an_empty_cell_declines_before_the_parse(self, tmp_path, monkeypatch,
+                                                     scan_bytes):
+        # each edit empties one cell, at each place a scan block may cut it
+        monkeypatch.setattr(flows, "_SCAN_BYTES", scan_bytes)
+        path = str(tmp_path / "data.csv")
+        body = ["pkts,proto,attack", "1.5,tcp,0", "2,udp,1"]
+        for line_end in ("\n", "\r\n"):
+            with open(path, "w", newline="") as fh:
+                fh.write(line_end.join(body) + line_end)
+            assert flows._body_ranges(path) is not None
+            for row, col in [(r, c) for r in (1, 2) for c in range(3)]:
+                cells = [line.split(",") for line in body]
+                cells[row][col] = ""
+                with open(path, "w", newline="") as fh:
+                    fh.write(line_end.join(map(",".join, cells)) + line_end)
+                assert flows._body_ranges(path) is None, (row, col, line_end)
 
 # Edits to one line of the second range of a split body, each with what
 # the split reader's ranges report: None when the body is not cut, else
