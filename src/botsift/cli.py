@@ -23,8 +23,8 @@ from .errors import BotsiftError, ConfigError, SchemaError
 from .evaluate import METRIC_NAMES, cross_validate, evaluate_model, percent
 from .experiment import ExperimentConfig, run_experiment
 from .features import chi2_scores
-from .flows import (Schema, _read_json, _write_json, class_summary, load_csv,
-                    read_dataset_csv, to_dataset, write_dataset_csv,
+from .flows import (Schema, _counts_json, _read_json, _write_json, class_summary,
+                    load_csv, read_dataset_csv, to_dataset, write_dataset_csv,
                     write_records_csv)
 from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
 from .smote import SmoteConfig, smote
@@ -133,7 +133,7 @@ def _cmd_ingest(args) -> None:
     normal, botnet = dataset.class_counts
     dropped = len(loaded) - len(flows)
     _write_json(os.path.join(out, "counts.json"),
-                {"normal": normal, "botnet": botnet, "rows": dataset.n_rows,
+                {**_counts_json(dataset.class_counts), "rows": dataset.n_rows,
                  "features": list(dataset.feature_names),
                  "dropped": dropped, "missing": flows.missing_counts})
     print(f"ingested {dataset.n_rows} rows "
@@ -155,7 +155,7 @@ def _cmd_profile_stats(args) -> None:
     if args.out:
         out = _out_dir(args)
         _write_json(os.path.join(out, "profile_stats.json"), {
-            "counts": {"normal": summary.counts[0], "botnet": summary.counts[1]},
+            "counts": _counts_json(summary.counts),
             "means": {str(k): v for k, v in summary.means.items()},
         })
 
@@ -179,9 +179,8 @@ def _cmd_smote(args) -> None:
     write_dataset_csv(result.dataset, os.path.join(out, "balanced.csv"),
                       synthetic=result.synthetic)
     _write_json(os.path.join(out, "counts.json"), {
-        "before": {"normal": result.original_counts[0],
-                   "botnet": result.original_counts[1]},
-        "after": {"normal": result.counts[0], "botnet": result.counts[1]},
+        "before": _counts_json(result.original_counts),
+        "after": _counts_json(result.counts),
         "synthetic_rows": int(result.synthetic.sum()),
     })
     print(f"balanced ({result.original_counts[0]}, {result.original_counts[1]}) "
@@ -195,10 +194,9 @@ def _cmd_train(args) -> None:
     if name == "mlp" and args.seed is not None and "seed" not in params:
         params["seed"] = args.seed
     model = fit_model(name, dataset, params)
-    normal, botnet = dataset.class_counts
     model = dataclasses.replace(model, provenance={
         "trained_rows": dataset.n_rows,
-        "class_counts": {"normal": normal, "botnet": botnet},
+        "class_counts": _counts_json(dataset.class_counts),
         "params": params,
     })
     out = _out_dir(args)

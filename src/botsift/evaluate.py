@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import (THRESHOLD, _features_for, fit_model,
                           labels_from_scores, model_kind, score_batch, tie_rule)
 from .errors import EvaluationError
-from .flows import Dataset, _write_json
+from .flows import Dataset, _counts_json, _write_json
 from .preprocess import apply_scaler, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import round_half_up
@@ -402,8 +402,7 @@ class EvalReport:
         payload = {
             "model": self.model,
             "threshold": THRESHOLD,
-            "test_counts": {"normal": self.test_counts[0],
-                            "botnet": self.test_counts[1]},
+            "test_counts": _counts_json(self.test_counts),
             "confusion": dataclasses.asdict(self.confusion),
             "metrics": self.metrics.as_dict(),
             "degenerate": list(self.metrics.degenerate),

@@ -39,8 +39,8 @@ from .errors import BotsiftError, ConfigError
 from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
                        fold_sets, make_folds, percent, train_test_split)
 from .features import chi2_scores, select_features
-from .flows import (_ACCEPTS, Dataset, Schema, _read_json, _write_json,
-                    load_csv, to_dataset)
+from .flows import (_ACCEPTS, Dataset, Schema, _counts_json, _read_json,
+                    _write_json, load_csv, to_dataset)
 from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, generate
@@ -224,7 +224,7 @@ def _prepare(config: ExperimentConfig, dataset: Dataset, arms: list[str],
         if "smote" in arms:
             stages.append("smote")
             sources["smote"] = smote(sources["raw"], smote_config, seeds["smote"]).dataset
-            class_counts["after_smote"] = _counts_dict(sources["smote"])
+            class_counts["after_smote"] = _counts_json(sources["smote"].class_counts)
             stages += [] if "split" in stages else ["split"]
         return {arm: train_test_split(sources[arm], config.test_fraction, seeds["split"])
                 for arm in arms}, None
@@ -236,7 +236,7 @@ def _prepare(config: ExperimentConfig, dataset: Dataset, arms: list[str],
     if "smote" in arms:
         stages.append("smote")
         balanced = smote(train_scaled, smote_config, seeds["smote"]).dataset
-        class_counts["after_smote"] = _counts_dict(balanced)
+        class_counts["after_smote"] = _counts_json(balanced.class_counts)
         arm_sets["smote"] = (balanced, test_scaled)
     return arm_sets, train
 
@@ -316,7 +316,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
 
         stage = "load"
         dataset = _load_input(config, seeds, stages)
-        class_counts["input"] = _counts_dict(dataset)
+        class_counts["input"] = _counts_json(dataset.class_counts)
         manifest["candidate_features"] = list(dataset.feature_names)
 
         # Feature relevance is scored once, before splitting, on a copy
@@ -337,7 +337,8 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         smote_config = SmoteConfig(k_neighbors=config.smote_k)
         arm_sets, cv_source = _prepare(config, dataset, arms, seeds, smote_config,
                                        stages, class_counts)
-        class_counts |= {f"{side}_{arm}": _counts_dict(part) for arm in arms
+        class_counts |= {f"{side}_{arm}": _counts_json(part.class_counts)
+                         for arm in arms
                          for side, part in zip(("train", "test"), arm_sets[arm])}
         # Each arm's folds are prepared once and score every model; paper
         # mode preprocessed the whole arm, so its folds are used as they are.
@@ -394,11 +395,6 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     except Exception:
         _cleanup(outdir, created_root)
         raise
-
-
-def _counts_dict(dataset: Dataset) -> dict[str, int]:
-    normal, botnet = dataset.class_counts
-    return {"normal": normal, "botnet": botnet}
 
 
 def _cleanup(outdir: str, created_root: bool) -> None:

@@ -8,13 +8,24 @@ cleaned, encoded tables are then assembled into a dense numeric Dataset
 for the learning stages.
 
 The writers work through files CHUNK_ROWS rows at a time, so their memory
-does not grow with the file. load_csv and read_dataset_csv parse a regular
-file whose every record is one physical line (no '"', no control byte but
-line breaks, no line over the csv field size limit) with numpy.loadtxt, in
-C. Any other file, or one with a missing, invalid or unusual cell (" 1 ",
-"1_0", a token of TOKEN_WIDTH characters), is read CHUNK_ROWS rows at a
-time by the line-accurate reader, which gives the same values or names the
-first offending line, as it names that of a csv.Error or a non-UTF-8 byte.
+does not grow with the file. load_csv and read_dataset_csv share one
+reading core. A CSV format gives, for a header, the kind of each column
+(numeric: float64, NaN where a cell is missing, unparseable or not finite;
+categorical: the stripped token; flag: 0/1, -1 for any other cell; or
+ignore) and its rules in the order they apply within a row: for a flow CSV
+(kinds by schema role, the label a flag) the label, then each of
+NONNEGATIVE_FIELDS not negative; for a dataset CSV (`attack` and
+`synthetic` flags, every other column numeric) the label, then each
+feature in header order finite, then the synthetic flag. A header without
+the label, repeating a column it reads, or (a dataset CSV) with no feature
+column is a LoadError naming the file.
+A regular file whose every record is one physical line (no '"', no control
+byte but line breaks, no line over the csv field size limit, no empty
+cell) is parsed with numpy.loadtxt, in C, and kept if no rule fails and no
+token fills TOKEN_WIDTH characters. Any other file, or one with an unusual
+cell (" 1 ", "1_0"), is read CHUNK_ROWS rows at a time by the line reader
+under the same rules, which gives the same values or names the first
+offending line, as it names that of a csv.Error or a non-UTF-8 byte.
 
 Files of more than CHUNK_ROWS rows use both cores through _pool.fork_map.
 The writers format contiguous ranges of whole chunks side by side, each
@@ -37,9 +48,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, islice, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from itertools import islice, repeat
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -249,19 +259,16 @@ def _as_column(name: str, values, rows: int) -> np.ndarray:
 # CSV reading
 
 
-def _open_csv(path: str):
-    try:
-        return open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise LoadError(f"input file not found: {path}")
-
-
 @contextmanager
 def _csv_reader(path: str):
     """A csv.reader over path whose csv.Error (such as a cell over the
     csv module's field size limit) or undecodable byte is a LoadError
-    naming the physical line."""
-    with _open_csv(path) as fh:
+    naming the physical line, as a missing file is one naming path."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise LoadError(f"input file not found: {path}")
+    with fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -288,13 +295,6 @@ def _undecodable_line(path: str) -> int:
                 return line + len(_LINE_BREAK_BYTES.findall(raw, 0, exc.start))
             line += len(_LINE_BREAK_BYTES.findall(raw))
     return line
-
-
-def _read_header(reader, path: str) -> list[str]:
-    try:
-        return [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise LoadError(f"{path}: file is empty")
 
 
 # A line break inside a quoted cell, as the file's line iterator splits it.
@@ -338,30 +338,36 @@ def _row_chunks(reader, path: str, width: int):
             yield rows, lines
 
 
-def _raise_first(path: str, lines: np.ndarray,
-                 checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
-    """Raise LoadError for the earliest row any check flags.
+# A rule of a CSV format: (column, the mask of the rows a parsed column
+# fails, the message for a failing row given its cell).
+_Rule = tuple[str, Callable[[np.ndarray], np.ndarray], Callable[[str], str]]
 
-    checks pairs a mask of failing rows with the message for a row, in the
-    order the checks apply within one row.
-    """
+
+def _raise_first(path: str, lines: np.ndarray, rules: list[_Rule],
+                 cells: dict[str, tuple[str, ...]], values: dict[str, np.ndarray]) -> None:
+    """Raise LoadError for the earliest row of a chunk any rule flags; in
+    one row the rules apply in their order."""
     first = None
-    for failing, describe in checks:
-        hits = np.flatnonzero(failing)
+    for name, fails, message in rules:
+        hits = np.flatnonzero(fails(values[name]))
         if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), describe)
+            first = (int(hits[0]), name, message)
     if first is not None:
-        row, describe = first
-        raise LoadError(f"{path}:{lines[row]}: {describe(row)}")
+        row, name, message = first
+        raise LoadError(f"{path}:{lines[row]}: {message(cells[name][row])}")
+
+
+def _negative(values: np.ndarray) -> np.ndarray:
+    return values < 0
 
 
 _FLAG_VALUES = {"0": 0, "1": 1}
 
 
-def _parse_flags(cells: Iterable[str], count: int) -> np.ndarray:
+def _parse_flags(cells: Sequence[str]) -> np.ndarray:
     """0/1 cells (surrounding blanks ignored) as int64; -1 marks any other."""
     return np.fromiter(map(_FLAG_VALUES.get, map(str.strip, cells), repeat(-1)),
-                       np.int64, count)
+                       np.int64, len(cells))
 
 
 def _float_or_none(cell: str) -> float | None:
@@ -369,11 +375,6 @@ def _float_or_none(cell: str) -> float | None:
         return float(cell)
     except ValueError:
         return None
-
-
-def _is_finite(cell: str) -> bool:
-    value = _float_or_none(cell)
-    return value is not None and math.isfinite(value)
 
 
 def _parse_numeric(cells: Sequence[str]) -> np.ndarray:
@@ -384,6 +385,97 @@ def _parse_numeric(cells: Sequence[str]) -> np.ndarray:
         values = np.array([_float_or_none(c) for c in cells], dtype=np.float64)
     values[~np.isfinite(values)] = np.nan
     return values
+
+
+def _parse_tokens(cells: Sequence[str]) -> np.ndarray:
+    """Cells stripped of surrounding blanks, as wide as the longest."""
+    return np.array(list(map(str.strip, cells)), dtype=str)
+
+
+# Per column kind, a schema role but "flag" for the label: the line
+# reader's parse of its cells, the dtype of a column of no rows, and the
+# type numpy.loadtxt parses it as in C ("U1" for an ignored column, whose
+# cells are not kept).
+_KINDS = {
+    "numeric": (_parse_numeric, np.float64, "f8"),
+    "categorical": (_parse_tokens, str, f"U{TOKEN_WIDTH}"),
+    "flag": (_parse_flags, np.int64, "i8"),
+    "ignore": (None, None, "U1"),
+}
+
+
+def _layout(path: str, header: list[str], layout: Callable,
+            *args) -> tuple[list[str], list[_Rule]]:
+    """(kind per header column, rules) of a CSV format, as layout(path,
+    header, *args) gives them; a header that repeats a column it reads is
+    a LoadError."""
+    kinds, rules = layout(path, header, *args)
+    names = [name for name, kind in zip(header, kinds) if kind != "ignore"]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
+    return kinds, rules
+
+
+def _read_whole(path: str, layout: Callable, *args) -> dict[str, np.ndarray] | None:
+    """The columns of a CSV format read by name, parsed in C; an all-finite
+    numeric column and a flag stay views into the parse buffer. None, and
+    the line reader reads the file, when the header is faulty, _body_ranges
+    or _parse_ranges declines the file, a token fills its field or any rule
+    fails."""
+    cut = _body_ranges(path)
+    if cut is None:
+        return None
+    header, ranges = cut
+    try:
+        kinds, rules = _layout(path, header, layout, *args)
+    except LoadError:  # the line reader names it
+        return None
+    body = _parse_ranges(path, ranges, [_KINDS[kind][2] for kind in kinds])
+    if body is None:
+        return None
+    columns = {}
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        values = body[f"f{j}"]
+        if kind == "numeric" and not np.isfinite(values).all():
+            values = np.where(np.isfinite(values), values, np.nan)
+        elif kind == "categorical":
+            if np.char.str_len(values).max(initial=0) >= TOKEN_WIDTH:
+                return None
+            # stripped as str.strip strips, as wide as the longest token
+            values = np.char.strip(values)
+            values = values.astype(f"U{max(1, np.char.str_len(values).max(initial=0))}")
+        if kind != "ignore":
+            columns[name] = values
+    if any(fails(columns[name]).any() for name, fails, _ in rules):
+        return None
+    return columns
+
+
+def _read_lines(path: str, layout: Callable,
+                *args) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """(the columns read by name, each row's line) of a CSV format, read
+    by csv.reader CHUNK_ROWS rows at a time with each cell parsed by its
+    column's kind; a LoadError names the first line a rule fails on."""
+    with _csv_reader(path) as reader:
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise LoadError(f"{path}: file is empty")
+        kinds, rules = _layout(path, header, layout, *args)
+        read = {name: _KINDS[kind] for name, kind in zip(header, kinds)
+                if kind != "ignore"}
+        parts = {name: [np.array([], dtype)] for name, (_, dtype, _) in read.items()}
+        line_parts = [np.array([], np.int64)]
+        for rows, lines in _row_chunks(reader, path, len(header)):
+            cells = dict(zip(header, zip(*rows)))
+            values = {name: parse(cells[name]) for name, (parse, _, _) in read.items()}
+            _raise_first(path, lines, rules, cells, values)
+            for name, column in values.items():
+                parts[name].append(column)
+            line_parts.append(lines)
+    return ({name: np.concatenate(chunks) for name, chunks in parts.items()},
+            np.concatenate(line_parts))
 
 
 def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
@@ -400,93 +492,37 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
     """
     if schema is None:
         schema = default_schema()
-    flows = _load_csv_whole(path, schema)
-    return flows if flows is not None else _load_csv_lines(path, schema)
+    columns = _read_whole(path, _flow_layout, schema)
+    return _load_csv_lines(path, schema) if columns is None else _flow_table(schema, columns)
 
 
-def _flow_columns(path: str, header: list[str],
-                  schema: Schema) -> tuple[list[tuple[int, str, str]], int]:
-    """((index, name, role) per kept column, label index) of a flow CSV header."""
+def _flow_layout(path: str, header: list[str],
+                 schema: Schema) -> tuple[list[str], list[_Rule]]:
+    """A flow CSV's layout, as the module docstring gives it."""
     label = schema.label_column
     if label not in header:
         raise LoadError(f"{path}: header has no column {label!r} (declared label column)")
-    kept = [(j, name, schema.role_of(name)) for j, name in enumerate(header)
-            if schema.role_of(name) in ("numeric", "categorical")]
-    names = [name for _, name, _ in kept] + [label]
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise LoadError(f"{path}: header repeats column {repeated[0]!r}")
-    return kept, header.index(label)
-
-
-def _load_csv_whole(path: str, schema: Schema) -> FlowTable | None:
-    """load_csv's result parsed in C, or None for a file _body_ranges or
-    _parse_ranges declines or with a label not exactly "0" or "1", a token
-    filling its field or a negative count, duration or rate."""
-    cut = _body_ranges(path)
-    if cut is None:
-        return None
-    header, ranges = cut
-    kept, label_idx = _flow_columns(path, header, schema)
-    types = {j: "f8" if role == "numeric" else f"U{TOKEN_WIDTH}" for j, _, role in kept}
-    types[label_idx] = "i8"  # and "U1" for an ignored column, whose cells are not kept
-    body = _parse_ranges(path, ranges, [types.get(j, "U1") for j in range(len(header))])
-    if body is None or (body[f"f{label_idx}"] < 0).any():
-        return None
-    columns = {}
-    for j, name, role in kept:
-        values = body[f"f{j}"]
-        if role == "numeric":
-            values = np.where(np.isfinite(values), values, np.nan)
-            if name in NONNEGATIVE_FIELDS and (values < 0).any():
-                return None
-        elif np.char.str_len(values).max(initial=0) >= TOKEN_WIDTH:
-            return None
-        else:  # stripped as str.strip strips, as wide as the longest token
-            values = np.char.strip(values)
-            values = values.astype(f"U{max(1, np.char.str_len(values).max(initial=0))}")
-        columns[name] = values
-    return FlowTable(columns, body[f"f{label_idx}"].copy())  # no views into body
+    kinds = ["flag" if role == "label" else role for role in map(schema.role_of, header)]
+    return kinds, [
+        (label, _negative,
+         lambda cell: f"label column {label!r} has value {cell!r}, expected 0 or 1"),
+        *((name, _negative, lambda cell, name=name: f"field {name!r} is negative "
+                                                    f"({float(cell)!r})")
+          for name in NONNEGATIVE_FIELDS
+          if name in header and schema.role_of(name) == "numeric")]
 
 
 def _load_csv_lines(path: str, schema: Schema) -> FlowTable:
     """load_csv by line through csv.reader; a LoadError names the first bad line."""
-    with _csv_reader(path) as reader:
-        header = _read_header(reader, path)
-        kept, label_idx = _flow_columns(path, header, schema)
-        parts: dict[str, list[np.ndarray]] = {name: [] for _, name, _ in kept}
-        label_parts: list[np.ndarray] = []
-        line_parts: list[np.ndarray] = []
-        for rows, lines in _row_chunks(reader, path, len(header)):
-            cells = list(zip(*rows))
-            labels = _parse_flags(cells[label_idx], len(rows))
-            checks = [(labels < 0, lambda i: (
-                f"label column {schema.label_column!r} has value {cells[label_idx][i]!r}, "
-                f"expected 0 or 1"))]
-            chunk: dict[str, np.ndarray] = {}
-            for j, name, role in kept:
-                if role == "categorical":
-                    chunk[name] = np.array(list(map(str.strip, cells[j])), dtype=str)
-                else:
-                    chunk[name] = _parse_numeric(cells[j])
-            for name in NONNEGATIVE_FIELDS:
-                values = chunk.get(name)
-                if values is not None and values.dtype.kind == "f":  # not tokens
-                    checks.append((values < 0, lambda i, name=name, values=values: (
-                        f"field {name!r} is negative ({float(values[i])!r})")))
-            _raise_first(path, lines, checks)
-            for name, values in chunk.items():
-                parts[name].append(values)
-            label_parts.append(labels)
-            line_parts.append(lines)
-    columns = {name: _concat(parts[name], np.float64 if role == "numeric" else str)
-               for _, name, role in kept}
-    return FlowTable(columns, _concat(label_parts, np.int64),
-                     _concat(line_parts, np.int64))
+    return _flow_table(schema, *_read_lines(path, _flow_layout, schema))
 
 
-def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.array([], dtype=dtype)
+def _flow_table(schema: Schema, columns: dict[str, np.ndarray],
+                lines: np.ndarray | None = None) -> FlowTable:
+    labels = columns.pop(schema.label_column)
+    # a column parsed in C is copied out of the parse buffer here
+    return FlowTable({name: np.ascontiguousarray(c) for name, c in columns.items()},
+                     np.ascontiguousarray(labels), lines)
 
 
 @dataclass(frozen=True)
@@ -504,6 +540,11 @@ class ClassSummary:
     @property
     def total(self) -> int:
         return self.counts[0] + self.counts[1]
+
+
+def _counts_json(counts: tuple[int, int]) -> dict[str, int]:
+    """(normal, botnet) row counts as every JSON file botsift writes holds them."""
+    return {"normal": counts[0], "botnet": counts[1]}
 
 
 def class_summary(flows: FlowTable) -> ClassSummary:
@@ -752,45 +793,46 @@ def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
 
     Returns (dataset, synthetic_flags_or_None). The column named `attack`
     is the label, `synthetic` is the optional 0/1 provenance flag, and
-    every other cell must hold a finite number. Every row must have as many
-    cells as the header; the first line breaking a rule is named in the
-    LoadError. The file is parsed in C or by line as the module docstring
-    says; the result does not depend on which.
+    every other column, at least one and none repeated, is a feature of
+    finite numbers. Every row must have as many cells as the header; the
+    first line breaking a rule is named in the LoadError. The file is
+    parsed in C or by line as the module docstring says; the result does
+    not depend on which.
     """
-    read = _read_dataset_whole(path)
-    return read if read is not None else _read_dataset_lines(path)
+    columns = _read_whole(path, _dataset_layout)
+    return _dataset(columns) if columns is not None else _read_dataset_lines(path)
 
 
-def _dataset_columns(header: list[str]) -> tuple[int, int | None, list[int]]:
-    """(label index, synthetic flag index or None, feature indices)."""
-    label_idx = header.index(LABEL_FIELD)
-    synth_idx = header.index("synthetic") if "synthetic" in header else None
-    return (label_idx, synth_idx,
-            [i for i in range(len(header)) if i not in (label_idx, synth_idx)])
+def _dataset_layout(path: str, header: list[str]) -> tuple[list[str], list[_Rule]]:
+    """A dataset CSV's layout, as the module docstring gives it."""
+    if LABEL_FIELD not in header:
+        raise LoadError(f"{path}: header has no {LABEL_FIELD!r} column")
+    kinds = ["flag" if name in (LABEL_FIELD, "synthetic") else "numeric" for name in header]
+    features = [name for name, kind in zip(header, kinds) if kind == "numeric"]
+    if not features:
+        raise LoadError(f"{path}: header has no feature column")
+    rules: list[_Rule] = [(LABEL_FIELD, _negative,
+                           lambda cell: f"label value {cell.strip()!r}")]
+    rules += [(name, np.isnan, lambda cell: f"feature cell {cell!r} is not a finite number")
+              for name in features]
+    if "synthetic" in header:
+        rules.append(("synthetic", _negative,
+                      lambda cell: f"synthetic flag {cell!r}, expected 0 or 1"))
+    return kinds, rules
 
 
-def _read_dataset_whole(path: str) -> tuple[Dataset, np.ndarray | None] | None:
-    """read_dataset_csv's result parsed in C, or None for a file _body_ranges or
-    _parse_ranges declines, or with no feature, a non-finite one or a bad flag."""
-    cut = _body_ranges(path)
-    if cut is None or LABEL_FIELD not in cut[0]:
-        return None
-    header, ranges = cut
-    label_idx, synth_idx, feat_idx = _dataset_columns(header)
-    if not feat_idx:  # column_stack below needs a column
-        return None
-    types = ["f8" if i in feat_idx else "i8" for i in range(len(header))]  # "i8": flags
-    body = _parse_ranges(path, ranges, types)
-    if body is None:
-        return None
-    flags = [body[f"f{i}"] for i in range(len(header)) if i not in feat_idx]
-    features = np.column_stack([body[f"f{i}"] for i in feat_idx])
-    if any((flag < 0).any() for flag in flags) or not np.isfinite(features).all():
-        return None
-    # copies, so the result holds no view into body
-    dataset = Dataset(features, body[f"f{label_idx}"].copy(),
-                      tuple(header[i] for i in feat_idx))
-    return dataset, None if synth_idx is None else body[f"f{synth_idx}"].copy()
+def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:
+    """read_dataset_csv by line through csv.reader; a LoadError names the
+    first offending physical line."""
+    return _dataset(_read_lines(path, _dataset_layout)[0])
+
+
+def _dataset(columns: dict[str, np.ndarray]) -> tuple[Dataset, np.ndarray | None]:
+    labels, flags = columns.pop(LABEL_FIELD), columns.pop("synthetic", None)
+    # the label and flag parsed in C are copied out of the parse buffer here
+    dataset = Dataset(np.column_stack(list(columns.values())),
+                      np.ascontiguousarray(labels), tuple(columns))
+    return dataset, None if flags is None else np.ascontiguousarray(flags)
 
 
 def _parse_ranges(path: str, ranges: list[tuple[int, int]],
@@ -904,49 +946,3 @@ def _body_ranges(path: str) -> tuple[list[str], list[tuple[int, int]]] | None:
     if sum(body) <= CHUNK_ROWS:
         return header, [(bounds[0], sum(body))]
     return header, list(zip(bounds, body))
-
-
-def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:
-    """read_dataset_csv over csv.reader, CHUNK_ROWS rows at a time, with
-    each row's cells converted by float(); a LoadError names the first
-    offending physical line."""
-    with _csv_reader(path) as reader:
-        header = _read_header(reader, path)
-        if LABEL_FIELD not in header:
-            raise LoadError(f"{path}: header has no {LABEL_FIELD!r} column")
-        width = len(header)
-        label_idx, synth_idx, feat_idx = _dataset_columns(header)
-        feature_parts: list[np.ndarray] = []
-        label_parts: list[np.ndarray] = []
-        flag_parts: list[np.ndarray] = []
-        for rows, lines in _row_chunks(reader, path, width):
-            n = len(rows)
-            try:
-                values = np.fromiter(map(float, chain.from_iterable(rows)),
-                                     np.float64, n * width).reshape(n, width)
-            except ValueError:  # a cell float() refuses, maybe a label, is NaN
-                values = np.array([[*map(_float_or_none, row)] for row in rows], float)
-            labels = _parse_flags(map(itemgetter(label_idx), rows), n)
-            checks = [(labels < 0, lambda i: (
-                f"label value {rows[i][label_idx].strip()!r}"))]
-            bad = ~np.isfinite(values[:, feat_idx]).all(axis=1)
-
-            def not_finite(i: int) -> str:
-                cell = next(rows[i][j] for j in feat_idx if not _is_finite(rows[i][j]))
-                return f"feature cell {cell!r} is not a finite number"
-
-            checks.append((bad, not_finite))
-            if synth_idx is not None:
-                flags = _parse_flags(map(itemgetter(synth_idx), rows), n)
-                checks.append((flags < 0, lambda i: (
-                    f"synthetic flag {rows[i][synth_idx]!r}, expected 0 or 1")))
-                flag_parts.append(flags)
-            _raise_first(path, lines, checks)
-            feature_parts.append(values[:, feat_idx])
-            label_parts.append(labels)
-    names = tuple(header[i] for i in feat_idx)
-    matrix = (np.concatenate(feature_parts) if feature_parts
-              else np.empty((0, len(names)), dtype=np.float64))
-    dataset = Dataset(matrix, _concat(label_parts, np.int64), names)
-    flags = _concat(flag_parts, np.int64) if synth_idx is not None else None
-    return dataset, flags

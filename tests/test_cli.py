@@ -285,6 +285,25 @@ class TestTrainEvaluate:
             f"botsift: {long}:3: field larger than field limit")
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("argv, text, error", [
+        (["train", "--model", "gnb"], "a,attack,attack\n1,0,1\n2,1,0\n",
+         "header repeats column 'attack'"),
+        (["train", "--model", "mlp"], "attack\n0\n1\n", "header has no feature column"),
+        (["score-features"], "attack,synthetic\n0,0\n1,0\n",
+         "header has no feature column"),
+        (["ingest"], "pkts,attack,attack\n1,0,1\n2,1,0\n",
+         "header repeats column 'attack'"),
+    ], ids=["repeated label", "label only", "flags only", "repeated flow label"])
+    def test_faulty_header_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                     argv, text, error):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code = main([*argv, "--csv", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"botsift: {path}: {error}\n"
+        assert "Traceback" not in err
+
     def test_bad_params_json_exits_one(self, dataset_csv, tmp_path, capsys):
         code = main(["train", "--csv", dataset_csv, "--model", "knn",
                      "--params", "{broken", "--out", str(tmp_path / "x")])

@@ -1,10 +1,12 @@
 """The CSV readers' acceptance rule at its edges: a cell over the csv field
-size limit, and a file that can be read only once (a FIFO)."""
+size limit, a file that can be read only once (a FIFO), each rule of each
+format on the C and the line path, and a faulty header."""
 
 import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,3 +69,81 @@ def test_a_fifo_reads_as_the_file_it_carries(tmp_path, rows, reader):
         got = pickle.load(fh)
     read = getattr(flows, reader)
     assert read_outcome(lambda _: got, path) == read_outcome(read, path)
+
+
+# A one-row flow CSV under the default schema that breaks no rule.
+FLOW_HEADER = list(flows.NAMED_FIELDS) + ["attack"]
+FLOW_ROW = {name: "1" for name in FLOW_HEADER} | {"proto": "tcp", "state": "CON",
+                                                  "attack": "0"}
+# Each rule of each format: (format, column, broken cell, message).
+RULES = [("records", "attack", "2", "label column 'attack' has value '2', expected 0 or 1")]
+RULES += [("records", name, "-1", f"field {name!r} is negative (-1.0)")
+          for name in flows.NONNEGATIVE_FIELDS]
+RULES += [("dataset", "attack", "2", "label value '2'"),
+          ("dataset", "a", "inf", "feature cell 'inf' is not a finite number"),
+          ("dataset", "b", "x", "feature cell 'x' is not a finite number"),
+          ("dataset", "synthetic", "2", "synthetic flag '2', expected 0 or 1")]
+READERS = {"records": (flows.load_csv, flows._load_csv_lines),
+           "dataset": (read_dataset_csv, flows._read_dataset_lines)}
+
+
+def write_one_row(path, fmt, broken):
+    """A one-row CSV of the format with the cells in broken replaced."""
+    row = FLOW_ROW if fmt == "records" else {"a": "1.5", "b": "2", "attack": "1",
+                                             "synthetic": "0"}
+    row = row | broken
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+
+
+def outcomes(fmt, path):
+    public, lines = READERS[fmt]
+    if fmt == "records":
+        lines = partial(lines, schema=flows.default_schema())
+    return read_outcome(public, str(path)), read_outcome(lines, str(path))
+
+
+@pytest.mark.parametrize("fmt, column, cell, message", RULES,
+                         ids=[f"{fmt}-{column}" for fmt, column, _, _ in RULES])
+def test_each_rule_gives_one_error_on_both_paths(tmp_path, fmt, column, cell, message):
+    path = tmp_path / "data.csv"
+    write_one_row(path, fmt, {column: cell})
+    # the whole-file parse sees the file, so the C path declines it by the rule
+    assert flows._body_ranges(str(path)) is not None
+    assert outcomes(fmt, path) == (f"{path}:2: {message}",) * 2
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+def test_the_first_rule_of_a_row_wins(tmp_path, fmt):
+    path = tmp_path / "data.csv"
+    broken = {column: cell for f, column, cell, _ in reversed(RULES) if f == fmt}
+    write_one_row(path, fmt, broken)
+    first = next(message for f, _, _, message in RULES if f == fmt)
+    assert outcomes(fmt, path) == (f"{path}:2: {first}",) * 2
+
+
+# Header faults: (format, header, body, the error after "<path>: ").
+HEADER_FAULTS = [
+    ("dataset", "a,attack,attack", "1,0,1", "header repeats column 'attack'"),
+    ("dataset", "a,a,attack", "1,2,0", "header repeats column 'a'"),
+    ("dataset", "a,attack,synthetic,synthetic", "1,0,0,1",
+     "header repeats column 'synthetic'"),
+    ("dataset", "attack", "1", "header has no feature column"),
+    ("dataset", "attack,synthetic", "1,0", "header has no feature column"),
+    ("records", "pkts,attack,attack", "1,0,1", "header repeats column 'attack'"),
+    ("records", "pkts,proto,pkts,attack", "1,tcp,2,0", "header repeats column 'pkts'"),
+]
+
+
+@pytest.mark.parametrize("fmt, header, body, error", HEADER_FAULTS,
+                         ids=[header for _, header, _, _ in HEADER_FAULTS])
+def test_a_faulty_header_is_refused_naming_the_file(tmp_path, fmt, header, body, error):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n{body}\n")
+    assert outcomes(fmt, path) == (f"{path}: {error}",) * 2
+
+
+def test_a_repeated_ignored_column_is_not_a_fault(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("pkts,junk,junk,attack\n1,x,y,0\n")
+    table = flows.load_csv(str(path))
+    assert list(table.columns) == ["pkts"] and table.labels.tolist() == [0]
