@@ -292,12 +292,11 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
                   "b_out": float(grads[3])}
 
 
-def mlp_init(feature_count: int, config: MlpConfig,
-             feature_names: tuple[str, ...] | None = None) -> MlpModel:
-    """Seeded uniform [-0.5, 0.5] initialization (weights and biases)."""
+def mlp_init(feature_count: int, config: MlpConfig) -> MlpModel:
+    """Seeded uniform [-0.5, 0.5] weights and biases over features f0, f1, ..."""
     flat = _init_params(np.random.default_rng(config.seed), feature_count,
                         config.hidden)
-    names = feature_names or tuple(f"f{i}" for i in range(feature_count))
+    names = tuple(f"f{i}" for i in range(feature_count))
     return _mlp_model(names, flat, feature_count, config)
 
 

@@ -420,8 +420,7 @@ class EvalReport:
         self.curve.to_file(f"{base}_roc.tsv")
 
 
-def evaluate_model(model, test: Dataset, model_name: str | None = None,
-                   cv: CvResult | None = None) -> EvalReport:
+def evaluate_model(model, test: Dataset, model_name: str | None = None) -> EvalReport:
     """Score a fitted model on a test dataset and assemble the report."""
     X = _features_for(model, test)
     scores = score_batch(model, X)
@@ -430,5 +429,5 @@ def evaluate_model(model, test: Dataset, model_name: str | None = None,
     metrics, curve = _metrics_and_curve(cm, scores, test.labels)
     return EvalReport(model=model_name or model_kind(model), confusion=cm,
                       metrics=metrics, curve=curve,
-                      test_counts=test.class_counts, cv=cv,
+                      test_counts=test.class_counts,
                       tie_rule=tie_rule(model))

@@ -16,7 +16,8 @@ Cross-validation prepares each fold once per arm (evaluate.fold_sets)
 and scores every model on it. Jobs go through _pool.fork_map: fold jobs
 (arm, fold, every model) first, then one full fit per (arm, model), MLP
 first. The first failing job in submission order names the stage, as in
-cross_validate[raw/fold 3], cross_validate[raw/knn] or train[raw/knn].
+cross_validate[raw/fold 3], cross_validate[raw/knn] or train[raw/knn];
+a knn k over the rows of a fold or an arm fails so before any job runs.
 
 Every stage seed is the master seed plus a fixed labelled offset, the
 manifest records seeds, mode, and executed stage order, and no output
@@ -33,9 +34,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from ._pool import fork_map
 from .classifiers import MODEL_NAMES, check_params, fit_model, save_model
-from .errors import BotsiftError, ConfigError
+from .errors import BotsiftError, ConfigError, TrainingError
 from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
                        fold_sets, make_folds, percent, train_test_split)
 from .features import chi2_scores, select_features
@@ -252,6 +255,19 @@ class _Grid:
     cv_sets: dict[str, tuple[list, Callable]]  # arm: (folds, fold f -> its sets)
 
 
+def _fit_rows(arm: str, train_rows: int, labels: np.ndarray,
+              folds: list[np.ndarray], balanced: bool) -> list[tuple[str, str, int]]:
+    """(stage, set, rows) of each set a knn model of arm trains on: each
+    fold's training part of the rows labelled labels (twice its majority
+    class when fold_sets balances it), then the arm's training set."""
+    total, sets = np.bincount(labels, minlength=2), []
+    for f, fold in enumerate(folds):
+        counts = total - np.bincount(labels[fold], minlength=2)
+        rows = int(2 * counts.max() if balanced else counts.sum())
+        sets.append((f"cross_validate[{arm}/knn]", f"fold {f}'s training part", rows))
+    return sets + [(f"train[{arm}/knn]", "the training set", train_rows)]
+
+
 # One job: (arm, fold index, or None to fit on the arm's whole training
 # set, and the (name, params) of each model it fits).
 _Job = tuple[str, int | None, tuple[tuple[str, dict], ...]]
@@ -343,14 +359,24 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         # Each arm's folds are prepared once and score every model; paper
         # mode preprocessed the whole arm, so its folds are used as they are.
         cv_sets = {}
-        for arm in arms if config.cv_folds else ():
-            paper = config.mode == "paper"
+        paper = config.mode == "paper"
+        for arm in arms:
             rows = arm_sets[arm][0] if paper else cv_source
-            folds = make_folds(rows.labels, config.cv_folds, seeds["cv"])
-            cv_sets[arm] = (folds, partial(
-                fold_sets, rows, folds, seed=seeds["cv"], scale=not paper,
-                smote_config=smote_config if arm == "smote" and not paper else None))
-        del dataset, cv_source  # no job reads them, so no child need inherit them
+            balanced = arm == "smote" and not paper
+            folds = []
+            if config.cv_folds:
+                folds = make_folds(rows.labels, config.cv_folds, seeds["cv"])
+                cv_sets[arm] = (folds, partial(
+                    fold_sets, rows, folds, seed=seeds["cv"], scale=not paper,
+                    smote_config=smote_config if balanced else None))
+            if (knn := dict(config.models).get("knn")) is not None:
+                k = knn.get("k", 5)
+                for fit_stage, where, size in _fit_rows(arm, arm_sets[arm][0].n_rows,
+                                                        rows.labels, folds, balanced):
+                    if k > size:
+                        stage = fit_stage
+                        raise TrainingError(f"k={k} exceeds the {size} rows of {where}")
+        del dataset, cv_source, rows  # no job reads them, so no child need inherit them
         # Fold jobs go first, then one full fit per (arm, model) with MLP,
         # the longest, first. Each job's output depends only on its inputs,
         # so the bundle is the same bytes whichever process ran it.

@@ -17,8 +17,9 @@ ignore) and its rules in the order they apply within a row: for a flow CSV
 NONNEGATIVE_FIELDS not negative; for a dataset CSV (`attack` and
 `synthetic` flags, every other column numeric) the label, then each
 feature in header order finite, then the synthetic flag. A header without
-the label, repeating a column it reads, or (a dataset CSV) with no feature
-column is a LoadError naming the file.
+the label, repeating a column it reads, or with no feature column (for a
+flow CSV, none the schema keeps) is a LoadError naming the file, ahead of
+any fault in the rows, a byte that is not UTF-8 included.
 A regular file whose every record is one physical line (no '"', no control
 byte but line breaks, no line over the csv field size limit, no empty
 cell) is parsed with numpy.loadtxt, in C, and kept if no rule fails and no
@@ -167,9 +168,6 @@ class Schema:
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from None
 
-    def to_json(self, path: str) -> None:
-        _write_json(path, {"roles": self.roles, "default_role": self.default_role})
-
 
 def default_schema() -> Schema:
     """The bundled schema for the standard flow column vocabulary."""
@@ -229,13 +227,9 @@ class FlowTable:
         return self.labels.shape[0]
 
     def present(self, name: str) -> np.ndarray:
-        """Mask of the rows with a value in column name (none when absent)."""
-        column = self.columns.get(name)
-        if column is None:
-            return np.zeros(len(self), dtype=bool)
-        if column.dtype.kind == "U":
-            return column != ""
-        return ~np.isnan(column)
+        """Mask of the rows with a value in column name."""
+        column = self.columns[name]
+        return column != "" if column.dtype.kind == "U" else ~np.isnan(column)
 
     def take(self, rows: np.ndarray) -> "FlowTable":
         """The rows an index array or boolean mask selects, in that order."""
@@ -462,6 +456,9 @@ def _read_lines(path: str, layout: Callable,
             header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise LoadError(f"{path}: file is empty")
+        except UnicodeDecodeError:  # maybe a byte past the header
+            _header_first(path, layout, *args)
+            raise
         kinds, rules = _layout(path, header, layout, *args)
         read = {name: _KINDS[kind] for name, kind in zip(header, kinds)
                 if kind != "ignore"}
@@ -476,6 +473,19 @@ def _read_lines(path: str, layout: Callable,
             line_parts.append(lines)
     return ({name: np.concatenate(chunks) for name, chunks in parts.items()},
             np.concatenate(line_parts))
+
+
+def _header_first(path: str, layout: Callable, *args) -> None:
+    """Raise the fault of path's header record, read on its own: decoding
+    runs ahead of csv.reader, so a byte that is not UTF-8 past the record
+    can stop its read. A bad byte or csv.Error in the record comes first."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        try:
+            header = [name.strip() for name in next(csv.reader(fh))]
+        except csv.Error:
+            return
+    if not re.search("[\udc80-\udcff]", "".join(header)):
+        _layout(path, header, layout, *args)
 
 
 def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
@@ -503,6 +513,8 @@ def _flow_layout(path: str, header: list[str],
     if label not in header:
         raise LoadError(f"{path}: header has no column {label!r} (declared label column)")
     kinds = ["flag" if role == "label" else role for role in map(schema.role_of, header)]
+    if "numeric" not in kinds and "categorical" not in kinds:
+        raise LoadError(f"{path}: header has no feature column the schema keeps")
     return kinds, [
         (label, _negative,
          lambda cell: f"label column {label!r} has value {cell!r}, expected 0 or 1"),
@@ -640,30 +652,17 @@ class Dataset:
         return Dataset(self.features[:, cols], self.labels, tuple(names))
 
 
-def to_dataset(flows: FlowTable,
-               features: Sequence[str] | None = None) -> Dataset:
+def to_dataset(flows: FlowTable) -> Dataset:
     """Assemble a cleansed, encoded flow table into a Dataset.
 
-    With features=None every numeric column with a value in every row is
-    used, in table order. Token columns (proto/state before encoding) are
-    skipped; encode first to include them.
+    Every numeric column with a value in every row is used, in table
+    order. Token columns (proto/state before encoding) are skipped; encode
+    first to include them.
     """
     if not len(flows):
         raise LoadError("cannot build a dataset from zero rows")
-    if features is None:
-        features = [name for name, column in flows.columns.items()
-                    if column.dtype.kind == "f" and not np.isnan(column).any()]
-    else:
-        for name in features:
-            column = flows.columns.get(name)
-            if column is not None and column.dtype.kind == "f":
-                bad = np.flatnonzero(np.isnan(column))
-            else:
-                bad = np.arange(len(flows))
-            if bad.size:
-                raise LoadError(
-                    f"feature {name!r} is missing or non-numeric in "
-                    f"{bad.size} rows (first at line {flows.lines[bad[0]]})")
+    features = [name for name, column in flows.columns.items()
+                if column.dtype.kind == "f" and not np.isnan(column).any()]
     if not features:
         raise LoadError("no fully-populated numeric feature columns found")
     matrix = np.column_stack([flows.columns[name] for name in features])

@@ -2,47 +2,38 @@
 
 The three stages run in that order: drop rows with missing values, map
 proto/state tokens to integer codes, then scale every feature column to
-[0, 1]. Encoding and scaling are fit/apply pairs whose fitted parameters
-serialize to JSON so a pipeline can be re-applied to new data.
+[0, 1]. Encoding and scaling are fit/apply pairs; only the encoding is
+written out (EncodingMap.to_json), as a record of the codes a run used.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import CleanseError, EncodingError, LoadError, SchemaError
-from .flows import (CATEGORICAL_FIELDS, Dataset, FlowTable, Schema, _finite,
-                    _read_json, _write_json)
+from .errors import CleanseError, EncodingError, SchemaError
+from .flows import CATEGORICAL_FIELDS, Dataset, FlowTable, Schema, _write_json
 
 # First code assigned per categorical column. proto codes count up from 1,
 # state codes from 10, so the two code ranges cannot be confused in output.
 _CODE_START = {"proto": 1, "state": 10}
 
 
-def cleanse(flows: FlowTable,
-            schema: Schema | None = None,
-            columns: Sequence[str] | None = None) -> FlowTable:
+def cleanse(flows: FlowTable, schema: Schema | None = None) -> FlowTable:
     """Drop rows with a missing value in any enforced column.
 
-    Enforced columns are `columns` when given, otherwise all schema-declared
-    feature columns that carry at least one value somewhere in the data
+    Enforced columns are the columns (the schema's feature columns, when
+    a schema is given) that carry at least one value somewhere in the data
     (a column absent from the file, or empty in every row, is not
     enforced). Relative row order is preserved. Labels are validated at
     load time and are always present. The returned table's missing_counts
     gives, per enforced column, how many input rows had no value there.
     """
-    if columns is None:
-        observed = [c for c in flows.columns if flows.present(c).any()]
-        if schema is not None:
-            enforced = [c for c in schema.feature_columns() if c in observed]
-        else:
-            enforced = observed
-    else:
-        enforced = list(columns)
+    enforced = [c for c in flows.columns if flows.present(c).any()]
+    if schema is not None:
+        enforced = [c for c in schema.feature_columns() if c in enforced]
     keep = np.ones(len(flows), dtype=bool)
     missing: dict[str, int] = {}
     for column in enforced:
@@ -76,27 +67,8 @@ class EncodingMap:
         return self.extra_codes.setdefault(column, {})
 
     def to_json(self, path: str) -> None:
-        payload = {"proto": self.proto_codes, "state": self.state_codes}
-        payload.update(self.extra_codes)
-        _write_json(path, payload)
-
-    @classmethod
-    def from_json(cls, path: str) -> "EncodingMap":
-        """The map to_json wrote: an object mapping each column to an
-        object of token -> integer code. Anything else is a LoadError
-        naming the path and the key."""
-        payload = _json_object(path, "encoding file")
-        for column, codes in payload.items():
-            if not isinstance(codes, dict):
-                raise LoadError(f"{path}: key {column!r} must hold an object "
-                                f"of token codes")
-            for token, code in codes.items():
-                if type(code) is not int:
-                    raise LoadError(f"{path}: key {column!r}: code of token "
-                                    f"{token!r} is {code!r}, not an integer")
-        proto = payload.pop("proto", {})
-        state = payload.pop("state", {})
-        return cls(proto_codes=proto, state_codes=state, extra_codes=payload)
+        _write_json(path, {**self.extra_codes, "proto": self.proto_codes,
+                           "state": self.state_codes})
 
 
 def _categorical_columns(flows: FlowTable, schema: Schema | None) -> list[str]:
@@ -129,9 +101,8 @@ def apply_encoding(flows: FlowTable, mapping: EncodingMap) -> FlowTable:
     and token, so encodings fitted on one split never silently mislabel
     another. Missing tokens stay missing (NaN).
     """
-    known = dict(mapping.extra_codes)
-    known["proto"] = mapping.proto_codes
-    known["state"] = mapping.state_codes
+    known = {**mapping.extra_codes, "proto": mapping.proto_codes,
+             "state": mapping.state_codes}
     columns = dict(flows.columns)
     for column, codes in known.items():
         tokens = columns.get(column)
@@ -158,46 +129,6 @@ class ScalerParams:
     feature_names: tuple[str, ...]
     minima: np.ndarray
     maxima: np.ndarray
-
-    def to_json(self, path: str) -> None:
-        payload = {
-            "features": list(self.feature_names),
-            "min": [float(v) for v in self.minima],
-            "max": [float(v) for v in self.maxima],
-        }
-        _write_json(path, payload, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, path: str) -> "ScalerParams":
-        """The parameters to_json wrote: "features" (names), "min" and
-        "max" (one finite number per feature). Anything else is a LoadError
-        naming the path and the key."""
-        payload = _json_object(path, "scaler file")
-        for key in ("features", "min", "max"):
-            if key not in payload:
-                raise LoadError(f"{path}: key {key!r} is missing")
-            if type(payload[key]) is not list:
-                raise LoadError(f"{path}: key {key!r} must hold a list")
-        names = payload["features"]
-        if not all(type(name) is str for name in names):
-            raise LoadError(f"{path}: key 'features' must list names")
-        for key in ("min", "max"):
-            values = payload[key]
-            if len(values) != len(names):
-                raise LoadError(f"{path}: key {key!r} has {len(values)} values "
-                                f"for {len(names)} features")
-            if not all(map(_finite, values)):
-                raise LoadError(f"{path}: key {key!r} must hold finite numbers")
-        return cls(feature_names=tuple(names),
-                   minima=np.array(payload["min"], dtype=np.float64),
-                   maxima=np.array(payload["max"], dtype=np.float64))
-
-
-def _json_object(path: str, what: str) -> dict:
-    payload = _read_json(path, what, LoadError)
-    if not isinstance(payload, dict):
-        raise LoadError(f"{path}: {what} must hold a JSON object")
-    return payload
 
 
 def fit_scaler(dataset: Dataset) -> ScalerParams:

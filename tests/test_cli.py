@@ -293,7 +293,11 @@ class TestTrainEvaluate:
          "header has no feature column"),
         (["ingest"], "pkts,attack,attack\n1,0,1\n2,1,0\n",
          "header repeats column 'attack'"),
-    ], ids=["repeated label", "label only", "flags only", "repeated flow label"])
+        (["ingest"], "attack\n0\n1\n", "header has no feature column the schema keeps"),
+        (["profile-stats"], "attack,junk\n0,x\n1,y\n",
+         "header has no feature column the schema keeps"),
+    ], ids=["repeated label", "label only", "flags only", "repeated flow label",
+            "flow label only", "flow label and ignored"])
     def test_faulty_header_exits_two_naming_the_file(self, tmp_path, capsys,
                                                      argv, text, error):
         path = tmp_path / "data.csv"

@@ -1,6 +1,7 @@
 """The CSV readers' acceptance rule at its edges: a cell over the csv field
 size limit, a file that can be read only once (a FIFO), each rule of each
-format on the C and the line path, and a faulty header."""
+format on the C and the line path, and a faulty header, which is reported
+ahead of any fault on a later line."""
 
 import os
 import pickle
@@ -131,6 +132,8 @@ HEADER_FAULTS = [
     ("dataset", "attack,synthetic", "1,0", "header has no feature column"),
     ("records", "pkts,attack,attack", "1,0,1", "header repeats column 'attack'"),
     ("records", "pkts,proto,pkts,attack", "1,tcp,2,0", "header repeats column 'pkts'"),
+    ("records", "attack", "0", "header has no feature column the schema keeps"),
+    ("records", "attack,junk", "0,x", "header has no feature column the schema keeps"),
 ]
 
 
@@ -140,6 +143,30 @@ def test_a_faulty_header_is_refused_naming_the_file(tmp_path, fmt, header, body,
     path = tmp_path / "data.csv"
     path.write_text(f"{header}\n{body}\n")
     assert outcomes(fmt, path) == (f"{path}: {error}",) * 2
+
+
+# Rows enough that a byte after them lies past the first 8 KiB, which a
+# text file decodes while csv.reader reads the header.
+FAR = 2000
+
+
+@pytest.mark.parametrize("rows", [1, FAR], ids=["near", "far"])
+@pytest.mark.parametrize("fmt, header", [("dataset", "a,a,attack"),
+                                         ("records", "pkts,pkts,attack")])
+def test_a_header_fault_wins_over_a_later_undecodable_byte(tmp_path, fmt, header, rows):
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{header}\n".encode() + b"1,2,0\n" * rows + b"\xff,1,1\n")
+    name = header.split(",")[0]
+    assert outcomes(fmt, path) == (f"{path}: header repeats column {name!r}",) * 2
+
+
+@pytest.mark.parametrize("rows", [1, FAR], ids=["near", "far"])
+@pytest.mark.parametrize("fmt, header", [("dataset", "a,a,\xffattack"),
+                                         ("records", "pkts,pkts,\xffattack")])
+def test_an_undecodable_byte_in_the_header_wins(tmp_path, fmt, header, rows):
+    path = tmp_path / "data.csv"
+    path.write_bytes(header.encode("latin-1") + b"\n" + b"1,2,0\n" * rows)
+    assert outcomes(fmt, path) == (f"{path}:1: byte 0xff is not UTF-8 text",) * 2
 
 
 def test_a_repeated_ignored_column_is_not_a_fault(tmp_path):

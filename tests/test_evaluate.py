@@ -1,5 +1,6 @@
 """Confusion metrics, ROC, splits, folds, and cross-validation."""
 
+import dataclasses
 import json
 import math
 import pickle
@@ -515,7 +516,10 @@ class TestEvalReport:
         train, test = train_test_split(ds, 0.25, seed=0)
         cv = cross_validate(train, "gnb", k=3, seed=0)
         model = fit_model("gnb", train)
-        report = evaluate_model(model, test, model_name="gnb", cv=cv)
+        report = evaluate_model(model, test, model_name="gnb")
+        assert "cross-validation" not in report.to_text()
+        # attached as run_experiment attaches it
+        report = dataclasses.replace(report, cv=cv)
         assert "cross-validation (k=3" in report.to_text()
 
     def test_json_dict_round_trips(self, rng):

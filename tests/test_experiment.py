@@ -343,6 +343,51 @@ class TestFoldJobs:
         assert not os.path.exists(outdir)
 
 
+class Fitted(Exception):
+    """Raised by a fit_model stand-in to end a run at its first fit."""
+
+
+class TestKnnKCheck:
+    # 2,000 rows: a 1,600-row training set, 3 folds with 1,066-row training
+    # parts, which SMOTE balances to 1,706 rows (twice the majority class)
+    @pytest.mark.parametrize("smote, k, cv_folds, stage, rows", [
+        ("off", 1067, 3, "cross_validate[raw/knn]", "1066 rows of fold 0's training part"),
+        ("both", 1067, 3, "cross_validate[raw/knn]", "1066 rows of fold 0's training part"),
+        ("on", 1707, 3, "cross_validate[smote/knn]", "1706 rows of fold 0's training part"),
+        ("off", 1601, 0, "train[raw/knn]", "1600 rows of the training set"),
+    ])
+    def test_a_k_over_some_fit_fails_before_any_fit(self, profile_path, tmp_path,
+                                                    monkeypatch, smote, k, cv_folds,
+                                                    stage, rows):
+        monkeypatch.setattr(botsift._pool, "WORKERS", 1)
+        fits = []
+        fit_model = botsift.experiment.fit_model
+        monkeypatch.setattr(botsift.experiment, "fit_model",
+                            lambda *args: fits.append(args[0]) or fit_model(*args))
+        config = quick_config(profile_path, input_rows=2000, smote=smote, cv_folds=cv_folds,
+                              models=(("gnb", {}), ("knn", {"k": k})))
+        outdir = str(tmp_path / "failed")
+        with pytest.raises(TrainingError) as err:
+            run_experiment(config, outdir)
+        assert fits == []
+        assert f"stage '{stage}' failed: k={k} exceeds the {rows}" in str(err.value)
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("smote, k", [("both", 1066), ("on", 1706)])
+    def test_a_k_that_fits_every_set_reaches_the_fits(self, profile_path, tmp_path,
+                                                      monkeypatch, smote, k):
+        monkeypatch.setattr(botsift._pool, "WORKERS", 1)
+
+        def first_fit(*args):
+            raise Fitted
+
+        monkeypatch.setattr(botsift.experiment, "fit_model", first_fit)
+        config = quick_config(profile_path, input_rows=2000, smote=smote, cv_folds=3,
+                              models=(("knn", {"k": k}),))
+        with pytest.raises(Fitted):
+            run_experiment(config, str(tmp_path / "bundle"))
+
+
 def bundle_bytes(outdir):
     files = {}
     for name in sorted(os.listdir(outdir)):
