@@ -337,6 +337,13 @@ class TestDataset:
         # proto is a token and dur has a gap; only pkts qualifies
         assert ds.feature_names == ("pkts",)
 
+    def test_present_marks_rows_with_a_value(self):
+        flows = make_flows([dict(pkts=1.0, proto="tcp", attack=0),
+                            dict(pkts=None, proto=None, attack=1),
+                            dict(pkts=0.0, proto="", attack=1)])
+        assert flows.present("pkts").tolist() == [True, False, True]
+        assert flows.present("proto").tolist() == [True, False, False]
+
 
 class TestCsvRoundTrip:
     def test_records_round_trip_counts_and_means(self, tmp_path, rng):

@@ -1,5 +1,7 @@
 """Cleansing, encoding, and min-max scaling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,30 @@ class TestEncoding:
         mapping = fit_encoding(make_flows([dict(proto="tcp", attack=0)]))
         with pytest.raises(EncodingError, match=r"proto.*'icmp'"):
             apply_encoding(make_flows([dict(proto="icmp", attack=0)]), mapping)
+
+    def test_declared_extra_column_is_encoded_from_one(self):
+        schema = Schema(roles={"attack": "label", "proto": "categorical",
+                               "flgs": "categorical"})
+        flows = make_flows([dict(proto="tcp", flgs="eU", attack=0),
+                            dict(proto="tcp", flgs=None, attack=1),
+                            dict(proto="tcp", flgs="e", attack=1)])
+        mapping = fit_encoding(flows, schema)
+        assert mapping.extra_codes == {"flgs": {"eU": 1, "e": 2}}
+        encoded = apply_encoding(flows, mapping).columns["flgs"]
+        assert np.array_equal(encoded, [1.0, np.nan, 2.0], equal_nan=True)
+
+    def test_to_json_records_every_column_table(self, tmp_path):
+        schema = Schema(roles={"attack": "label", "proto": "categorical",
+                               "state": "categorical", "flgs": "categorical"})
+        flows = make_flows([dict(proto="udp", state="CON", flgs="e", attack=0),
+                            dict(proto="tcp", state="CON", flgs="eU", attack=1)])
+        path = tmp_path / "encoding.json"
+        fit_encoding(flows, schema).to_json(str(path))
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text) == {"flgs": {"e": 1, "eU": 2},
+                                    "proto": {"udp": 1, "tcp": 2},
+                                    "state": {"CON": 10}}
+        assert text.endswith("}\n")
 
 class TestScaler:
     def test_basic_scaling(self):
