@@ -10,9 +10,11 @@ training row. Models are frozen dataclasses over read-only arrays and
 serialize to JSON, reloading bit-exactly.
 
 One table, _KINDS, holds what differs between the kinds: the class, the
-scorer, the array fields and their shapes, the checks a loaded model
-must pass, and KNN's tie rule. Scoring, labelling, saving and loading
-are each written once over it.
+fit function and the hyperparameters it takes with their defaults, the
+rule those values must meet, the scorer, the array fields and their
+shapes, the checks a loaded model must pass, and KNN's tie rule.
+Checking hyperparameters, fitting, scoring, labelling, saving and
+loading are each written once over it.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class KnnModel(_Model):
         return self._tree
 
 
-def knn_fit(train: Dataset, k: int = 5) -> KnnModel:
+def knn_fit(train: Dataset, k: int) -> KnnModel:
     if k < 1:
         raise TrainingError(f"k must be >= 1, got {k}")
     if k > train.n_rows:
@@ -203,7 +205,8 @@ class MlpConfig:
 
     def valid(self) -> bool:
         """Whether mlp_fit can train with this configuration."""
-        return self.epochs >= 0 and self.batch_size >= 1 and self.hidden >= 1
+        return (self.epochs >= 0 and self.batch_size >= 1 and self.hidden >= 1
+                and self.seed >= 0)
 
 
 @dataclass(frozen=True)
@@ -414,12 +417,18 @@ class _Kind:
     field to a test of a loaded value, given those sizes, and the message
     for a value that fails it. tie_rule and tie_labels are KNN's even-k
     rule: the rule's text, or None when the threshold alone decides, and
-    the labels of the rows X that scored exactly THRESHOLD.
+    the labels of the rows X that scored exactly THRESHOLD. fit(train,
+    **params) trains a model on params holding a value for every key of
+    defaults, the kind's hyperparameters; fault is the text of the rule
+    such params break, or None.
     """
     cls: type
     score: Callable[[Model, np.ndarray], np.ndarray]
     arrays: dict[str, tuple]
     rules: dict[str, tuple[Callable[[object, dict], bool], str]]
+    fit: Callable[..., Model]
+    defaults: dict
+    fault: Callable[[dict], str | None] = lambda params: None
     tie_rule: Callable[[Model], str | None] = lambda model: None
     tie_labels: Callable[[Model, np.ndarray], np.ndarray] | None = None
 
@@ -428,7 +437,7 @@ _KINDS = {
     # GNB scores the botnet posterior
     "gnb": _Kind(GnbModel, lambda m, X: gnb_posteriors(m, X)[:, 1],
                  {"priors": (2,), "means": (2, "d"), "variances": (2, "d")},
-                 {"priors": _POSITIVE, "variances": _POSITIVE}),
+                 {"priors": _POSITIVE, "variances": _POSITIVE}, gnb_fit, {}),
     # KNN scores the botnet share of the k nearest training rows; with
     # even k, a tied vote takes the label of the nearest
     "knn": _Kind(KnnModel,
@@ -438,14 +447,21 @@ _KINDS = {
                              "holds a label other than 0 or 1"),
                   "k": (lambda k, dims: 1 <= k <= dims["n"],
                         "is {value}, outside 1..{n} (the training rows)")},
-                 lambda m: None if m.k % 2 else (
+                 knn_fit, {"k": 5},
+                 lambda p: None if p["k"] >= 1 else (
+                     f"knn hyperparameter 'k' must be >= 1, got {p['k']}"),
+                 tie_rule=lambda m: None if m.k % 2 else (
                      f"k={m.k} is even, so a score of exactly {THRESHOLD} (a tied "
                      f"vote) takes the label of the nearest training row"),
-                 lambda m, X: m.labels[_knn_neighbors(m, X)[:, 0]]),
+                 tie_labels=lambda m, X: m.labels[_knn_neighbors(m, X)[:, 0]]),
     "mlp": _Kind(MlpModel, _mlp_scores,
                  {"w_in": ("d", "h"), "b_in": ("h",), "w_out": ("h",)},
                  {"config": (lambda c, dims: c.valid() and c.hidden == dims["h"],
-                             "is invalid for w_in's {h} hidden units: {value}")}),
+                             "is invalid for w_in's {h} hidden units: {value}")},
+                 lambda train, **p: mlp_fit(train, MlpConfig(**p)),
+                 dataclasses.asdict(MlpConfig()),
+                 lambda p: None if MlpConfig(**p).valid() else (
+                     f"invalid mlp hyperparameters: {MlpConfig(**p)}")),
 }
 
 MODEL_NAMES = tuple(_KINDS)
@@ -463,45 +479,42 @@ def model_kind(model: Model) -> str:
 # Shared prediction surface
 
 
-def check_params(name: str, params: dict, error: type[Exception] = TrainingError) -> None:
-    """Raise error unless params are valid hyperparameters of the model
-    name: nothing for gnb, an integer k >= 1 for knn, and for mlp
-    MlpConfig fields, each of its declared type, that mlp_fit accepts.
-    These are the types a model file holds (see load_model). A name not in
-    MODEL_NAMES is left to the caller."""
-    if name == "gnb" and params:
-        raise error(f"gnb takes no hyperparameters, got {params}")
-    if name == "knn":
-        unknown = {key: value for key, value in params.items() if key != "k"}
-        if unknown:
-            raise error(f"unknown knn hyperparameters: {unknown}")
-        k = params.get("k", 5)
-        if not _ACCEPTS["int"][1](k):
-            raise error(f"knn hyperparameter 'k' is not an integer, got {k!r}")
-        if k < 1:
-            raise error(f"knn hyperparameter 'k' must be >= 1, got {k}")
-    if name == "mlp":
-        try:
-            filled = {**dataclasses.asdict(MlpConfig()), **params}
-            config = MlpConfig(**_decode(MlpConfig, filled, {}, {}))
-        except LoadError as exc:
-            raise error(f"invalid mlp hyperparameters: {exc}") from None
-        if not config.valid():
-            raise error(f"invalid mlp hyperparameters: {config}")
+def check_params(name: str, params: dict, error: type[Exception] = TrainingError) -> dict:
+    """params with the defaults of the model name filled in. Raise error
+    unless name is in MODEL_NAMES and params are its hyperparameters: each
+    a key of the kind's defaults, of its default's type (the types a model
+    file holds, see load_model), together meeting the kind's rule."""
+    if name not in MODEL_NAMES:
+        raise error(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
+    kind = _KINDS[name]
+    unknown = {key: value for key, value in params.items() if key not in kind.defaults}
+    if unknown:
+        raise error(f"unknown {name} hyperparameters: {unknown}")
+    filled = {**kind.defaults, **params}
+    for key, value in filled.items():
+        what, accepts = _ACCEPTS[type(kind.defaults[key]).__name__]
+        if not accepts(value):
+            raise error(f"{name} hyperparameter {key!r} is not {what}, got {value!r}")
+    if fault := kind.fault(filled):
+        raise error(fault)
+    return filled
+
+
+def _seeded(name: str, params: dict | None, seed: int | None) -> dict:
+    """A copy of params with seed appended as "seed" when the model name
+    takes a seed that params leave unset, so a caller's seed reaches every
+    seeded fit."""
+    params, kind = dict(params or {}), _KINDS.get(name)
+    if seed is not None and kind is not None and "seed" in kind.defaults:
+        params.setdefault("seed", seed)
+    return params
 
 
 def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
     """Fit a classifier by name; params are its hyperparameters, as
-    check_params accepts them."""
-    params = dict(params or {})
-    check_params(name, params)
-    if name == "gnb":
-        return gnb_fit(train)
-    if name == "knn":
-        return knn_fit(train, **params)
-    if name == "mlp":
-        return mlp_fit(train, MlpConfig(**params))
-    raise TrainingError(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
+    check_params accepts them, and defaults fill those left out."""
+    params = check_params(name, params or {})
+    return _KINDS[name].fit(train, **params)
 
 
 def _features_for(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
@@ -623,16 +636,16 @@ def _decode(cls, payload: dict, arrays: dict, dims: dict, prefix: str = "") -> d
             raise _bad(prefix + key, "is missing" if key in fields
                        else f"is not a field of {cls.__name__}")
     values = {}
-    for name, type_ in fields.items():
-        key, value = prefix + name, payload[name]
-        if name in arrays:
-            value = _array(key, value, arrays[name], dims)
+    for attr, type_ in fields.items():
+        key, value = prefix + attr, payload[attr]
+        if attr in arrays:
+            value = _array(key, value, arrays[attr], dims)
         elif not _ACCEPTS[type_][1](value):
             raise _bad(key, f"is not {_ACCEPTS[type_][0]}")
         elif type_ == "MlpConfig":
             value = MlpConfig(**_decode(MlpConfig, value, {}, {}, key + "."))
-        values[name] = tuple(value) if type_.startswith("tuple") else value
-        if name == "feature_names":
+        values[attr] = tuple(value) if type_.startswith("tuple") else value
+        if attr == "feature_names":
             dims["d"] = len(value)
     return values
 

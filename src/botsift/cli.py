@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .classifiers import MODEL_NAMES, fit_model, load_model, save_model
+from .classifiers import MODEL_NAMES, _seeded, fit_model, load_model, save_model
 from .errors import BotsiftError, ConfigError, SchemaError
 from .evaluate import METRIC_NAMES, cross_validate, evaluate_model, percent
 from .experiment import ExperimentConfig, run_experiment
@@ -190,9 +190,7 @@ def _cmd_smote(args) -> None:
 def _cmd_train(args) -> None:
     dataset, _ = read_dataset_csv(_require(args, "csv"))
     name = _require(args, "model")
-    params = _params_arg(args)
-    if name == "mlp" and args.seed is not None and "seed" not in params:
-        params["seed"] = args.seed
+    params = _seeded(name, _params_arg(args), args.seed)
     model = fit_model(name, dataset, params)
     model = dataclasses.replace(model, provenance={
         "trained_rows": dataset.n_rows,
@@ -289,7 +287,8 @@ def build_parser() -> _Parser:
         csv_flag,
         ("--k", {"type": _at_least(1), "default": 5,
                  "help": "neighbourhood size (default %(default)s)"}),
-        ("--target", {"type": int, "help": "minority count (default: match majority)"}),
+        ("--target", {"type": _at_least(1),
+                      "help": "minority count (default: match majority)"}),
     ], seed=0)
     add("train", _cmd_train, "fit one classifier and save it", [
         csv_flag,

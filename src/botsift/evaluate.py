@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import (THRESHOLD, _features_for, fit_model,
+from .classifiers import (THRESHOLD, _features_for, _seeded, fit_model,
                           labels_from_scores, model_kind, score_batch, tie_rule)
 from .errors import EvaluationError
 from .flows import Dataset, _counts_json, _write_json
@@ -192,14 +192,13 @@ def roc_curve(scores: np.ndarray, y_true: np.ndarray) -> RocCurve:
 # Splitting and folding
 
 
-def split_indices(labels: np.ndarray, test_fraction: float, seed: int = 0,
-                  stratified: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(train_idx, test_idx), both ascending.
+def split_indices(labels: np.ndarray, test_fraction: float,
+                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(train_idx, test_idx), both ascending and stratified.
 
-    |test| = round(n * test_fraction), half up, computed exactly. The
-    stratified mode allocates the test quota over classes by largest
-    remainder, keeping each class's test share within one row of
-    proportional.
+    |test| = round(n * test_fraction), half up, computed exactly. The test
+    quota is allocated over classes by largest remainder, keeping each
+    class's test share within one row of proportional.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
@@ -211,12 +210,6 @@ def split_indices(labels: np.ndarray, test_fraction: float, seed: int = 0,
             f"test fraction {test_fraction} leaves one side of the "
             f"{n}-row split empty")
     rng = np.random.default_rng(seed)
-    if not stratified:
-        perm = rng.permutation(n)
-        test = np.sort(perm[:t])
-        train = np.sort(perm[t:])
-        return train, test
-
     class_idx = [np.flatnonzero(labels == c) for c in (0, 1)]
     quotas = [Fraction(test_fraction) * len(ci) for ci in class_idx]
     counts = [int(q) for q in quotas]  # floor of a non-negative Fraction
@@ -229,31 +222,26 @@ def split_indices(labels: np.ndarray, test_fraction: float, seed: int = 0,
     )
     for c in remainders[:t - sum(counts)]:
         counts[c] += 1
-    test_parts = []
-    for c in (0, 1):
-        perm = rng.permutation(len(class_idx[c]))
-        test_parts.append(class_idx[c][perm[:counts[c]]])
-    test = np.sort(np.concatenate(test_parts))
+    test = np.sort(np.concatenate([ci[rng.permutation(len(ci))[:m]]
+                                   for ci, m in zip(class_idx, counts)]))
     mask = np.ones(n, dtype=bool)
     mask[test] = False
     return np.flatnonzero(mask), test
 
 
 def train_test_split(dataset: Dataset, test_fraction: float = 0.2,
-                     seed: int = 0, stratified: bool = True
-                     ) -> tuple[Dataset, Dataset]:
-    train_idx, test_idx = split_indices(dataset.labels, test_fraction,
-                                        seed, stratified)
+                     seed: int = 0) -> tuple[Dataset, Dataset]:
+    train_idx, test_idx = split_indices(dataset.labels, test_fraction, seed)
     return dataset.take(train_idx), dataset.take(test_idx)
 
 
-def make_folds(labels: np.ndarray, k: int, seed: int = 0,
-               stratified: bool = True) -> list[np.ndarray]:
-    """Partition row indices into k folds (each returned ascending).
+def make_folds(labels: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
+    """Partition row indices into k stratified folds (each returned
+    ascending).
 
-    Fold sizes differ by at most one. In stratified mode each class is
-    dealt round-robin, so every fold's class counts are within one row of
-    the class total divided by k.
+    Fold sizes differ by at most one. Each class is dealt round-robin, so
+    every fold's class counts are within one row of the class total
+    divided by k.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
@@ -262,14 +250,8 @@ def make_folds(labels: np.ndarray, k: int, seed: int = 0,
     if k > n:
         raise EvaluationError(f"cannot make {k} folds from {n} rows")
     rng = np.random.default_rng(seed)
-    if stratified:
-        parts = []
-        for c in (0, 1):
-            ci = np.flatnonzero(labels == c)
-            parts.append(ci[rng.permutation(len(ci))])
-        sequence = np.concatenate(parts)
-    else:
-        sequence = rng.permutation(n)
+    class_idx = [np.flatnonzero(labels == c) for c in (0, 1)]
+    sequence = np.concatenate([ci[rng.permutation(len(ci))] for ci in class_idx])
     return [np.sort(sequence[f::k]) for f in range(k)]
 
 
@@ -296,8 +278,7 @@ def fold_sets(dataset: Dataset, folds: list[np.ndarray], f: int, seed: int, *,
         if counts[0] == 0 or counts[1] == 0:
             raise EvaluationError(
                 f"fold {f}: {name} part has a single class "
-                f"(counts {counts}); use stratified folds and a k no "
-                f"larger than the smaller class")
+                f"(counts {counts}); use a k no larger than the smaller class")
     if scale:
         scaler = fit_scaler(train)
         train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)
@@ -344,12 +325,13 @@ class CvResult:
 
 def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                    seed: int = 0, *, params: dict | None = None,
-                   stratified: bool = True, scale: bool = True,
+                   scale: bool = True,
                    smote_config: SmoteConfig | None = None) -> CvResult:
     """k-fold cross-validation of one model: each fold's parts come from
-    fold_sets, and the model is fitted on the training part and scored on
-    the test part."""
-    folds = make_folds(dataset.labels, k, seed, stratified)
+    fold_sets, and the model, seeded seed unless params set its seed, is
+    fitted on the training part and scored on the test part."""
+    folds = make_folds(dataset.labels, k, seed)
+    params = _seeded(model_name, params, seed)
     metrics = []
     for f in range(k):
         train, test = fold_sets(dataset, folds, f, seed, scale=scale,

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from ._pool import fork_map
-from .classifiers import MODEL_NAMES, check_params, fit_model, save_model
+from .classifiers import MODEL_NAMES, _seeded, check_params, fit_model, save_model
 from .errors import BotsiftError, ConfigError, TrainingError
 from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
                        fold_sets, make_folds, percent, train_test_split)
@@ -99,9 +99,6 @@ class ExperimentConfig:
         if len(set(names)) < len(names):
             raise ConfigError(f"config lists a model more than once: {names}")
         for name, params in self.models:
-            if name not in MODEL_NAMES:
-                raise ConfigError(
-                    f"unknown model {name!r}, expected one of {MODEL_NAMES}")
             if not isinstance(params, dict):
                 raise ConfigError(f"model {name!r} parameters must be an object")
             check_params(name, params, ConfigError)
@@ -111,10 +108,10 @@ class ExperimentConfig:
         if self.cv_folds != 0 and self.cv_folds < 2:
             raise ConfigError(
                 f"cv_folds must be 0 (disabled) or >= 2, got {self.cv_folds}")
-        if self.smote_k < 1:
-            raise ConfigError(f"smote_k must be >= 1, got {self.smote_k}")
-        if self.input_rows is not None and self.input_rows < 1:
-            raise ConfigError(f"input rows must be >= 1, got {self.input_rows}")
+        for key, value, low in (("seed", self.seed, 0), ("smote_k", self.smote_k, 1),
+                                ("input rows", self.input_rows, 1)):
+            if value is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
 
     def stage_seeds(self) -> dict[str, int]:
         seeds = {"master": self.seed}
@@ -288,8 +285,7 @@ def _run_job(grid: _Grid, job: _Job) -> tuple[str, list | Exception]:
         results = []
         for name, params in models:
             stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
-            params = {"seed": grid.seeds["mlp"], **params} if name == "mlp" else params
-            model = fit_model(name, train, params)
+            model = fit_model(name, train, _seeded(name, params, grid.seeds["mlp"]))
             if f is None and grid.config.save_models:
                 tagged = dataclasses.replace(model, provenance={
                     "arm": arm, "mode": grid.config.mode, "stage_seeds": grid.seeds,
@@ -370,7 +366,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
                     fold_sets, rows, folds, seed=seeds["cv"], scale=not paper,
                     smote_config=smote_config if balanced else None))
             if (knn := dict(config.models).get("knn")) is not None:
-                k = knn.get("k", 5)
+                k = check_params("knn", knn)["k"]
                 for fit_stage, where, size in _fit_rows(arm, arm_sets[arm][0].n_rows,
                                                         rows.labels, folds, balanced):
                     if k > size:

@@ -364,7 +364,7 @@ def test_09_smote_benefit():
         flows = cleanse(generate(profile, rows=20_000, seed=base + 1))
         dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
         train_idx, test_idx = split_indices(
-            dataset.labels, 0.5, seed=base + 2, stratified=True)
+            dataset.labels, 0.5, seed=base + 2)
         train, test = dataset.take(train_idx), dataset.take(test_idx)
         scaler = fit_scaler(train)
         train_scaled = apply_scaler(train, scaler)
@@ -479,17 +479,15 @@ def test_12_fold_partition(rng):
         minority_rate = rng.uniform(0.1, 0.5)
         labels = (rng.random(n) < minority_rate).astype(np.int64)
         labels[:2] = (0, 1)
-        for stratified in (True, False):
-            folds = make_folds(labels, k, seed=trial, stratified=stratified)
-            assert len(folds) == k
-            joined = np.concatenate(folds)
-            assert len(joined) == n
-            assert np.array_equal(np.sort(joined), np.arange(n))  # disjoint
-            sizes = [len(f) for f in folds]
-            assert max(sizes) - min(sizes) <= 1
-            if stratified:
-                ones = int(labels.sum())
-                for fold in folds:
-                    fold_ones = int(labels[fold].sum())
-                    assert abs(fold_ones - len(fold) * ones / n) <= 1.0
+        folds = make_folds(labels, k, seed=trial)
+        assert len(folds) == k
+        joined = np.concatenate(folds)
+        assert len(joined) == n
+        assert np.array_equal(np.sort(joined), np.arange(n))  # disjoint
+        sizes = [len(f) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        ones = int(labels.sum())
+        for fold in folds:
+            fold_ones = int(labels[fold].sum())
+            assert abs(fold_ones - len(fold) * ones / n) <= 1.0
     _ok(12, "fold-partition")

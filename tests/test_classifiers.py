@@ -19,7 +19,7 @@ from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
                      gnb_posteriors, knn_fit, load_model, make_folds, mlp_fit,
                      mlp_init, mlp_loss_and_grads, predict_batch, save_model,
                      score_batch, threshold_labels)
-from botsift.classifiers import MODEL_NAMES
+from botsift.classifiers import MODEL_NAMES, check_params
 
 from conftest import make_dataset
 
@@ -281,7 +281,7 @@ class TestKnn:
         cv = cross_validate(ds, "knn", k=4, seed=3, params={"k": 2},
                             scale=False)
         for fold, test_idx in zip(cv.fold_metrics,
-                                  make_folds(y, 4, 3, True)):
+                                  make_folds(y, 4, 3)):
             mask = np.ones(len(y), dtype=bool)
             mask[test_idx] = False
             want = knn_predict_oracle(X[mask], y[mask], X[test_idx], 2)
@@ -431,11 +431,13 @@ class TestSharedSurface:
 
     def test_fit_model_rejects_bad_hyperparameters(self, rng):
         train = blobs(rng, n0=10, n1=10)
-        with pytest.raises(TrainingError, match="gnb takes no"):
+        with pytest.raises(TrainingError,
+                           match=r"^unknown gnb hyperparameters: \{'k': 2\}$"):
             fit_model("gnb", train, {"k": 2})
         with pytest.raises(TrainingError, match="unknown knn"):
             fit_model("knn", train, {"k": 2, "depth": 9})
-        with pytest.raises(TrainingError, match="invalid mlp"):
+        with pytest.raises(TrainingError,
+                           match=r"^unknown mlp hyperparameters: \{'layers': 4\}$"):
             fit_model("mlp", train, {"layers": 4})
         with pytest.raises(TrainingError, match="unknown model"):
             fit_model("forest", train)
@@ -444,16 +446,26 @@ class TestSharedSurface:
         ("knn", {"k": "5"}, "knn hyperparameter 'k' is not an integer, got '5'"),
         ("knn", {"k": True}, "knn hyperparameter 'k' is not an integer, got True"),
         ("knn", {"k": 3.0}, "knn hyperparameter 'k' is not an integer, got 3.0"),
-        ("mlp", {"epochs": "2"}, "key 'epochs' is not an integer"),
-        ("mlp", {"hidden": True}, "key 'hidden' is not an integer"),
-        ("mlp", {"learning_rate": "0.1"}, "key 'learning_rate' is not a finite number"),
-        ("mlp", {"learning_rate": float("nan")}, "key 'learning_rate' is not a finite"),
+        ("mlp", {"epochs": "2"}, "mlp hyperparameter 'epochs' is not an integer, got '2'"),
+        ("mlp", {"hidden": True}, "mlp hyperparameter 'hidden' is not an integer, got True"),
+        ("mlp", {"learning_rate": "0.1"},
+         "mlp hyperparameter 'learning_rate' is not a finite number, got '0.1'"),
+        ("mlp", {"learning_rate": float("nan")},
+         "mlp hyperparameter 'learning_rate' is not a finite number, got nan"),
     ])
     def test_fit_model_rejects_mistyped_hyperparameters(self, rng, name, params,
                                                          message):
         train = blobs(rng, n0=10, n1=10)
-        with pytest.raises(TrainingError, match=message):
+        with pytest.raises(TrainingError) as err:
             fit_model(name, train, params)
+        assert str(err.value) == message
+
+    def test_check_params_fills_the_defaults(self):
+        assert check_params("gnb", {}) == {}
+        assert check_params("knn", {}) == {"k": 5}
+        assert check_params("mlp", {"epochs": 3}) == {
+            "hidden": 16, "learning_rate": 0.1, "epochs": 3, "batch_size": 32,
+            "seed": 0}
 
     def test_threshold_is_inclusive_at_half(self):
         scores = np.array([0.49, 0.5, 0.51, 0.0, 1.0])

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from botsift import Dataset, read_dataset_csv, write_dataset_csv
+from botsift import Dataset, cross_validate, read_dataset_csv, write_dataset_csv
 from botsift.cli import main
 
 PROFILE = {
@@ -308,6 +308,16 @@ class TestTrainEvaluate:
         assert err == f"botsift: {path}: {error}\n"
         assert "Traceback" not in err
 
+    def test_negative_mlp_seed_exits_two(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "fit"
+        code = main(["train", "--csv", dataset_csv, "--model", "mlp",
+                     "--params", '{"seed": -1}', "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "botsift: invalid mlp hyperparameters: MlpConfig(hidden=16, "
+            "learning_rate=0.1, epochs=50, batch_size=32, seed=-1)\n")
+        assert not out.exists()
+
     def test_bad_params_json_exits_one(self, dataset_csv, tmp_path, capsys):
         code = main(["train", "--csv", dataset_csv, "--model", "knn",
                      "--params", "{broken", "--out", str(tmp_path / "x")])
@@ -449,6 +459,17 @@ class TestCrossValidate:
         assert payload["k"] == 3
         assert len(payload["folds"]) == 3
 
+    def test_seed_reaches_the_mlp(self, tmp_path, dataset_csv):
+        out = tmp_path / "cv"
+        assert main(["cross-validate", "--csv", dataset_csv, "--model", "mlp",
+                     "--folds", "3", "--seed", "3", "--params", '{"epochs": 2}',
+                     "--out", str(out)]) == 0
+        dataset, _ = read_dataset_csv(dataset_csv)
+        want = cross_validate(dataset, "mlp", k=3, seed=3,
+                              params={"seed": 3, "epochs": 2})
+        with open(out / "cv_mlp.json", encoding="utf-8") as fh:
+            assert json.load(fh) == json.loads(json.dumps(want.as_dict()))
+
 
 class TestRun:
     def _config(self, tmp_path, profile_path, **extra):
@@ -500,9 +521,13 @@ class TestRun:
         ({"models": [{"name": "knn", "k": "5"}]},
          "knn hyperparameter 'k' is not an integer, got '5'"),
         ({"models": [{"name": "mlp", "epochs": 2.5}]},
-         "invalid mlp hyperparameters: key 'epochs' is not an integer"),
+         "mlp hyperparameter 'epochs' is not an integer, got 2.5"),
         ({"models": [{"name": "knn", "k": 0}]},
          "knn hyperparameter 'k' must be >= 1, got 0"),
+        ({"models": [{"name": "mlp", "seed": -1}]},
+         "invalid mlp hyperparameters: MlpConfig(hidden=16, learning_rate=0.1, "
+         "epochs=50, batch_size=32, seed=-1)"),
+        ({"seed": -2}, "seed must be >= 0, got -2"),
     ])
     def test_config_fault_exits_one_naming_the_file(self, tmp_path, profile_path,
                                                     capsys, extra, message):
@@ -541,6 +566,7 @@ class TestConfigFile:
         ("smote", {"seed": True}, "argument --seed: invalid int value: 'true'"),
         ("cross-validate", {"model": "forest"}, "argument --model: invalid choice"),
         ("smote", {"k": 0}, "argument --k: must be >= 1, got 0"),
+        ("smote", {"target": 0}, "argument --target: must be >= 1, got 0"),
         ("cross-validate", {"folds": 1}, "argument --folds: must be >= 2, got 1"),
         ("synth", {"rows": 0}, "argument --rows: must be >= 1, got 0"),
         ("train", [1], "config file must hold a JSON object"),
@@ -605,6 +631,7 @@ class TestFlagRanges:
     @pytest.mark.parametrize("argv, why", [
         (["smote", "--k", "0"], "argument --k: must be >= 1, got 0"),
         (["smote", "--k", "-3"], "argument --k: must be >= 1, got -3"),
+        (["smote", "--target", "-3"], "argument --target: must be >= 1, got -3"),
         (["cross-validate", "--model", "gnb", "--folds", "1"],
          "argument --folds: must be >= 2, got 1"),
         (["synth", "--rows", "0"], "argument --rows: must be >= 1, got 0"),

@@ -267,13 +267,6 @@ class TestSplitIndices:
         assert np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
 
-    def test_unstratified_mode_partitions_too(self, rng):
-        labels = rng.integers(0, 2, 41)
-        train, test = split_indices(labels, 0.2, seed=0, stratified=False)
-        assert len(test) == 8
-        merged = np.sort(np.concatenate([train, test]))
-        assert np.array_equal(merged, np.arange(41))
-
     def test_degenerate_fractions_rejected(self):
         labels = np.array([0, 1, 0])
         with pytest.raises(EvaluationError, match="in \\(0, 1\\)"):
@@ -320,13 +313,6 @@ class TestMakeFolds:
                 per_fold = [int(np.sum(labels[f] == c)) for f in folds]
                 assert max(per_fold) - min(per_fold) <= 1
 
-    def test_unstratified_sizes_within_one(self, rng):
-        labels = rng.integers(0, 2, 29)
-        folds = make_folds(labels, 4, seed=2, stratified=False)
-        sizes = [len(f) for f in folds]
-        assert sum(sizes) == 29
-        assert max(sizes) - min(sizes) <= 1
-
     def test_bounds_enforced(self):
         labels = np.array([0, 1, 0])
         with pytest.raises(EvaluationError, match=">= 2"):
@@ -352,18 +338,18 @@ class TestPartitionProperties:
     """split_indices and make_folds over arbitrary label vectors."""
 
     @settings(max_examples=200, deadline=None)
-    @given(label_lists, st.floats(0.01, 0.99), seeds, st.booleans())
+    @given(label_lists, st.floats(0.01, 0.99), seeds)
     def test_split_covers_every_row_once_and_repeats_per_seed(
-            self, labels, fraction, seed, stratified):
+            self, labels, fraction, seed):
         n = len(labels)
         t = round_half_up(Fraction(fraction) * n)
         assume(0 < t < n)
-        train, test = split_indices(labels, fraction, seed, stratified)
+        train, test = split_indices(labels, fraction, seed)
         for part in (train, test):
             assert np.all(np.diff(part) > 0)
         assert len(test) == t
         assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
-        again = split_indices(labels, fraction, seed, stratified)
+        again = split_indices(labels, fraction, seed)
         assert np.array_equal(again[0], train) and np.array_equal(again[1], test)
 
     @settings(max_examples=200, deadline=None)
@@ -378,11 +364,11 @@ class TestPartitionProperties:
             assert abs(int(np.sum(labels[test] == c)) - share) <= 1
 
     @settings(max_examples=200, deadline=None)
-    @given(label_lists, st.integers(2, 12), seeds, st.booleans())
+    @given(label_lists, st.integers(2, 12), seeds)
     def test_folds_cover_every_row_once_and_repeat_per_seed(
-            self, labels, k, seed, stratified):
+            self, labels, k, seed):
         assume(k <= len(labels))
-        folds = make_folds(labels, k, seed, stratified)
+        folds = make_folds(labels, k, seed)
         assert len(folds) == k
         for fold in folds:
             assert np.all(np.diff(fold) > 0)
@@ -390,7 +376,7 @@ class TestPartitionProperties:
                               np.arange(len(labels)))
         sizes = [len(fold) for fold in folds]
         assert max(sizes) - min(sizes) <= 1
-        again = make_folds(labels, k, seed, stratified)
+        again = make_folds(labels, k, seed)
         assert all(np.array_equal(a, b) for a, b in zip(folds, again))
 
     @settings(max_examples=200, deadline=None)
@@ -424,27 +410,13 @@ class TestCrossValidate:
         b = cross_validate(ds, "gnb", k=3, seed=5)
         assert a == b
 
-    def test_too_few_minority_rows_for_k_advises_stratified(self, rng):
+    def test_too_few_minority_rows_for_k_advises_a_smaller_k(self, rng):
         X = rng.normal(0, 1, (20, 2))
         y = np.array([1, 1] + [0] * 18)
         ds = make_dataset(X, y)
-        with pytest.raises(EvaluationError, match="single class"):
+        with pytest.raises(EvaluationError, match=r"single class .*; use a k no "
+                                                  r"larger than the smaller class$"):
             cross_validate(ds, "gnb", k=5, seed=0)
-
-    def test_unstratified_folding_can_lose_a_class(self, rng):
-        X = rng.normal(0, 1, (24, 2))
-        y = np.array([1] * 6 + [0] * 18)
-        ds = make_dataset(X, y)
-        failed = False
-        for seed in range(30):
-            try:
-                cross_validate(ds, "gnb", k=6, seed=seed, stratified=False)
-            except EvaluationError as err:
-                assert "stratified" in str(err)
-                failed = True
-                break
-        assert failed, "no seed produced a single-class fold"
-        cross_validate(ds, "gnb", k=6, seed=0)  # stratified succeeds
 
     def test_in_fold_resampling_runs(self, rng):
         from botsift import SmoteConfig

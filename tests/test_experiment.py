@@ -373,6 +373,15 @@ class TestKnnKCheck:
         assert f"stage '{stage}' failed: k={k} exceeds the {rows}" in str(err.value)
         assert not os.path.exists(outdir)
 
+    def test_the_default_k_is_checked(self, profile_path, tmp_path):
+        # 10 rows: an 8-row training set, 2 folds with 4-row training parts
+        config = quick_config(profile_path, input_rows=10, cv_folds=2,
+                              models=(("knn", {}),))
+        with pytest.raises(TrainingError) as err:
+            run_experiment(config, str(tmp_path / "failed"))
+        assert ("stage 'cross_validate[raw/knn]' failed: k=5 exceeds the 4 rows "
+                "of fold 0's training part") in str(err.value)
+
     @pytest.mark.parametrize("smote, k", [("both", 1066), ("on", 1706)])
     def test_a_k_that_fits_every_set_reaches_the_fits(self, profile_path, tmp_path,
                                                       monkeypatch, smote, k):
