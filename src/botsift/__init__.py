@@ -9,9 +9,9 @@ produces profile-driven flow data for experiments without a capture file.
 """
 
 from .classifiers import (GnbModel, KnnModel, MlpConfig, MlpModel, fit_model,
-                          gnb_fit, gnb_posteriors, knn_fit, load_model,
-                          mlp_fit, mlp_init, mlp_loss_and_grads, predict_batch,
-                          save_model, score_batch, threshold_labels)
+                          gnb_posteriors, load_model, mlp_loss_and_grads,
+                          predict_batch, save_model, score_batch,
+                          threshold_labels)
 from .errors import (BotsiftError, CleanseError, ConfigError, DivergenceError,
                      EncodingError, EvaluationError, FeatureScoreError,
                      LoadError, ResampleError, SchemaError, SynthError,

@@ -10,11 +10,11 @@ training row. Models are frozen dataclasses over read-only arrays and
 serialize to JSON, reloading bit-exactly.
 
 One table, _KINDS, holds what differs between the kinds: the class, the
-fit function and the hyperparameters it takes with their defaults, the
-rule those values must meet, the scorer, the array fields and their
-shapes, the checks a loaded model must pass, and KNN's tie rule.
-Checking hyperparameters, fitting, scoring, labelling, saving and
-loading are each written once over it.
+private fit and the hyperparameters it takes with their defaults, the
+rule those values and the training class counts must meet, the scorer,
+the array fields and their shapes, the checks a loaded model must pass,
+and KNN's tie rule. Checking hyperparameters, fitting (fit_model is the
+only way to fit), scoring, labelling, saving and loading each use it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class GnbModel(_Model):
     provenance: dict = field(default_factory=dict)
 
 
-def gnb_fit(train: Dataset) -> GnbModel:
+def _gnb_fit(train: Dataset) -> GnbModel:
     """Fit per-class feature Gaussians with frequency priors.
 
     Variances are maximum-likelihood (divide by class count) plus a
@@ -70,9 +70,6 @@ def gnb_fit(train: Dataset) -> GnbModel:
     a zero variance.
     """
     normal, botnet = train.class_counts
-    if normal == 0 or botnet == 0:
-        raise TrainingError(
-            f"naive Bayes needs both classes, class counts are ({normal}, {botnet})")
     X, y = train.features, train.labels
     eps = 1e-9 * float(X.var(axis=0).max())
     if eps == 0.0:
@@ -124,15 +121,6 @@ class KnnModel(_Model):
             from scipy.spatial import cKDTree
             object.__setattr__(self, "_tree", cKDTree(self.points))
         return self._tree
-
-
-def knn_fit(train: Dataset, k: int) -> KnnModel:
-    if k < 1:
-        raise TrainingError(f"k must be >= 1, got {k}")
-    if k > train.n_rows:
-        raise TrainingError(f"k={k} exceeds the {train.n_rows} training rows")
-    return KnnModel(feature_names=train.feature_names, points=train.features,
-                    labels=train.labels, k=k)
 
 
 def squared_distances(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -204,7 +192,7 @@ class MlpConfig:
     seed: int = 0
 
     def valid(self) -> bool:
-        """Whether mlp_fit can train with this configuration."""
+        """Whether the MLP can train with this configuration."""
         return (self.epochs >= 0 and self.batch_size >= 1 and self.hidden >= 1
                 and self.seed >= 0)
 
@@ -281,7 +269,7 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
 
     Loss uses the softplus identity bce = softplus(z) - y*z on the output
     pre-activation, which stays finite for any finite z. The forward and
-    backward passes are the ones mlp_fit steps through.
+    backward passes are the ones _mlp_fit steps through.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -295,14 +283,6 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
                   "b_out": float(grads[3])}
 
 
-def mlp_init(feature_count: int, config: MlpConfig) -> MlpModel:
-    """Seeded uniform [-0.5, 0.5] weights and biases over features f0, f1, ..."""
-    flat = _init_params(np.random.default_rng(config.seed), feature_count,
-                        config.hidden)
-    names = tuple(f"f{i}" for i in range(feature_count))
-    return _mlp_model(names, flat, feature_count, config)
-
-
 def _mlp_model(names: tuple[str, ...], flat: np.ndarray, feature_count: int,
                config: MlpConfig, losses: tuple[float, ...] = ()) -> MlpModel:
     """A model over a copy of the flat parameter vector."""
@@ -311,15 +291,16 @@ def _mlp_model(names: tuple[str, ...], flat: np.ndarray, feature_count: int,
     return MlpModel(names, w_in, b_in, w_out, float(b_out), config, losses)
 
 
-# Batches gathered at a time by mlp_fit, so its buffers hold at most
+# Batches gathered at a time by _mlp_fit, so its buffers hold at most
 # _BLOCK_BATCHES * batch_size rows however large the training set is.
 _BLOCK_BATCHES = 64
 
 
-def mlp_fit(train: Dataset, config: MlpConfig = MlpConfig()) -> MlpModel:
+def _mlp_fit(train: Dataset, config: MlpConfig) -> MlpModel:
     """Mini-batch gradient descent on mean binary cross-entropy.
 
-    The initial weights are mlp_init's draws, and the same generator then
+    The initial weights are drawn uniform on [-0.5, 0.5) seeded
+    config.seed (epochs=0 returns them), and the same generator then
     reshuffles the rows every epoch. An epoch walks the shuffled rows in
     blocks of _BLOCK_BATCHES batches; a ragged last batch is a block of
     its own. A block's rows and labels are gathered into preallocated
@@ -336,12 +317,8 @@ def mlp_fit(train: Dataset, config: MlpConfig = MlpConfig()) -> MlpModel:
     losses seen during that epoch. A non-finite epoch loss aborts training
     with a divergence error naming the epoch (1-based).
     """
-    if not config.valid():
-        raise TrainingError(f"invalid MLP configuration: {config}")
     X, y = train.features, np.asarray(train.labels, dtype=np.float64)
     n, d, hidden = train.n_rows, train.n_features, config.hidden
-    if n == 0:
-        raise TrainingError("cannot train on an empty dataset")
     rng = np.random.default_rng(config.seed)
     params = _init_params(rng, d, hidden)
     w_in, b_in, w_out, b_out = _param_views(params, d, hidden)
@@ -419,8 +396,8 @@ class _Kind:
     rule: the rule's text, or None when the threshold alone decides, and
     the labels of the rows X that scored exactly THRESHOLD. fit(train,
     **params) trains a model on params holding a value for every key of
-    defaults, the kind's hyperparameters; fault is the text of the rule
-    such params break, or None.
+    defaults, the kind's hyperparameters, checking nothing; fault(params,
+    counts) is the text of the rule they break for class counts, or None.
     """
     cls: type
     score: Callable[[Model, np.ndarray], np.ndarray]
@@ -428,7 +405,7 @@ class _Kind:
     rules: dict[str, tuple[Callable[[object, dict], bool], str]]
     fit: Callable[..., Model]
     defaults: dict
-    fault: Callable[[dict], str | None] = lambda params: None
+    fault: Callable[[dict, tuple[int, int] | None], str | None]
     tie_rule: Callable[[Model], str | None] = lambda model: None
     tie_labels: Callable[[Model, np.ndarray], np.ndarray] | None = None
 
@@ -437,7 +414,9 @@ _KINDS = {
     # GNB scores the botnet posterior
     "gnb": _Kind(GnbModel, lambda m, X: gnb_posteriors(m, X)[:, 1],
                  {"priors": (2,), "means": (2, "d"), "variances": (2, "d")},
-                 {"priors": _POSITIVE, "variances": _POSITIVE}, gnb_fit, {}),
+                 {"priors": _POSITIVE, "variances": _POSITIVE}, _gnb_fit, {},
+                 lambda p, counts: None if not counts or 0 not in counts else (
+                     f"naive Bayes needs both classes, class counts are {counts}")),
     # KNN scores the botnet share of the k nearest training rows; with
     # even k, a tied vote takes the label of the nearest
     "knn": _Kind(KnnModel,
@@ -445,11 +424,14 @@ _KINDS = {
                  {"points": ("n", "d"), "labels": ("n",)},
                  {"labels": (lambda a, dims: np.isin(a, (0.0, 1.0)).all(),
                              "holds a label other than 0 or 1"),
-                  "k": (lambda k, dims: 1 <= k <= dims["n"],
+                  "k": (lambda k, dims: not _KINDS["knn"].fault({"k": k}, (dims["n"], 0)),
                         "is {value}, outside 1..{n} (the training rows)")},
-                 knn_fit, {"k": 5},
-                 lambda p: None if p["k"] >= 1 else (
-                     f"knn hyperparameter 'k' must be >= 1, got {p['k']}"),
+                 lambda train, k: KnnModel(train.feature_names, train.features,
+                                           train.labels, k), {"k": 5},
+                 lambda p, counts: (
+                     f"knn hyperparameter 'k' must be >= 1, got {p['k']}" if p["k"] < 1
+                     else f"k={p['k']} exceeds the {sum(counts)} training rows"
+                     if counts and p["k"] > sum(counts) else None),
                  tie_rule=lambda m: None if m.k % 2 else (
                      f"k={m.k} is even, so a score of exactly {THRESHOLD} (a tied "
                      f"vote) takes the label of the nearest training row"),
@@ -458,10 +440,12 @@ _KINDS = {
                  {"w_in": ("d", "h"), "b_in": ("h",), "w_out": ("h",)},
                  {"config": (lambda c, dims: c.valid() and c.hidden == dims["h"],
                              "is invalid for w_in's {h} hidden units: {value}")},
-                 lambda train, **p: mlp_fit(train, MlpConfig(**p)),
+                 lambda train, **p: _mlp_fit(train, MlpConfig(**p)),
                  dataclasses.asdict(MlpConfig()),
-                 lambda p: None if MlpConfig(**p).valid() else (
-                     f"invalid mlp hyperparameters: {MlpConfig(**p)}")),
+                 lambda p, counts: (
+                     f"invalid mlp hyperparameters: {MlpConfig(**p)}"
+                     if not MlpConfig(**p).valid() else "cannot train on an empty dataset"
+                     if counts == (0, 0) else None)),
 }
 
 MODEL_NAMES = tuple(_KINDS)
@@ -479,11 +463,12 @@ def model_kind(model: Model) -> str:
 # Shared prediction surface
 
 
-def check_params(name: str, params: dict, error: type[Exception] = TrainingError) -> dict:
+def check_params(name: str, params: dict, error: Callable[[str], Exception] = TrainingError,
+                 counts: tuple[int, int] | None = None) -> dict:
     """params with the defaults of the model name filled in. Raise error
     unless name is in MODEL_NAMES and params are its hyperparameters: each
-    a key of the kind's defaults, of its default's type (the types a model
-    file holds, see load_model), together meeting the kind's rule."""
+    a key of the kind's defaults, of its default's type (see load_model),
+    meeting the kind's rule for training class counts counts (None: any)."""
     if name not in MODEL_NAMES:
         raise error(f"unknown model {name!r}, expected one of {MODEL_NAMES}")
     kind = _KINDS[name]
@@ -495,7 +480,7 @@ def check_params(name: str, params: dict, error: type[Exception] = TrainingError
         what, accepts = _ACCEPTS[type(kind.defaults[key]).__name__]
         if not accepts(value):
             raise error(f"{name} hyperparameter {key!r} is not {what}, got {value!r}")
-    if fault := kind.fault(filled):
+    if fault := kind.fault(filled, counts):
         raise error(fault)
     return filled
 
@@ -511,9 +496,9 @@ def _seeded(name: str, params: dict | None, seed: int | None) -> dict:
 
 
 def fit_model(name: str, train: Dataset, params: dict | None = None) -> Model:
-    """Fit a classifier by name; params are its hyperparameters, as
-    check_params accepts them, and defaults fill those left out."""
-    params = check_params(name, params or {})
+    """Fit a classifier by name, the only way to fit one; params are its
+    hyperparameters as check_params accepts them for train's class counts."""
+    params = check_params(name, params or {}, TrainingError, train.class_counts)
     return _KINDS[name].fit(train, **params)
 
 
@@ -658,7 +643,7 @@ def load_model(path: str) -> Model:
     shape. Every field must have its declared type, numbers outside
     provenance must be finite, and the kind's own rules must hold: GNB
     priors and variances > 0; KNN labels 0 or 1 and 1 <= k <= n; an MLP
-    config mlp_fit accepts, with hidden equal to w_in's column count.
+    config training accepts, with hidden equal to w_in's column count.
     Anything else raises LoadError naming the file and the offending key.
     """
     payload = _read_json(path, "model file", LoadError)

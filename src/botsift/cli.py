@@ -19,7 +19,7 @@ import os
 import sys
 
 from .classifiers import MODEL_NAMES, _seeded, fit_model, load_model, save_model
-from .errors import BotsiftError, ConfigError, SchemaError
+from .errors import BotsiftError, ConfigError, LoadError, SchemaError
 from .evaluate import METRIC_NAMES, cross_validate, evaluate_model, percent
 from .experiment import ExperimentConfig, run_experiment
 from .features import chi2_scores
@@ -205,8 +205,12 @@ def _cmd_train(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     model = load_model(_require(args, "model_file"))
-    dataset, _ = read_dataset_csv(_require(args, "csv"))
-    report = evaluate_model(model, dataset)
+    csv = _require(args, "csv")
+    dataset, _ = read_dataset_csv(csv)
+    try:
+        report = evaluate_model(model, dataset)
+    except LoadError as exc:  # the CSV lacks a column the model reads
+        raise LoadError(f"{csv}: {exc}") from None
     report.write_files(os.path.join(_out_dir(args), report.model))
     print(report.to_text(), end="")
 

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classifiers import (THRESHOLD, _features_for, _seeded, fit_model,
+from .classifiers import (THRESHOLD, _features_for, _seeded, check_params, fit_model,
                           labels_from_scores, model_kind, score_batch, tie_rule)
 from .errors import EvaluationError
 from .flows import Dataset, _counts_json, _write_json
 from .preprocess import apply_scaler, fit_scaler
-from .smote import SmoteConfig, smote
+from .smote import SmoteConfig, smote, smote_counts
 from .synth import round_half_up
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
@@ -157,6 +157,16 @@ class RocCurve:
                           in zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
+def roc_classes(y_true: np.ndarray) -> tuple[int, int]:
+    """(positive, negative) counts of truth labels y_true; ROC needs both."""
+    pos = int(np.sum(np.asarray(y_true) == 1))
+    if not 0 < pos < len(y_true):
+        raise EvaluationError(
+            f"ROC needs both classes in the truth labels, got {pos} positive "
+            f"and {len(y_true) - pos} negative rows")
+    return pos, len(y_true) - pos
+
+
 def roc_curve(scores: np.ndarray, y_true: np.ndarray) -> RocCurve:
     """Sweep thresholds over the distinct score values, descending.
 
@@ -168,12 +178,7 @@ def roc_curve(scores: np.ndarray, y_true: np.ndarray) -> RocCurve:
     y_true = np.asarray(y_true, dtype=np.int64)
     if scores.shape != y_true.shape or scores.ndim != 1:
         raise EvaluationError("scores and labels must be 1-d and equally long")
-    pos = int(np.sum(y_true == 1))
-    neg = len(y_true) - pos
-    if pos == 0 or neg == 0:
-        raise EvaluationError(
-            f"ROC needs both classes in the truth labels, got {pos} positive "
-            f"and {neg} negative rows")
+    pos, neg = roc_classes(y_true)
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = y_true[order]
@@ -259,6 +264,20 @@ def make_folds(labels: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
 # Cross-validation
 
 
+def fold_counts(dataset: Dataset, folds: list[np.ndarray], f: int,
+                smote_config: SmoteConfig | None = None) -> tuple[int, int]:
+    """Fold f's training-part (normal, botnet) counts as fold_sets gives it,
+    balanced by smote_config, or the fault fold_sets (or its smote) raises."""
+    test = np.bincount(dataset.labels[folds[f]], minlength=2)
+    train = tuple((np.bincount(dataset.labels, minlength=2) - test).tolist())
+    for counts, name in ((train, "training"), (tuple(test.tolist()), "test")):
+        if 0 in counts:
+            raise EvaluationError(
+                f"fold {f}: {name} part has a single class "
+                f"(counts {counts}); use a k no larger than the smaller class")
+    return train if smote_config is None else smote_counts(train, smote_config)
+
+
 def fold_sets(dataset: Dataset, folds: list[np.ndarray], f: int, seed: int, *,
               scale: bool, smote_config: SmoteConfig | None) -> tuple[Dataset, Dataset]:
     """Fold f's (training, test) parts of dataset, ready to fit and score.
@@ -270,15 +289,10 @@ def fold_sets(dataset: Dataset, folds: list[np.ndarray], f: int, seed: int, *,
     is balanced, seeded seed + f. With neither, as for a dataset already
     globally preprocessed, the parts are used as they are.
     """
+    fold_counts(dataset, folds, f, smote_config)
     mask = np.ones(dataset.n_rows, dtype=bool)
     mask[folds[f]] = False
     train, test = dataset.take(np.flatnonzero(mask)), dataset.take(folds[f])
-    for side, name in ((train, "training"), (test, "test")):
-        counts = side.class_counts
-        if counts[0] == 0 or counts[1] == 0:
-            raise EvaluationError(
-                f"fold {f}: {name} part has a single class "
-                f"(counts {counts}); use a k no larger than the smaller class")
     if scale:
         scaler = fit_scaler(train)
         train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)
@@ -327,11 +341,14 @@ def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                    seed: int = 0, *, params: dict | None = None,
                    scale: bool = True,
                    smote_config: SmoteConfig | None = None) -> CvResult:
-    """k-fold cross-validation of one model: each fold's parts come from
-    fold_sets, and the model, seeded seed unless params set its seed, is
-    fitted on the training part and scored on the test part."""
+    """k-fold cross-validation of one model: once every fold's and fit's
+    rule holds, each fold's parts come from fold_sets, and the model (seeded
+    seed unless params set its seed) is fitted and scored on them."""
     folds = make_folds(dataset.labels, k, seed)
     params = _seeded(model_name, params, seed)
+    for f in range(k):
+        check_params(model_name, params,
+                     counts=fold_counts(dataset, folds, f, smote_config))
     metrics = []
     for f in range(k):
         train, test = fold_sets(dataset, folds, f, seed, scale=scale,

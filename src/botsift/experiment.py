@@ -17,7 +17,7 @@ and scores every model on it. Jobs go through _pool.fork_map: fold jobs
 (arm, fold, every model) first, then one full fit per (arm, model), MLP
 first. The first failing job in submission order names the stage, as in
 cross_validate[raw/fold 3], cross_validate[raw/knn] or train[raw/knn];
-a knn k over the rows of a fold or an arm fails so before any job runs.
+a rule that set sizes alone break fails so before any job runs.
 
 Every stage seed is the master seed plus a fixed labelled offset, the
 manifest records seeds, mode, and executed stage order, and no output
@@ -32,15 +32,13 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
-
-import numpy as np
 
 from ._pool import fork_map
 from .classifiers import MODEL_NAMES, _seeded, check_params, fit_model, save_model
 from .errors import BotsiftError, ConfigError, TrainingError
 from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
-                       fold_sets, make_folds, percent, train_test_split)
+                       fold_counts, fold_sets, make_folds, percent, roc_classes,
+                       train_test_split)
 from .features import chi2_scores, select_features
 from .flows import (_ACCEPTS, Dataset, Schema, _counts_json, _read_json,
                     _write_json, load_csv, to_dataset)
@@ -83,6 +81,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "config must name exactly one input source "
                 "(input.csv or input.profile)")
+        for key, value, source in (("input.rows", self.input_rows, "profile"),
+                                   ("input.schema", self.input_schema, "csv")):
+            if value is not None and not getattr(self, f"input_{source}"):
+                raise ConfigError(f"{key} applies only to input.{source}")
         for what, path in (("input csv", self.input_csv),
                            ("input profile", self.input_profile),
                            ("schema", self.input_schema)):
@@ -249,20 +251,7 @@ class _Grid:
     outdir: str
     seeds: dict[str, int]
     arm_sets: dict[str, tuple[Dataset, Dataset]]
-    cv_sets: dict[str, tuple[list, Callable]]  # arm: (folds, fold f -> its sets)
-
-
-def _fit_rows(arm: str, train_rows: int, labels: np.ndarray,
-              folds: list[np.ndarray], balanced: bool) -> list[tuple[str, str, int]]:
-    """(stage, set, rows) of each set a knn model of arm trains on: each
-    fold's training part of the rows labelled labels (twice its majority
-    class when fold_sets balances it), then the arm's training set."""
-    total, sets = np.bincount(labels, minlength=2), []
-    for f, fold in enumerate(folds):
-        counts = total - np.bincount(labels[fold], minlength=2)
-        rows = int(2 * counts.max() if balanced else counts.sum())
-        sets.append((f"cross_validate[{arm}/knn]", f"fold {f}'s training part", rows))
-    return sets + [(f"train[{arm}/knn]", "the training set", train_rows)]
+    cv_sets: dict[str, dict]  # arm: the dataset, folds and smote_config it folds by
 
 
 # One job: (arm, fold index, or None to fit on the arm's whole training
@@ -281,11 +270,13 @@ def _run_job(grid: _Grid, job: _Job) -> tuple[str, list | Exception]:
     arm, f, models = job
     stage = f"cross_validate[{arm}/fold {f}]"
     try:
-        train, test = grid.arm_sets[arm] if f is None else grid.cv_sets[arm][1](f)
+        train, test = grid.arm_sets[arm] if f is None else fold_sets(
+            f=f, seed=grid.seeds["cv"], scale=grid.config.mode != "paper",
+            **grid.cv_sets[arm])
         results = []
         for name, params in models:
             stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
-            model = fit_model(name, train, _seeded(name, params, grid.seeds["mlp"]))
+            model = fit_model(name, train, params)
             if f is None and grid.config.save_models:
                 tagged = dataclasses.replace(model, provenance={
                     "arm": arm, "mode": grid.config.mode, "stage_seeds": grid.seeds,
@@ -354,32 +345,35 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
                          for side, part in zip(("train", "test"), arm_sets[arm])}
         # Each arm's folds are prepared once and score every model; paper
         # mode preprocessed the whole arm, so its folds are used as they are.
-        cv_sets = {}
         paper = config.mode == "paper"
-        for arm in arms:
+        cv_sets = {}
+        for arm in arms if config.cv_folds else ():
             rows = arm_sets[arm][0] if paper else cv_source
-            balanced = arm == "smote" and not paper
-            folds = []
-            if config.cv_folds:
-                folds = make_folds(rows.labels, config.cv_folds, seeds["cv"])
-                cv_sets[arm] = (folds, partial(
-                    fold_sets, rows, folds, seed=seeds["cv"], scale=not paper,
-                    smote_config=smote_config if balanced else None))
-            if (knn := dict(config.models).get("knn")) is not None:
-                k = check_params("knn", knn)["k"]
-                for fit_stage, where, size in _fit_rows(arm, arm_sets[arm][0].n_rows,
-                                                        rows.labels, folds, balanced):
-                    if k > size:
-                        stage = fit_stage
-                        raise TrainingError(f"k={k} exceeds the {size} rows of {where}")
-        del dataset, cv_source, rows  # no job reads them, so no child need inherit them
+            cv_sets[arm] = dict(
+                dataset=rows, folds=make_folds(rows.labels, config.cv_folds, seeds["cv"]),
+                smote_config=smote_config if arm == "smote" and not paper else None)
+        del dataset, cv_source  # no job reads them, so no child need inherit them
         # Fold jobs go first, then one full fit per (arm, model) with MLP,
         # the longest, first. Each job's output depends only on its inputs,
         # so the bundle is the same bytes whichever process ran it.
-        jobs: list[_Job] = [(arm, f, config.models) for arm in cv_sets
+        models = tuple((name, _seeded(name, params, seeds["mlp"]))
+                       for name, params in config.models)
+        jobs: list[_Job] = [(arm, f, models) for arm in cv_sets
                             for f in range(config.cv_folds)]
-        jobs += sorted(((arm, None, (model,)) for arm in arms for model in config.models),
+        jobs += sorted(((arm, None, (model,)) for arm in arms for model in models),
                        key=lambda job: job[2][0][0] != "mlp")
+        # Ask every job's fold, fit and ROC size rules, in job order, first.
+        for arm, f, job_models in jobs:
+            stage = f"cross_validate[{arm}/fold {f}]"
+            counts = (arm_sets[arm][0].class_counts if f is None
+                      else fold_counts(f=f, **cv_sets[arm]))
+            for name, params in job_models:
+                stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
+                check_params(name, params, lambda text: TrainingError(
+                    text if f is None else f"fold {f}: {text}"), counts)
+                if f is None:
+                    stage = f"evaluate[{arm}/{name}]"
+                    roc_classes(arm_sets[arm][1].labels)
         stages += ["train", "evaluate"] + (["cross_validate"] if config.cv_folds else [])
         grid = _Grid(config, outdir, seeds, arm_sets, cv_sets)
         results: dict[tuple[str, str], list] = {}
@@ -395,7 +389,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         for arm in arms:
             for name, _ in config.models:
                 *fold_metrics, report = results[(arm, name)]
-                cv = (CvResult.from_folds(name, seeds["cv"], cv_sets[arm][0],
+                cv = (CvResult.from_folds(name, seeds["cv"], cv_sets[arm]["folds"],
                                           fold_metrics) if config.cv_folds else None)
                 reports[(arm, name)] = dataclasses.replace(report, cv=cv)
                 reports[(arm, name)].write_files(os.path.join(outdir, f"{arm}_{name}"))

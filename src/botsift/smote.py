@@ -43,16 +43,34 @@ class SmoteResult:
     counts: tuple[int, int]
 
 
+def _check_k(k: int, m: int) -> None:
+    """SMOTE's neighbourhood rule for m minority rows: 1 <= k < m."""
+    if not 1 <= k < m:
+        raise ResampleError(f"k_neighbors must be >= 1, got {k}" if k < 1 else
+                            f"k_neighbors={k} needs more than {m} minority rows")
+
+
+def smote_counts(counts: tuple[int, int], config: SmoteConfig) -> tuple[int, int]:
+    """The (normal, botnet) counts smote(dataset, config) gives a dataset of
+    class counts counts, raising every fault smote would raise for it."""
+    normal, botnet = counts
+    if 0 in counts:
+        raise ResampleError(f"both classes required, class counts are {counts}")
+    minority, target = min(counts), config.target_minority_count
+    target = max(counts) if target is None else target
+    if target < minority:
+        raise ResampleError(
+            f"target minority count {target} is below the existing {minority} rows")
+    _check_k(config.k_neighbors, minority)
+    return (target, botnet) if normal <= botnet else (normal, target)
+
+
 def minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbours of each row among the other rows, by KNN's
     rule, as an (m, k) index array. Each block of rows is compared with
     every row; np.argpartition proposes the candidates."""
     m = points.shape[0]
-    if k < 1:
-        raise ResampleError(f"k_neighbors must be >= 1, got {k}")
-    if k >= m:
-        raise ResampleError(
-            f"k_neighbors={k} needs more than {m} minority rows")
+    _check_k(k, m)
     c = min(k + 1, m - 1)
     out = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, _NEIGHBOR_CHUNK):
@@ -77,24 +95,14 @@ def smote(dataset: Dataset, config: SmoteConfig = SmoteConfig(),
     then synthetic rows grouped by source point in row order.
     """
     normal, botnet = dataset.class_counts
-    if normal == 0 or botnet == 0:
-        raise ResampleError(
-            f"both classes required, class counts are ({normal}, {botnet})")
     minority_label = 0 if normal <= botnet else 1
-    minority_count = min(normal, botnet)
-    target = config.target_minority_count
-    if target is None:
-        target = max(normal, botnet)
-    if target < minority_count:
-        raise ResampleError(
-            f"target minority count {target} is below the existing "
-            f"{minority_count} rows")
+    target = smote_counts((normal, botnet), config)[minority_label]
 
     minority_idx = np.flatnonzero(dataset.labels == minority_label)
     points = dataset.features[minority_idx]
     neighbors = minority_neighbors(points, config.k_neighbors)
 
-    m = minority_count
+    m = len(minority_idx)
     total_new = target - m
     quotas = np.full(m, total_new // m, dtype=np.int64)
     remainder = total_new % m

@@ -40,11 +40,9 @@ from botsift import (
     fit_model,
     fit_scaler,
     generate,
-    knn_fit,
     load_csv,
     make_folds,
     metrics_from,
-    mlp_init,
     mlp_loss_and_grads,
     predict_batch,
     roc_curve,
@@ -197,7 +195,7 @@ def test_04_knn_oracle_equivalence(rng):
     queries = rng.normal(0.0, 2.0, (50, 4))
     train = make_dataset(train_X, train_y)
     for k in (1, 3, 5):
-        got = predict_batch(knn_fit(train, k=k), queries)
+        got = predict_batch(fit_model("knn", train, {"k": k}), queries)
         want = knn_oracle_predict(train_X, train_y, queries, k)
         assert np.array_equal(got, want), f"k={k} disagrees with oracle"
     _ok(4, "knn-oracle-equivalence")
@@ -241,7 +239,9 @@ def test_06_mlp_gradient_check(rng):
         d = int(rng.integers(1, 7))
         h = int(rng.integers(1, 9))
         config = MlpConfig(hidden=h, seed=100 + trial)
-        model = mlp_init(d, config)
+        # zero epochs leave the seeded initial weights
+        model = fit_model("mlp", make_dataset(np.zeros((1, d)), [0]),
+                          {"hidden": h, "seed": 100 + trial, "epochs": 0})
         X = rng.normal(0.0, 1.0, (int(rng.integers(2, 11)), d))
         y = rng.integers(0, 2, len(X)).astype(float)
         _, grads = mlp_loss_and_grads(model, X, y)

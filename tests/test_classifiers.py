@@ -1,5 +1,6 @@
 """Gaussian naive Bayes, k-nearest-neighbour, and the sigmoid MLP."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,13 +16,18 @@ from scipy.stats import norm
 import botsift
 from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
                      LoadError, MlpConfig, MlpModel, TrainingError,
-                     cross_validate, evaluate_model, fit_model, gnb_fit,
-                     gnb_posteriors, knn_fit, load_model, make_folds, mlp_fit,
-                     mlp_init, mlp_loss_and_grads, predict_batch, save_model,
+                     cross_validate, evaluate_model, fit_model,
+                     gnb_posteriors, load_model, make_folds,
+                     mlp_loss_and_grads, predict_batch, save_model,
                      score_batch, threshold_labels)
 from botsift.classifiers import MODEL_NAMES, check_params
 
 from conftest import make_dataset
+
+
+def mlp(train, config):
+    """fit_model on an MlpConfig's fields."""
+    return fit_model("mlp", train, dataclasses.asdict(config))
 
 
 def blobs(rng, n0=60, n1=60, gap=6.0, d=3):
@@ -38,14 +44,14 @@ class TestGnb:
     def test_priors_are_class_frequencies(self):
         X = np.arange(200, dtype=float).reshape(-1, 1)
         y = np.array([0] * 199 + [1])
-        model = gnb_fit(make_dataset(X, y))
+        model = fit_model("gnb", make_dataset(X, y))
         assert list(model.priors) == [0.995, 0.005]
 
     def test_per_class_stats_match_loop_oracle(self, rng):
         X = rng.normal(3.0, 2.5, (120, 4))
         y = rng.integers(0, 2, 120)
         y[:2] = [0, 1]
-        model = gnb_fit(make_dataset(X, y))
+        model = fit_model("gnb", make_dataset(X, y))
         for c in (0, 1):
             rows = [X[i] for i in range(len(y)) if y[i] == c]
             for j in range(4):
@@ -59,20 +65,20 @@ class TestGnb:
     def test_smoothing_tracks_largest_feature_variance(self, rng):
         X = np.column_stack([rng.normal(0, 1, 50), rng.normal(0, 9, 50)])
         y = np.array([0, 1] * 25)
-        model = gnb_fit(make_dataset(X, y))
+        model = fit_model("gnb", make_dataset(X, y))
         assert model.smoothing == 1e-9 * float(X.var(axis=0).max())
 
     def test_constant_features_fall_back_to_floor_smoothing(self):
         X = np.full((10, 2), 4.0)
         y = np.array([0] * 5 + [1] * 5)
-        model = gnb_fit(make_dataset(X, y))
+        model = fit_model("gnb", make_dataset(X, y))
         assert model.smoothing == 1e-12
         scores = score_batch(model, X)
         assert np.all(np.isfinite(scores))
 
     def test_posteriors_sum_to_one(self, rng):
         ds = blobs(rng)
-        model = gnb_fit(ds)
+        model = fit_model("gnb", ds)
         post = gnb_posteriors(model, ds.features)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
         assert post.min() >= 0.0
@@ -91,7 +97,7 @@ class TestGnb:
 
     def test_matches_direct_density_oracle(self, rng):
         ds = blobs(rng, n0=40, n1=25)
-        model = gnb_fit(ds)
+        model = fit_model("gnb", ds)
         probe = rng.normal(3.0, 3.0, (20, 3))
         got = score_batch(model, probe)
         for i, x in enumerate(probe):
@@ -106,12 +112,12 @@ class TestGnb:
     def test_single_class_rejected(self):
         ds = make_dataset([[1.0], [2.0]], [0, 0])
         with pytest.raises(TrainingError, match="both classes"):
-            gnb_fit(ds)
+            fit_model("gnb", ds)
 
     def test_scoring_is_deterministic(self, rng):
         ds = blobs(rng)
-        a = score_batch(gnb_fit(ds), ds.features)
-        b = score_batch(gnb_fit(ds), ds.features)
+        a = score_batch(fit_model("gnb", ds), ds.features)
+        b = score_batch(fit_model("gnb", ds), ds.features)
         assert np.array_equal(a, b)
 
 
@@ -168,7 +174,7 @@ class TestKnn:
     def test_three_nearest_majority(self):
         X = np.array([[0.0], [1.0], [2.0], [50.0], [60.0]])
         y = np.array([1, 1, 0, 0, 0])
-        model = knn_fit(make_dataset(X, y), k=3)
+        model = fit_model("knn", make_dataset(X, y), {"k": 3})
         probe = np.array([0.5])
         assert score_batch(model, probe[None])[0] == 2.0 / 3.0
         assert predict_batch(model, probe[None])[0] == 1
@@ -176,7 +182,7 @@ class TestKnn:
     def test_matches_exhaustive_oracle(self, rng):
         for k in (1, 3, 5, 8):
             train = blobs(rng, n0=30, n1=30, gap=2.0)
-            model = knn_fit(train, k=k)
+            model = fit_model("knn", train, {"k": k})
             probe = rng.normal(1.0, 2.0, (25, 3))
             got = score_batch(model, probe)
             want = knn_score_oracle(train.features, train.labels, probe, k)
@@ -185,27 +191,27 @@ class TestKnn:
     def test_scaling_features_by_two_changes_nothing(self, rng):
         train = blobs(rng, n0=20, n1=20, gap=2.0)
         probe = rng.normal(1.0, 2.0, (15, 3))
-        base = score_batch(knn_fit(train, k=5), probe)
+        base = score_batch(fit_model("knn", train, {"k": 5}), probe)
         doubled = make_dataset(2.0 * train.features, train.labels)
-        scaled = score_batch(knn_fit(doubled, k=5), 2.0 * probe)
+        scaled = score_batch(fit_model("knn", doubled, {"k": 5}), 2.0 * probe)
         assert np.array_equal(base, scaled)
 
     def test_k1_memorizes_distinct_training_points(self, rng):
         X = np.unique(rng.integers(0, 1000, (80, 2)).astype(float), axis=0)
         y = (rng.random(len(X)) < 0.5).astype(int)
         y[:2] = [0, 1]
-        model = knn_fit(make_dataset(X, y), k=1)
+        model = fit_model("knn", make_dataset(X, y), {"k": 1})
         assert np.array_equal(score_batch(model, X), y.astype(float))
 
     def test_k_equal_to_n_scores_global_fraction(self, rng):
         train = blobs(rng, n0=45, n1=15, gap=2.0)
-        model = knn_fit(train, k=60)
+        model = fit_model("knn", train, {"k": 60})
         scores = score_batch(model, rng.normal(0, 3, (10, 3)))
         assert np.all(scores == 15.0 / 60.0)
 
     def test_batch_equals_row_by_row(self, rng):
         train = blobs(rng, n0=25, n1=25, gap=2.0)
-        model = knn_fit(train, k=4)
+        model = fit_model("knn", train, {"k": 4})
         probe = rng.normal(1.0, 2.0, (12, 3))
         batch = score_batch(model, probe)
         singles = [score_batch(model, row[None])[0] for row in probe]
@@ -214,7 +220,7 @@ class TestKnn:
     def test_even_k_tie_takes_the_nearest_label(self):
         X = np.array([[0.0], [3.0], [10.0]])
         y = np.array([0, 1, 1])
-        model = knn_fit(make_dataset(X, y), k=2)
+        model = fit_model("knn", make_dataset(X, y), {"k": 2})
         # probe at 1: neighbours are rows 0 (label 0) and 1 (label 1), tied
         # vote, nearest is row 0
         assert predict_batch(model, np.array([1.0])[None])[0] == 0
@@ -225,7 +231,7 @@ class TestKnn:
     @given(tied_knn_cases())
     def test_lattice_and_duplicate_ties_match_the_oracles(self, case):
         X, y, queries, k = case
-        model = knn_fit(make_dataset(X, y), k=k)
+        model = fit_model("knn", make_dataset(X, y), {"k": k})
         assert np.array_equal(score_batch(model, queries),
                               knn_score_oracle(X, y, queries, k))
         want = knn_predict_oracle(X, y, queries, k)
@@ -234,14 +240,15 @@ class TestKnn:
     def test_near_tie_is_ranked_by_the_direct_distance(self):
         # |q|^2 + |p|^2 - 2 q.p cancels catastrophically at this offset
         # and ranks row 0 first; row 1 is nearer
-        model = knn_fit(make_dataset([[1e4], [1e4 + 1e-4]], [0, 1]), k=1)
+        model = fit_model("knn", make_dataset([[1e4], [1e4 + 1e-4]], [0, 1]),
+                          {"k": 1})
         probe = np.array([[1e4 + 0.5e-4 + 1e-12]])
         assert score_batch(model, probe).tolist() == [1.0]
         assert predict_batch(model, probe).tolist() == [1]
 
     def test_even_k_tie_rule_holds_in_predict_batch_and_reports(self):
-        model = knn_fit(make_dataset([[0.0], [1.0], [3.0], [4.0]],
-                                     [0, 0, 1, 1]), k=2)
+        model = fit_model("knn", make_dataset([[0.0], [1.0], [3.0], [4.0]],
+                                              [0, 0, 1, 1]), {"k": 2})
         probe = np.array([[1.9]])  # votes 1-1, nearest is row 1 (label 0)
         assert predict_batch(model, probe).tolist() == [0]
         test = make_dataset([[1.9], [2.1], [3.5]], [0, 1, 1])
@@ -263,7 +270,7 @@ class TestKnn:
         for predict in (lambda m: predict_batch(m, probe),
                         lambda m: evaluate_model(m, make_dataset([[1.9], [3.5]],
                                                                  [0, 1]))):
-            model = knn_fit(train, k=2)
+            model = fit_model("knn", train, {"k": 2})
             save_model(model, str(tmp_path / "fresh.json"))
             predict(model)
             predict(model)
@@ -288,7 +295,7 @@ class TestKnn:
             assert fold.accuracy == float(np.mean(want == y[test_idx]))
 
     def test_non_finite_queries_rejected(self):
-        model = knn_fit(make_dataset([[0.0], [1.0]], [0, 1]), k=1)
+        model = fit_model("knn", make_dataset([[0.0], [1.0]], [0, 1]), {"k": 1})
         with pytest.raises(LoadError, match="finite"):
             score_batch(model, np.array([[np.nan]]))
 
@@ -319,17 +326,17 @@ class TestKnn:
     def test_k_bounds_enforced(self, rng):
         train = blobs(rng, n0=5, n1=5)
         with pytest.raises(TrainingError, match=">= 1"):
-            knn_fit(train, k=0)
+            fit_model("knn", train, {"k": 0})
         with pytest.raises(TrainingError, match="exceeds"):
-            knn_fit(train, k=11)
+            fit_model("knn", train, {"k": 11})
 
 
 class TestMlp:
     def test_zero_learning_rate_keeps_initial_weights(self, rng):
         ds = blobs(rng, n0=20, n1=20)
         config = MlpConfig(hidden=6, learning_rate=0.0, epochs=3, seed=42)
-        model = mlp_fit(ds, config)
-        init = mlp_init(ds.n_features, config)
+        model = mlp(ds, config)
+        init = mlp(ds, dataclasses.replace(config, epochs=0))
         assert np.array_equal(model.w_in, init.w_in)
         assert np.array_equal(model.b_in, init.b_in)
         assert np.array_equal(model.w_out, init.w_out)
@@ -349,7 +356,8 @@ class TestMlp:
         for trial in range(20):
             d, h = int(rng.integers(1, 5)), int(rng.integers(1, 6))
             config = MlpConfig(hidden=h, seed=trial)
-            model = mlp_init(d, config)
+            model = mlp(make_dataset(np.zeros((1, d)), [0]),
+                        dataclasses.replace(config, epochs=0))
             X = rng.normal(0, 1, (7, d))
             y = rng.integers(0, 2, 7).astype(float)
             _, grads = mlp_loss_and_grads(model, X, y)
@@ -386,24 +394,24 @@ class TestMlp:
         ds = make_dataset(X, y)
         config = MlpConfig(hidden=8, learning_rate=2.0, epochs=3000,
                            batch_size=4, seed=0)
-        model = mlp_fit(ds, config)
+        model = mlp(ds, config)
         assert predict_batch(model, X).tolist() == [0, 1, 1, 0]
 
     def test_separates_distant_blobs(self, rng):
         train = blobs(rng, n0=150, n1=150)
-        model = mlp_fit(train, MlpConfig(seed=3))
+        model = mlp(train, MlpConfig(seed=3))
         accuracy = np.mean(predict_batch(model, train) == train.labels)
         assert accuracy >= 0.99
 
     def test_loss_decreases_on_separable_data(self, rng):
         train = blobs(rng, n0=80, n1=80)
-        model = mlp_fit(train, MlpConfig(seed=1))
+        model = mlp(train, MlpConfig(seed=1))
         assert model.epoch_losses[-1] < model.epoch_losses[0]
 
     def test_same_seed_is_bit_reproducible(self, rng):
         train = blobs(rng, n0=30, n1=30)
-        a = mlp_fit(train, MlpConfig(seed=9))
-        b = mlp_fit(train, MlpConfig(seed=9))
+        a = mlp(train, MlpConfig(seed=9))
+        b = mlp(train, MlpConfig(seed=9))
         assert np.array_equal(a.w_in, b.w_in)
         assert a.epoch_losses == b.epoch_losses
 
@@ -416,7 +424,7 @@ class TestMlp:
                            batch_size=16, seed=1)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match="epoch 1") as err:
-                mlp_fit(ds, config)
+                mlp(ds, config)
         assert err.value.epoch == 1
 
 

@@ -386,7 +386,7 @@ class TestEvaluateColumns:
         out = tmp_path / "never"
         code, got = self.evaluate(model, csv, str(out), capsys)
         assert code == 2
-        assert got.err == f"botsift: unknown feature columns: {missing}\n"
+        assert got.err == f"botsift: {csv}: unknown feature columns: {missing}\n"
         assert not out.exists()
 
 
@@ -536,6 +536,24 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         # checked before any stage runs: no stage label, no config echo
         assert capsys.readouterr().err == f"botsift: {cfg}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, key, value, applies_to", [
+        ("csv", "rows", 10, "profile"),
+        ("profile", "schema", "schema.json", "csv"),
+    ])
+    def test_input_key_its_source_ignores_exits_one(self, tmp_path, profile_path,
+                                                    flows_csv, capsys, source,
+                                                    key, value, applies_to):
+        # rows sizes a synthesized input and a schema reads a CSV; the other
+        # source would drop them without a word
+        paths = {"csv": flows_csv, "profile": profile_path}
+        cfg = self._config(tmp_path, profile_path,
+                           input={source: paths[source], key: value})
+        out = tmp_path / "never"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"botsift: {cfg}: input.{key} applies only to input.{applies_to}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "synth"])

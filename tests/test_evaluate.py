@@ -12,10 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import botsift.evaluate
-from botsift import (ConfusionMatrix, EvaluationError, Metrics, RocCurve,
-                     cross_validate, evaluate_model, fit_model, make_folds,
-                     metrics_from, percent, roc_curve, round_half_up,
-                     split_indices, train_test_split)
+from botsift import (ConfusionMatrix, EvaluationError, Metrics, ResampleError,
+                     RocCurve, SmoteConfig, TrainingError, cross_validate,
+                     evaluate_model, fit_model, make_folds, metrics_from,
+                     percent, roc_curve, round_half_up, split_indices,
+                     train_test_split)
+from botsift.evaluate import fold_counts, fold_sets
 
 from conftest import make_dataset
 
@@ -390,6 +392,28 @@ class TestPartitionProperties:
                 assert abs(int(np.sum(labels[fold] == c)) - Fraction(count, k)) < 1
 
 
+class TestFoldCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(label_lists, st.integers(2, 6), seeds, st.booleans(),
+           st.one_of(st.none(), st.integers(1, 6)))
+    def test_counts_are_fold_sets_or_both_raise_the_same(self, labels, k, seed,
+                                                         scale, smote_k):
+        assume(k <= len(labels))
+        ds = make_dataset(np.arange(len(labels), dtype=np.float64), labels)
+        folds = make_folds(labels, k, seed)
+        balance = None if smote_k is None else SmoteConfig(k_neighbors=smote_k)
+        for f in range(k):
+            outcomes = []
+            for run in (lambda: fold_counts(ds, folds, f, balance),
+                        lambda: fold_sets(ds, folds, f, seed, scale=scale,
+                                          smote_config=balance)[0].class_counts):
+                try:
+                    outcomes.append(run())
+                except (EvaluationError, ResampleError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+
 class TestCrossValidate:
     def test_reports_per_fold_and_aggregates(self, rng):
         ds = two_blobs(rng, n0=40, n1=40)
@@ -417,6 +441,23 @@ class TestCrossValidate:
         with pytest.raises(EvaluationError, match=r"single class .*; use a k no "
                                                   r"larger than the smaller class$"):
             cross_validate(ds, "gnb", k=5, seed=0)
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("forest", None, "unknown model 'forest', expected one of "
+                         "('gnb', 'knn', 'mlp')"),
+        # 40 rows in 4 folds: every training part holds 30 rows
+        ("knn", {"k": 31}, "k=31 exceeds the 30 training rows"),
+    ])
+    def test_a_broken_rule_fails_before_any_fold_is_prepared(
+            self, rng, monkeypatch, name, params, message):
+        calls = []
+        monkeypatch.setattr(botsift.evaluate, "fold_sets",
+                            lambda *args, **kwargs: calls.append(args))
+        ds = two_blobs(rng, n0=20, n1=20)
+        with pytest.raises(TrainingError) as err:
+            cross_validate(ds, name, k=4, seed=0, params=params)
+        assert str(err.value) == message
+        assert calls == []
 
     def test_in_fold_resampling_runs(self, rng):
         from botsift import SmoteConfig

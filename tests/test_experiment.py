@@ -13,7 +13,7 @@ import botsift._pool
 import botsift.evaluate
 import botsift.experiment
 from botsift import (BotsiftError, ConfigError, DivergenceError,
-                     EvaluationError, ExperimentConfig, SmoteConfig,
+                     EvaluationError, ExperimentConfig, ResampleError, SmoteConfig,
                      TrafficProfile, TrainingError, apply_encoding, cleanse,
                      cross_validate, fit_encoding, generate, load_model,
                      run_experiment, to_dataset, train_test_split)
@@ -347,40 +347,79 @@ class Fitted(Exception):
     """Raised by a fit_model stand-in to end a run at its first fit."""
 
 
-class TestKnnKCheck:
-    # 2,000 rows: a 1,600-row training set, 3 folds with 1,066-row training
-    # parts, which SMOTE balances to 1,706 rows (twice the majority class)
-    @pytest.mark.parametrize("smote, k, cv_folds, stage, rows", [
-        ("off", 1067, 3, "cross_validate[raw/knn]", "1066 rows of fold 0's training part"),
-        ("both", 1067, 3, "cross_validate[raw/knn]", "1066 rows of fold 0's training part"),
-        ("on", 1707, 3, "cross_validate[smote/knn]", "1706 rows of fold 0's training part"),
-        ("off", 1601, 0, "train[raw/knn]", "1600 rows of the training set"),
-    ])
-    def test_a_k_over_some_fit_fails_before_any_fit(self, profile_path, tmp_path,
-                                                    monkeypatch, smote, k, cv_folds,
-                                                    stage, rows):
-        monkeypatch.setattr(botsift._pool, "WORKERS", 1)
-        fits = []
-        fit_model = botsift.experiment.fit_model
-        monkeypatch.setattr(botsift.experiment, "fit_model",
-                            lambda *args: fits.append(args[0]) or fit_model(*args))
-        config = quick_config(profile_path, input_rows=2000, smote=smote, cv_folds=cv_folds,
-                              models=(("gnb", {}), ("knn", {"k": k})))
-        outdir = str(tmp_path / "failed")
-        with pytest.raises(TrainingError) as err:
-            run_experiment(config, outdir)
-        assert fits == []
-        assert f"stage '{stage}' failed: k={k} exceeds the {rows}" in str(err.value)
-        assert not os.path.exists(outdir)
+# Each row: profile overrides (or a bundled profile's name), config
+# fields, and the error the run must raise before any fit. The KNN rows
+# use 2,000 rows: a 1,600-row training set, 3 folds with 1,066-row
+# training parts, which SMOTE balances to 1,706 rows.
+PREFLIGHT = {
+    "knn-fold": ({}, dict(input_rows=2000, smote="off", cv_folds=3,
+                          models=(("gnb", {}), ("knn", {"k": 1067}))),
+                 TrainingError, "cross_validate[raw/knn]",
+                 "fold 0: k=1067 exceeds the 1066 training rows"),
+    "knn-fold-both": ({}, dict(input_rows=2000, smote="both", cv_folds=3,
+                               models=(("gnb", {}), ("knn", {"k": 1067}))),
+                      TrainingError, "cross_validate[raw/knn]",
+                      "fold 0: k=1067 exceeds the 1066 training rows"),
+    "knn-balanced-fold": ({}, dict(input_rows=2000, smote="on", cv_folds=3,
+                                   models=(("gnb", {}), ("knn", {"k": 1707}))),
+                          TrainingError, "cross_validate[smote/knn]",
+                          "fold 0: k=1707 exceeds the 1706 training rows"),
+    "knn-training-set": ({}, dict(input_rows=2000, smote="off", cv_folds=0,
+                                  models=(("gnb", {}), ("knn", {"k": 1601}))),
+                         TrainingError, "train[raw/knn]",
+                         "k=1601 exceeds the 1600 training rows"),
+    # 10 rows: an 8-row training set, 2 folds with 4-row training parts
+    "knn-default-k": ({}, dict(input_rows=10, cv_folds=2, models=(("knn", {}),)),
+                      TrainingError, "cross_validate[raw/knn]",
+                      "fold 0: k=5 exceeds the 4 training rows"),
+    # a 40-row training set with 8 minority rows: 3 folds leave 5 in
+    # fold 0's training part, too few for 5 SMOTE neighbours
+    "smote-fold": ({}, dict(input_rows=50, smote="on", cv_folds=3),
+                   ResampleError, "cross_validate[smote/fold 0]",
+                   "k_neighbors=5 needs more than 5 minority rows"),
+    # 3 minority training rows cannot fill 5 stratified folds
+    "single-class-fold": ({"class_ratio": 0.97}, dict(input_rows=150, cv_folds=5),
+                          EvaluationError, "cross_validate[raw/fold 3]",
+                          "fold 3: test part has a single class (counts (0, 24)); "
+                          "use a k no larger than the smaller class"),
+    # about 0.5% normal traffic: the 100 test rows are all botnet; MLP
+    # jobs go first, so the first job to score the test set is MLP's
+    "single-class-test-set": ("botiot-means", dict(
+        input_rows=500, models=(("gnb", {}), ("mlp", {"epochs": 1}))),
+        EvaluationError, "evaluate[raw/mlp]",
+        "ROC needs both classes in the truth labels, got 100 positive and "
+        "0 negative rows"),
+    # 1 botnet row in 10, and the 60% test share takes it
+    "gnb-single-class-training-set": ({"class_ratio": 0.1}, dict(
+        input_rows=10, test_fraction=0.6), TrainingError, "train[raw/gnb]",
+        "naive Bayes needs both classes, class counts are (4, 0)"),
+}
 
-    def test_the_default_k_is_checked(self, profile_path, tmp_path):
-        # 10 rows: an 8-row training set, 2 folds with 4-row training parts
-        config = quick_config(profile_path, input_rows=10, cv_folds=2,
-                              models=(("knn", {}),))
-        with pytest.raises(TrainingError) as err:
-            run_experiment(config, str(tmp_path / "failed"))
-        assert ("stage 'cross_validate[raw/knn]' failed: k=5 exceeds the 4 rows "
-                "of fold 0's training part") in str(err.value)
+
+class TestPreflight:
+    @pytest.mark.parametrize("case", PREFLIGHT.values(), ids=PREFLIGHT)
+    def test_a_broken_rule_fails_before_any_fit(self, tmp_path, monkeypatch, case):
+        overrides, fields, error, stage, message = case
+        monkeypatch.setattr(botsift._pool, "WORKERS", 1)
+        calls = []
+        for name in ("fit_model", "fold_sets"):
+            original = getattr(botsift.experiment, name)
+            monkeypatch.setattr(botsift.experiment, name,
+                                lambda *args, original=original, name=name, **kwargs:
+                                calls.append(name) or original(*args, **kwargs))
+        if isinstance(overrides, str):
+            path = botsift.bundled_profile_path(overrides)
+        else:
+            path = str(tmp_path / "case.profile")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(dict(PROFILE, **overrides), fh)
+        config = quick_config(path, **{"cv_folds": 0, **fields})
+        outdir = str(tmp_path / "failed")
+        with pytest.raises(error) as err:
+            run_experiment(config, outdir)
+        assert calls == []
+        assert f"stage '{stage}' failed: {message} [config: " in str(err.value)
+        assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize("smote, k", [("both", 1066), ("on", 1706)])
     def test_a_k_that_fits_every_set_reaches_the_fits(self, profile_path, tmp_path,

@@ -1,4 +1,4 @@
-"""mlp_fit against the per-batch training loop it replaced, bit for bit."""
+"""The MLP fit against the per-batch training loop it replaced, bit for bit."""
 
 import hashlib
 
@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from botsift import DivergenceError, MlpConfig, mlp_fit
+import dataclasses
+
+from botsift import DivergenceError, MlpConfig, fit_model
 from botsift.classifiers import _BLOCK_BATCHES
 
 from conftest import make_dataset
 
 
 def _reference_mlp_fit(X, y, n_features, config):
-    """The training loop mlp_fit ran before it gathered rows in blocks:
+    """The training loop the MLP fit ran before it gathered rows in blocks:
     one fancy-indexed batch and freshly allocated arrays per step, the loss
     summed per batch. Returns (w_in, b_in, w_out, b_out, epoch_losses)."""
     y = np.asarray(y, dtype=np.float64)
@@ -79,7 +81,7 @@ def training_runs(draw):
 def test_mlp_fit_matches_the_per_batch_loop_bit_for_bit(run):
     X, y, config = run
     expected = _reference_mlp_fit(X, y, X.shape[1], config)
-    model = mlp_fit(make_dataset(X, y), config)
+    model = fit_model("mlp", make_dataset(X, y), dataclasses.asdict(config))
     assert _bits(model.w_in, model.b_in, model.w_out, model.b_out,
                  model.epoch_losses) == _bits(*expected)
 
@@ -90,7 +92,7 @@ def test_mlp_fit_bytes_are_pinned():
     rng = np.random.default_rng(20260418)
     X = rng.normal(0.0, 1.0, (2000, 5))
     y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(0.0, 0.5, 2000) > 0).astype(np.int64)
-    model = mlp_fit(make_dataset(X, y), MlpConfig(
+    model = fit_model("mlp", make_dataset(X, y), dict(
         hidden=7, learning_rate=0.3, epochs=3, batch_size=13, seed=5))
     digest = hashlib.sha256()
     for part in _bits(model.w_in, model.b_in, model.w_out, model.b_out,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from botsift import ResampleError, SmoteConfig, minority_neighbors, smote
+from botsift.smote import smote_counts
 
 from conftest import make_dataset
 
@@ -261,6 +262,25 @@ class TestProperties:
         neighbour_lists = knn_oracle(minority, k)
         for s in out.features[n:]:
             assert on_neighbour_segment(s, minority, neighbour_lists), s
+
+
+class TestSmoteCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(-1, 12),
+           st.one_of(st.none(), st.integers(0, 20)))
+    def test_counts_are_smotes_or_both_raise_the_same(self, normal, botnet, k,
+                                                      target):
+        ds = make_dataset(np.arange(normal + botnet, dtype=np.float64),
+                          [0] * normal + [1] * botnet)
+        config = SmoteConfig(k_neighbors=k, target_minority_count=target)
+        outcomes = []
+        for run in (lambda: smote_counts(ds.class_counts, config),
+                    lambda: smote(ds, config).counts):
+            try:
+                outcomes.append(run())
+            except ResampleError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestErrors:
