@@ -10,8 +10,7 @@ produces profile-driven flow data for experiments without a capture file.
 
 from .classifiers import (GnbModel, KnnModel, MlpConfig, MlpModel, fit_model,
                           gnb_posteriors, load_model, mlp_loss_and_grads,
-                          predict_batch, save_model, score_batch,
-                          threshold_labels)
+                          predict_batch, save_model, score_batch)
 from .errors import (BotsiftError, CleanseError, ConfigError, DivergenceError,
                      EncodingError, EvaluationError, FeatureScoreError,
                      LoadError, ResampleError, SchemaError, SynthError,

@@ -2,9 +2,9 @@
 
 The experiment's fold and full-fit jobs and the large CSV reads and writes
 run through fork_map. Forked children inherit the function and the items, so
-neither is pickled: only item indices go out, and only the results come
-back. Callers keep large data out of the results; a child that fills a
-shared buffer or writes a file returns a small status instead.
+neither is pickled: only item indices go out, and only the results (or an
+exception) come back. Callers keep large data out of the results; a child
+that fills a shared buffer or writes a file returns a small status instead.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ def fork_map(fn: Callable, items: Sequence) -> list:
 
     With fewer than two workers or items the calls run inline, without
     importing multiprocessing; they also run inline where the fork start
-    method is unavailable. An exception fn raises in a child is raised here. A child
-    that dies (say, killed for memory) raises BrokenProcessPool, where a
-    multiprocessing.Pool would wait forever.
+    method is unavailable. The first call to raise, in item order, stops the
+    map and is raised here: no later item starts, but items already queued
+    to a worker finish first. A child that dies (say, killed for memory)
+    raises BrokenProcessPool, where a multiprocessing.Pool would wait forever.
     """
     items = list(items)
     workers = min(WORKERS, len(items))

@@ -535,12 +535,6 @@ def score_batch(model: Model, data: Dataset | np.ndarray) -> np.ndarray:
     return kind.score(model, X)
 
 
-def threshold_labels(scores: np.ndarray) -> np.ndarray:
-    """Scores to labels: botnet (1) when score >= THRESHOLD. This ignores
-    the KNN even-k tie rule; labels_from_scores applies it."""
-    return (np.asarray(scores) >= THRESHOLD).astype(np.int64)
-
-
 def tie_rule(model: Model) -> str | None:
     """The rule labels_from_scores applies to a score of exactly
     THRESHOLD that overrides the threshold, or None when the threshold
@@ -557,7 +551,8 @@ def labels_from_scores(model: Model, X: np.ndarray,
     nearest training row (see tie_rule); only those rows are queried again, so
     other models and odd k cost nothing beyond the threshold.
     """
-    labels, kind = threshold_labels(scores), _KINDS[model_kind(model)]
+    labels = (np.asarray(scores) >= THRESHOLD).astype(np.int64)
+    kind = _KINDS[model_kind(model)]
     if kind.tie_rule(model) is not None:
         tied = np.flatnonzero(np.asarray(scores) == THRESHOLD)
         if tied.size:

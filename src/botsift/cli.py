@@ -20,7 +20,7 @@ import sys
 
 from .classifiers import MODEL_NAMES, _seeded, fit_model, load_model, save_model
 from .errors import BotsiftError, ConfigError, LoadError, SchemaError
-from .evaluate import METRIC_NAMES, cross_validate, evaluate_model, percent
+from .evaluate import cross_validate, evaluate_model
 from .experiment import ExperimentConfig, run_experiment
 from .features import chi2_scores
 from .flows import (Schema, _counts_json, _read_json, _write_json, class_summary,
@@ -225,9 +225,7 @@ def _cmd_cross_validate(args) -> None:
     out = _out_dir(args)
     _write_json(os.path.join(out, f"cv_{name}.json"), result.as_dict())
     print(f"{name} {result.k}-fold cross-validation (percent, mean +/- std):")
-    for metric in METRIC_NAMES:
-        print(f"  {metric:<10} {percent(result.mean[metric])} "
-              f"+/- {percent(result.std[metric])}")
+    print(*result.metric_lines(), sep="\n")
 
 
 def _cmd_synth(args) -> None:

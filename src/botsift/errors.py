@@ -49,9 +49,9 @@ class DivergenceError(TrainingError):
         super().__init__(message or f"training diverged at epoch {epoch}: loss is not finite")
 
     def __reduce__(self):
-        # rebuild from (epoch, message): the default reduce would pass the
-        # message alone back into __init__ as the epoch
-        return type(self), (self.epoch, *self.args)
+        # rebuild from (epoch, message), where the default would pass the message
+        # alone as the epoch, and keep later attributes (a run's stage label)
+        return type(self), (self.epoch, *self.args), self.__dict__
 
 
 class EvaluationError(BotsiftError):

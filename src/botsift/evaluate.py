@@ -12,12 +12,13 @@ import dataclasses
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .classifiers import (THRESHOLD, _features_for, _seeded, check_params, fit_model,
                           labels_from_scores, model_kind, score_batch, tie_rule)
-from .errors import EvaluationError
+from .errors import EvaluationError, TrainingError
 from .flows import Dataset, _counts_json, _write_json
 from .preprocess import apply_scaler, fit_scaler
 from .smote import SmoteConfig, smote, smote_counts
@@ -264,6 +265,12 @@ def make_folds(labels: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
 # Cross-validation
 
 
+def fold_error(f: int | None, error: type = TrainingError) -> Callable[[str], Exception]:
+    """error's constructor for a fault of fold f: its text is prefixed
+    "fold f: ", or left as it is when f is None (a whole training set)."""
+    return lambda text: error(text if f is None else f"fold {f}: {text}")
+
+
 def fold_counts(dataset: Dataset, folds: list[np.ndarray], f: int,
                 smote_config: SmoteConfig | None = None) -> tuple[int, int]:
     """Fold f's training-part (normal, botnet) counts as fold_sets gives it,
@@ -272,9 +279,9 @@ def fold_counts(dataset: Dataset, folds: list[np.ndarray], f: int,
     train = tuple((np.bincount(dataset.labels, minlength=2) - test).tolist())
     for counts, name in ((train, "training"), (tuple(test.tolist()), "test")):
         if 0 in counts:
-            raise EvaluationError(
-                f"fold {f}: {name} part has a single class "
-                f"(counts {counts}); use a k no larger than the smaller class")
+            raise fold_error(f, EvaluationError)(
+                f"{name} part has a single class (counts {counts}); "
+                "use a k no larger than the smaller class")
     return train if smote_config is None else smote_counts(train, smote_config)
 
 
@@ -324,6 +331,11 @@ class CvResult:
                    mean={name: float(np.mean(v)) for name, v in columns.items()},
                    std={name: float(np.std(v)) for name, v in columns.items()})
 
+    def metric_lines(self) -> list[str]:
+        """Each metric's '  name mean +/- std' line, in percent."""
+        return [f"  {name:<10} {percent(self.mean[name])} +/- {percent(self.std[name])}"
+                for name in METRIC_NAMES]
+
     def as_dict(self) -> dict:
         return {
             "model": self.model,
@@ -344,11 +356,12 @@ def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
     """k-fold cross-validation of one model: once every fold's and fit's
     rule holds, each fold's parts come from fold_sets, and the model (seeded
     seed unless params set its seed) is fitted and scored on them."""
-    folds = make_folds(dataset.labels, k, seed)
     params = _seeded(model_name, params, seed)
+    check_params(model_name, params)
+    folds = make_folds(dataset.labels, k, seed)
     for f in range(k):
-        check_params(model_name, params,
-                     counts=fold_counts(dataset, folds, f, smote_config))
+        check_params(model_name, params, fold_error(f),
+                     fold_counts(dataset, folds, f, smote_config))
     metrics = []
     for f in range(k):
         train, test = fold_sets(dataset, folds, f, seed, scale=scale,
@@ -391,10 +404,7 @@ class EvalReport:
         lines.append(f"degenerate (zero denominator, reported as 0): {flagged}")
         if self.cv is not None:
             lines.append(f"cross-validation (k={self.cv.k}, percent, mean +/- std):")
-            for name in METRIC_NAMES:
-                lines.append(
-                    f"  {name:<10} {percent(self.cv.mean[name])} "
-                    f"+/- {percent(self.cv.std[name])}")
+            lines += self.cv.metric_lines()
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

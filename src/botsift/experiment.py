@@ -15,9 +15,10 @@ Two pipeline modes:
 Cross-validation prepares each fold once per arm (evaluate.fold_sets)
 and scores every model on it. Jobs go through _pool.fork_map: fold jobs
 (arm, fold, every model) first, then one full fit per (arm, model), MLP
-first. The first failing job in submission order names the stage, as in
-cross_validate[raw/fold 3], cross_validate[raw/knn] or train[raw/knn];
-a rule that set sizes alone break fails so before any job runs.
+first. The run stops at the first failing job in job order, whose step
+names the stage, as in cross_validate[raw/fold 3], cross_validate[raw/knn]
+or train[raw/knn]; no later job starts, but jobs already queued to a worker
+finish first. A rule that set sizes alone break fails so before any job runs.
 
 Every stage seed is the master seed plus a fixed labelled offset, the
 manifest records seeds, mode, and executed stage order, and no output
@@ -31,14 +32,13 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from functools import partial
 
 from ._pool import fork_map
 from .classifiers import MODEL_NAMES, _seeded, check_params, fit_model, save_model
-from .errors import BotsiftError, ConfigError, TrainingError
+from .errors import BotsiftError, ConfigError
 from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
-                       fold_counts, fold_sets, make_folds, percent, roc_classes,
-                       train_test_split)
+                       fold_counts, fold_error, fold_sets, make_folds, percent,
+                       roc_classes, train_test_split)
 from .features import chi2_scores, select_features
 from .flows import (_ACCEPTS, Dataset, Schema, _counts_json, _read_json,
                     _write_json, load_csv, to_dataset)
@@ -243,54 +243,6 @@ def _prepare(config: ExperimentConfig, dataset: Dataset, arms: list[str],
     return arm_sets, train
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """What every job of one run reads."""
-
-    config: ExperimentConfig
-    outdir: str
-    seeds: dict[str, int]
-    arm_sets: dict[str, tuple[Dataset, Dataset]]
-    cv_sets: dict[str, dict]  # arm: the dataset, folds and smote_config it folds by
-
-
-# One job: (arm, fold index, or None to fit on the arm's whole training
-# set, and the (name, params) of each model it fits).
-_Job = tuple[str, int | None, tuple[tuple[str, dict], ...]]
-
-
-def _run_job(grid: _Grid, job: _Job) -> tuple[str, list | Exception]:
-    """Prepare the job's sets once, then fit and score each of its models.
-
-    Returns the last stage label entered and each model's Metrics on the
-    fold, or for a full fit its EvalReport (its model saved when the
-    config asks), or else the exception that stage raised, so the caller
-    can re-raise failures in job order.
-    """
-    arm, f, models = job
-    stage = f"cross_validate[{arm}/fold {f}]"
-    try:
-        train, test = grid.arm_sets[arm] if f is None else fold_sets(
-            f=f, seed=grid.seeds["cv"], scale=grid.config.mode != "paper",
-            **grid.cv_sets[arm])
-        results = []
-        for name, params in models:
-            stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
-            model = fit_model(name, train, params)
-            if f is None and grid.config.save_models:
-                tagged = dataclasses.replace(model, provenance={
-                    "arm": arm, "mode": grid.config.mode, "stage_seeds": grid.seeds,
-                    "features": list(train.feature_names)})
-                save_model(tagged, os.path.join(grid.outdir, f"model_{arm}_{name}.json"))
-            if f is None:
-                stage = f"evaluate[{arm}/{name}]"
-            report = evaluate_model(model, test, model_name=name)
-            results.append(report if f is None else report.metrics)
-        return stage, results
-    except Exception as exc:
-        return stage, exc
-
-
 def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     """Execute the configured pipeline and write the report bundle.
 
@@ -358,8 +310,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         # so the bundle is the same bytes whichever process ran it.
         models = tuple((name, _seeded(name, params, seeds["mlp"]))
                        for name, params in config.models)
-        jobs: list[_Job] = [(arm, f, models) for arm in cv_sets
-                            for f in range(config.cv_folds)]
+        jobs = [(arm, f, models) for arm in cv_sets for f in range(config.cv_folds)]
         jobs += sorted(((arm, None, (model,)) for arm in arms for model in models),
                        key=lambda job: job[2][0][0] != "mlp")
         # Ask every job's fold, fit and ROC size rules, in job order, first.
@@ -369,18 +320,41 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
                       else fold_counts(f=f, **cv_sets[arm]))
             for name, params in job_models:
                 stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
-                check_params(name, params, lambda text: TrainingError(
-                    text if f is None else f"fold {f}: {text}"), counts)
+                check_params(name, params, fold_error(f), counts)
                 if f is None:
                     stage = f"evaluate[{arm}/{name}]"
                     roc_classes(arm_sets[arm][1].labels)
         stages += ["train", "evaluate"] + (["cross_validate"] if config.cv_folds else [])
-        grid = _Grid(config, outdir, seeds, arm_sets, cv_sets)
+
+        def run_job(job) -> list:
+            """Each of the job's models fitted and scored on its sets, prepared
+            once: Metrics on a fold, or a full fit's EvalReport (the model saved
+            when asked). A toolkit error leaves labelled with the step it hit."""
+            arm, f, job_models = job
+            step = f"cross_validate[{arm}/fold {f}]"
+            try:
+                train, test = arm_sets[arm] if f is None else fold_sets(
+                    f=f, seed=seeds["cv"], scale=not paper, **cv_sets[arm])
+                scored = []
+                for name, params in job_models:
+                    step = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
+                    model = fit_model(name, train, params)
+                    if f is None and config.save_models:
+                        tagged = dataclasses.replace(model, provenance={
+                            "arm": arm, "mode": config.mode, "stage_seeds": seeds,
+                            "features": list(train.feature_names)})
+                        save_model(tagged, os.path.join(outdir, f"model_{arm}_{name}.json"))
+                    if f is None:
+                        step = f"evaluate[{arm}/{name}]"
+                    report = evaluate_model(model, test, model_name=name)
+                    scored.append(report if f is None else report.metrics)
+                return scored
+            except BotsiftError as exc:
+                exc.stage = step
+                raise
+
         results: dict[tuple[str, str], list] = {}
-        for (arm, _, job_models), (stage, outcome) in zip(
-                jobs, fork_map(partial(_run_job, grid), jobs)):
-            if isinstance(outcome, Exception):
-                raise outcome
+        for (arm, _, job_models), outcome in zip(jobs, fork_map(run_job, jobs)):
             for (name, _), result in zip(job_models, outcome):
                 results.setdefault((arm, name), []).append(result)
 
@@ -405,7 +379,7 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
     except BotsiftError as exc:
         _cleanup(outdir, created_root)
         exc.args = (
-            f"stage {stage!r} failed: {exc} "
+            f"stage {getattr(exc, 'stage', stage)!r} failed: {exc} "
             f"[config: {json.dumps(config.to_dict(), sort_keys=True)}]",)
         raise
     except Exception:

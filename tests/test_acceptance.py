@@ -50,7 +50,6 @@ from botsift import (
     score_batch,
     smote,
     split_indices,
-    threshold_labels,
     to_dataset,
 )
 from botsift.classifiers import MlpModel
@@ -350,7 +349,7 @@ def test_08_illusory_accuracy():
 
 
 def minority_recall(model, minority, test):
-    predictions = threshold_labels(score_batch(model, test.features))
+    predictions = predict_batch(model, test.features)
     actual = test.labels == minority
     hits = int(np.sum((predictions == minority) & actual))
     return hits, int(actual.sum())

@@ -19,8 +19,8 @@ from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
                      cross_validate, evaluate_model, fit_model,
                      gnb_posteriors, load_model, make_folds,
                      mlp_loss_and_grads, predict_batch, save_model,
-                     score_batch, threshold_labels)
-from botsift.classifiers import MODEL_NAMES, check_params
+                     score_batch)
+from botsift.classifiers import MODEL_NAMES, check_params, labels_from_scores
 
 from conftest import make_dataset
 
@@ -475,9 +475,11 @@ class TestSharedSurface:
             "hidden": 16, "learning_rate": 0.1, "epochs": 3, "batch_size": 32,
             "seed": 0}
 
-    def test_threshold_is_inclusive_at_half(self):
+    def test_threshold_is_inclusive_at_half(self, rng):
+        model = fit_model("gnb", blobs(rng, n0=10, n1=10))
         scores = np.array([0.49, 0.5, 0.51, 0.0, 1.0])
-        assert threshold_labels(scores).tolist() == [0, 1, 1, 0, 1]
+        X = np.zeros((len(scores), 3))
+        assert labels_from_scores(model, X, scores).tolist() == [0, 1, 1, 0, 1]
 
     def test_score_batch_validates_shape(self, rng):
         train = blobs(rng, n0=10, n1=10)

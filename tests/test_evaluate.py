@@ -446,7 +446,7 @@ class TestCrossValidate:
         ("forest", None, "unknown model 'forest', expected one of "
                          "('gnb', 'knn', 'mlp')"),
         # 40 rows in 4 folds: every training part holds 30 rows
-        ("knn", {"k": 31}, "k=31 exceeds the 30 training rows"),
+        ("knn", {"k": 31}, "fold 0: k=31 exceeds the 30 training rows"),
     ])
     def test_a_broken_rule_fails_before_any_fold_is_prepared(
             self, rng, monkeypatch, name, params, message):

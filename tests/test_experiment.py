@@ -3,6 +3,8 @@
 import json
 import os
 import pickle
+import tempfile
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -444,6 +446,18 @@ def bundle_bytes(outdir):
     return files
 
 
+# Both arms of 5 folds each fit gnb and an MLP whose learning rate makes
+# every fit diverge: 10 fold jobs of 2 fits and 4 full fits.
+DIVERGING_GRID_FITS = 24
+
+
+def diverging_grid(**overrides):
+    return ExperimentConfig(
+        input_profile=botsift.bundled_profile_path("botiot-means"), input_rows=4000,
+        seed=3, smote="both", cv_folds=5,
+        models=(("gnb", {}), ("mlp", {"learning_rate": 1e308})), **overrides)
+
+
 class TestPooledGrid:
     def test_pooled_and_inline_runs_match(self, profile_path, tmp_path,
                                           monkeypatch):
@@ -492,6 +506,42 @@ class TestPooledGrid:
             assert isinstance(err.value.epoch, int)
             assert f"stage '{failed}' failed" in str(err.value)
             assert not os.path.exists(outdir)
+
+    def test_a_failing_job_stops_the_inline_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(botsift._pool, "WORKERS", 1)
+        fits = []
+        fit_model = botsift.experiment.fit_model
+        monkeypatch.setattr(botsift.experiment, "fit_model", lambda name, *args:
+                            fits.append(name) or fit_model(name, *args))
+        outdir = str(tmp_path / "failed")
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_experiment(diverging_grid(), outdir)
+        # fold 0's job fits gnb, then the MLP that diverges; nothing after
+        assert fits == ["gnb", "mlp"]
+        assert "stage 'cross_validate[raw/mlp]' failed" in str(err.value)
+        assert not os.path.exists(outdir)
+
+    def test_a_failing_job_stops_the_pooled_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(botsift._pool, "WORKERS", 2)
+        fit_dir = tmp_path / "fits"
+        fit_dir.mkdir()
+        fit_model = botsift.experiment.fit_model
+
+        def slowed(name, *args):
+            # one file per fit, so the fits of every process are counted
+            os.close(tempfile.mkstemp(dir=fit_dir)[0])
+            if name == "gnb":  # each job's MLP diverges at once
+                time.sleep(0.2)
+            return fit_model(name, *args)
+
+        monkeypatch.setattr(botsift.experiment, "fit_model", slowed)
+        outdir = str(tmp_path / "failed")
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_experiment(diverging_grid(save_models=True), outdir)
+        # only fold 0's job and those already queued to a worker ran
+        assert len(os.listdir(fit_dir)) < DIVERGING_GRID_FITS
+        assert "stage 'cross_validate[raw/mlp]' failed" in str(err.value)
+        assert not os.path.exists(outdir)
 
     def test_a_worker_that_dies_fails_the_run(self, profile_path, tmp_path,
                                               monkeypatch):
