@@ -1,6 +1,6 @@
 """The one process pool botsift uses: a function over items on both cores.
 
-The experiment's fold and full-fit jobs and the large CSV reads and writes
+The jobs of evaluate.run_fold_jobs and the large CSV reads and writes
 run through fork_map. Forked children inherit the function and the items, so
 neither is pickled: only item indices go out, and only the results (or an
 exception) come back. Callers keep large data out of the results; a child
@@ -35,9 +35,9 @@ def fork_map(fn: Callable, items: Sequence) -> list:
 
     With fewer than two workers or items the calls run inline, without
     importing multiprocessing; they also run inline where the fork start
-    method is unavailable. The first call to raise, in item order, stops the
-    map and is raised here: no later item starts, but items already queued
-    to a worker finish first. A child that dies (say, killed for memory)
+    method is unavailable. An item goes out only to a free worker, and none
+    after a call raises: the running calls finish, then the first to raise,
+    in item order, is raised here. A child that dies (say, killed for memory)
     raises BrokenProcessPool, where a multiprocessing.Pool would wait forever.
     """
     items = list(items)
@@ -47,8 +47,16 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+    futures, running = [], set()
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(fn, items)) as pool:
-        return list(pool.map(_call, range(len(items))))
+        for index in range(len(items)):
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() for future in done):
+                    break
+            futures.append(pool.submit(_call, index))
+            running.add(futures[-1])
+    return [future.result() for future in futures]

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .classifiers import MODEL_NAMES, _seeded, fit_model, load_model, save_model
 from .errors import BotsiftError, ConfigError, LoadError, SchemaError
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
         if args.config and args.command != "run":
             args = _with_config(parser, args, argv)
         args.handler(args)
-    except (BotsiftError, OSError) as exc:
+    except (BotsiftError, OSError, BrokenExecutor) as exc:  # or a pool worker died
         print(f"botsift: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (ConfigError, SchemaError)) else 2
     return 0

@@ -18,7 +18,8 @@ import numpy as np
 
 from .classifiers import (THRESHOLD, _features_for, _seeded, check_params, fit_model,
                           labels_from_scores, model_kind, score_batch, tie_rule)
-from .errors import EvaluationError, TrainingError
+from ._pool import fork_map
+from .errors import BotsiftError, EvaluationError, TrainingError
 from .flows import Dataset, _counts_json, _write_json
 from .preprocess import apply_scaler, fit_scaler
 from .smote import SmoteConfig, smote, smote_counts
@@ -349,24 +350,75 @@ class CvResult:
         }
 
 
+def _labelled(step: str, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), a toolkit error it raises given step as its stage."""
+    try:
+        return call(*args, **kwargs)
+    except BotsiftError as exc:
+        exc.stage = step
+        raise
+
+
+def run_fold_jobs(jobs: list, cv_sets: dict, full_sets: dict, seed: int, *,
+                  scale: bool, save: Callable | None = None) -> dict[tuple, list]:
+    """{(arm, name): its results in job order} of jobs (arm, f, models), run
+    through fork_map once every job's size rules hold, asked in job order.
+    A job fits and scores each (name, params) of models on fold f of
+    cv_sets[arm] (fold_sets' dataset, folds and smote_config; seeded seed,
+    scaled when scale), giving Metrics, or where f is None on full_sets[arm],
+    the arm's (training, test) sets, giving an EvalReport and handing the
+    model to save(arm, name, model) in the process that fitted it. A toolkit
+    error leaves with its stage set to the step that raised it:
+    cross_validate[arm/fold f] or cross_validate[arm/name] on a fold,
+    train[arm/name] or evaluate[arm/name] on the whole sets."""
+    for arm, f, models in jobs:
+        phase = "train" if f is None else "cross_validate"
+        counts = (full_sets[arm][0].class_counts if f is None else _labelled(
+            f"cross_validate[{arm}/fold {f}]", fold_counts, f=f, **cv_sets[arm]))
+        for name, params in models:
+            _labelled(f"{phase}[{arm}/{name}]", check_params, name, params,
+                      fold_error(f), counts)
+            if f is None:
+                _labelled(f"evaluate[{arm}/{name}]", roc_classes, full_sets[arm][1].labels)
+
+    def run_job(job) -> list:
+        arm, f, models = job
+        phase = "train" if f is None else "cross_validate"
+        train, test = full_sets[arm] if f is None else _labelled(
+            f"cross_validate[{arm}/fold {f}]", fold_sets, f=f, seed=seed, scale=scale,
+            **cv_sets[arm])
+        scored = []
+        for name, params in models:
+            model = _labelled(f"{phase}[{arm}/{name}]", fit_model, name, train, params)
+            if f is None and save is not None:
+                save(arm, name, model)
+            report = _labelled(f"{'evaluate' if f is None else phase}[{arm}/{name}]",
+                               evaluate_model, model, test, model_name=name)
+            scored.append(report if f is None else report.metrics)
+        return scored
+
+    results: dict[tuple, list] = {}
+    for (arm, _, models), scored in zip(jobs, fork_map(run_job, jobs)):
+        for (name, _), result in zip(models, scored):
+            results.setdefault((arm, name), []).append(result)
+    return results
+
+
 def cross_validate(dataset: Dataset, model_name: str, k: int = 5,
                    seed: int = 0, *, params: dict | None = None,
                    scale: bool = True,
                    smote_config: SmoteConfig | None = None) -> CvResult:
-    """k-fold cross-validation of one model: once every fold's and fit's
-    rule holds, each fold's parts come from fold_sets, and the model (seeded
-    seed unless params set its seed) is fitted and scored on them."""
+    """k-fold cross-validation of one model, its folds fitted on both cores:
+    once every fold's and fit's rule holds, each fold's parts come from
+    fold_sets, and the model (seeded seed unless params set its seed) is
+    fitted and scored on them."""
     params = _seeded(model_name, params, seed)
     check_params(model_name, params)
     folds = make_folds(dataset.labels, k, seed)
-    for f in range(k):
-        check_params(model_name, params, fold_error(f),
-                     fold_counts(dataset, folds, f, smote_config))
-    metrics = []
-    for f in range(k):
-        train, test = fold_sets(dataset, folds, f, seed, scale=scale,
-                                smote_config=smote_config)
-        metrics.append(evaluate_model(fit_model(model_name, train, params), test).metrics)
+    arm = "raw" if smote_config is None else "smote"
+    cv_sets = {arm: dict(dataset=dataset, folds=folds, smote_config=smote_config)}
+    jobs = [(arm, f, ((model_name, params),)) for f in range(k)]
+    metrics = run_fold_jobs(jobs, cv_sets, {}, seed, scale=scale)[(arm, model_name)]
     return CvResult.from_folds(model_name, seed, folds, metrics)
 
 

@@ -13,12 +13,14 @@ Two pipeline modes:
       benchmarks use.
 
 Cross-validation prepares each fold once per arm (evaluate.fold_sets)
-and scores every model on it. Jobs go through _pool.fork_map: fold jobs
+and scores every model on it. The jobs run on both cores through
+evaluate.run_fold_jobs, the fold runner cross_validate uses too: fold jobs
 (arm, fold, every model) first, then one full fit per (arm, model), MLP
-first. The run stops at the first failing job in job order, whose step
-names the stage, as in cross_validate[raw/fold 3], cross_validate[raw/knn]
-or train[raw/knn]; no later job starts, but jobs already queued to a worker
-finish first. A rule that set sizes alone break fails so before any job runs.
+first. A rule that set sizes alone break fails so before any job runs. The
+run stops at the first failing job in job order, whose step names the
+stage, as in cross_validate[raw/fold 3], cross_validate[raw/knn] or
+train[raw/knn]; no job starts after a failure, and only the jobs already
+running finish.
 
 Every stage seed is the master seed plus a fixed labelled offset, the
 manifest records seeds, mode, and executed stage order, and no output
@@ -33,12 +35,10 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
-from ._pool import fork_map
-from .classifiers import MODEL_NAMES, _seeded, check_params, fit_model, save_model
+from .classifiers import MODEL_NAMES, _seeded, check_params, save_model
 from .errors import BotsiftError, ConfigError
-from .evaluate import (CvResult, EvalReport, METRIC_NAMES, evaluate_model,
-                       fold_counts, fold_error, fold_sets, make_folds, percent,
-                       roc_classes, train_test_split)
+from .evaluate import (CvResult, EvalReport, METRIC_NAMES, make_folds, percent,
+                       run_fold_jobs, train_test_split)
 from .features import chi2_scores, select_features
 from .flows import (_ACCEPTS, Dataset, Schema, _counts_json, _read_json,
                     _write_json, load_csv, to_dataset)
@@ -313,50 +313,17 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> ExperimentResult:
         jobs = [(arm, f, models) for arm in cv_sets for f in range(config.cv_folds)]
         jobs += sorted(((arm, None, (model,)) for arm in arms for model in models),
                        key=lambda job: job[2][0][0] != "mlp")
-        # Ask every job's fold, fit and ROC size rules, in job order, first.
-        for arm, f, job_models in jobs:
-            stage = f"cross_validate[{arm}/fold {f}]"
-            counts = (arm_sets[arm][0].class_counts if f is None
-                      else fold_counts(f=f, **cv_sets[arm]))
-            for name, params in job_models:
-                stage = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
-                check_params(name, params, fold_error(f), counts)
-                if f is None:
-                    stage = f"evaluate[{arm}/{name}]"
-                    roc_classes(arm_sets[arm][1].labels)
         stages += ["train", "evaluate"] + (["cross_validate"] if config.cv_folds else [])
 
-        def run_job(job) -> list:
-            """Each of the job's models fitted and scored on its sets, prepared
-            once: Metrics on a fold, or a full fit's EvalReport (the model saved
-            when asked). A toolkit error leaves labelled with the step it hit."""
-            arm, f, job_models = job
-            step = f"cross_validate[{arm}/fold {f}]"
-            try:
-                train, test = arm_sets[arm] if f is None else fold_sets(
-                    f=f, seed=seeds["cv"], scale=not paper, **cv_sets[arm])
-                scored = []
-                for name, params in job_models:
-                    step = f"{'train' if f is None else 'cross_validate'}[{arm}/{name}]"
-                    model = fit_model(name, train, params)
-                    if f is None and config.save_models:
-                        tagged = dataclasses.replace(model, provenance={
-                            "arm": arm, "mode": config.mode, "stage_seeds": seeds,
-                            "features": list(train.feature_names)})
-                        save_model(tagged, os.path.join(outdir, f"model_{arm}_{name}.json"))
-                    if f is None:
-                        step = f"evaluate[{arm}/{name}]"
-                    report = evaluate_model(model, test, model_name=name)
-                    scored.append(report if f is None else report.metrics)
-                return scored
-            except BotsiftError as exc:
-                exc.stage = step
-                raise
+        def save(arm: str, name: str, model) -> None:
+            # in the worker that fitted it: a KNN model holds the training rows
+            tagged = dataclasses.replace(model, provenance={
+                "arm": arm, "mode": config.mode, "stage_seeds": seeds,
+                "features": list(arm_sets[arm][0].feature_names)})
+            save_model(tagged, os.path.join(outdir, f"model_{arm}_{name}.json"))
 
-        results: dict[tuple[str, str], list] = {}
-        for (arm, _, job_models), outcome in zip(jobs, fork_map(run_job, jobs)):
-            for (name, _), result in zip(job_models, outcome):
-                results.setdefault((arm, name), []).append(result)
+        results = run_fold_jobs(jobs, cv_sets, arm_sets, seeds["cv"], scale=not paper,
+                                save=save if config.save_models else None)
 
         stage = "finalize"
         reports: dict[tuple[str, str], EvalReport] = {}

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+import botsift._pool
+import botsift.evaluate
 from botsift import Dataset, cross_validate, read_dataset_csv, write_dataset_csv
 from botsift.cli import main
 
@@ -470,6 +472,20 @@ class TestCrossValidate:
         with open(out / "cv_mlp.json", encoding="utf-8") as fh:
             assert json.load(fh) == json.loads(json.dumps(want.as_dict()))
 
+    def test_a_pooled_fold_fault_exits_as_one_inline(self, tmp_path, dataset_csv,
+                                                     capsys, monkeypatch):
+        outcomes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(botsift._pool, "WORKERS", workers)
+            with np.errstate(all="ignore"):
+                code = main(["cross-validate", "--csv", dataset_csv, "--model", "mlp",
+                             "--params", '{"learning_rate": 1e308}',
+                             "--out", str(tmp_path / f"cv{workers}")])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].startswith("botsift: training diverged")
+        assert outcomes[1] == outcomes[0]
+
 
 class TestRun:
     def _config(self, tmp_path, profile_path, **extra):
@@ -504,6 +520,23 @@ class TestRun:
             manifest = json.load(fh)
         assert manifest["mode"] == "paper"
         assert manifest["stage_seeds"]["master"] == 12
+
+    def test_a_worker_that_dies_exits_two(self, tmp_path, profile_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(botsift._pool, "WORKERS", 2)
+        parent = os.getpid()
+
+        def die_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return roc_curve(*args)
+
+        roc_curve = botsift.evaluate.roc_curve
+        monkeypatch.setattr(botsift.evaluate, "roc_curve", die_in_worker)
+        cfg = self._config(tmp_path, profile_path, smote="both")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "died")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("botsift: ") and err.count("\n") == 1
 
     def test_missing_config_exits_one(self, capsys):
         assert main(["run"]) == 1

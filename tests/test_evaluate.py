@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import botsift._pool
 import botsift.evaluate
 from botsift import (ConfusionMatrix, EvaluationError, Metrics, ResampleError,
                      RocCurve, SmoteConfig, TrainingError, cross_validate,
@@ -458,6 +460,28 @@ class TestCrossValidate:
             cross_validate(ds, name, k=4, seed=0, params=params)
         assert str(err.value) == message
         assert calls == []
+
+    def test_folds_are_fitted_on_the_pool(self, rng, tmp_path, monkeypatch):
+        # k=2 runs the even-k tie rule inside the workers
+        ds = two_blobs(rng, n0=60, n1=12, gap=1.0)
+        fit_model = botsift.evaluate.fit_model
+        results, pids = {}, {}
+        for workers in (1, 2):
+            monkeypatch.setattr(botsift._pool, "WORKERS", workers)
+            pid_dir = tmp_path / f"pids{workers}"
+            pid_dir.mkdir()
+
+            def record_pid(*args, pid_dir=pid_dir):
+                (pid_dir / str(os.getpid())).touch()
+                return fit_model(*args)
+
+            monkeypatch.setattr(botsift.evaluate, "fit_model", record_pid)
+            results[workers] = cross_validate(ds, "knn", k=3, seed=1, params={"k": 2},
+                                              smote_config=SmoteConfig(k_neighbors=2))
+            pids[workers] = {int(name) for name in os.listdir(pid_dir)}
+        assert results[2] == results[1]
+        assert pids[1] == {os.getpid()}
+        assert pids[2] and os.getpid() not in pids[2]
 
     def test_in_fold_resampling_runs(self, rng):
         from botsift import SmoteConfig
