@@ -1,8 +1,9 @@
 """From a raw flow CSV to a scaled numeric dataset with scored features.
 
-The pipeline is cleanse (drop rows with missing or unparseable cells),
-encode (proto/state tokens to integer codes), convert to a numeric
-matrix, min-max scale, and score each feature with the chi-square statistic
+The pipeline is cleanse (drop rows with missing or unparseable cells in
+any column the loader kept), encode (every token column, proto/state
+here, to integer codes in one step), convert to a numeric matrix,
+min-max scale, and score each feature with the chi-square statistic
 against the class label. Selection keeps features scoring strictly
 above the mean score.
 """
@@ -11,9 +12,9 @@ import csv
 import os
 import tempfile
 
-from botsift import (apply_encoding, apply_scaler, chi2_scores, cleanse,
-                     default_profile, fit_encoding, fit_scaler, generate,
-                     load_csv, select_features, to_dataset, write_records_csv)
+from botsift import (apply_scaler, chi2_scores, cleanse, default_profile,
+                     encode, fit_scaler, generate, load_csv, select_features,
+                     to_dataset, write_records_csv)
 
 workdir = tempfile.mkdtemp(prefix="botsift-demo-")
 raw_csv = os.path.join(workdir, "flows.csv")
@@ -35,10 +36,9 @@ print(f"loaded {len(loaded)} rows, cleansing kept {len(kept)} "
 lacking = {name: n for name, n in kept.missing_counts.items() if n}
 print(f"rows lacking a value, by column: {lacking}")
 
-# categorical tokens become stable integer codes, fitted once
-encoding = fit_encoding(kept)
-print(f"proto codes: {encoding.proto_codes}")
-encoded = apply_encoding(kept, encoding)
+# categorical tokens become integer codes, by first appearance
+encoded, codes = encode(kept)
+print(f"proto codes: {codes['proto']}")
 dataset = to_dataset(encoded)
 print(f"dataset: {dataset.n_rows} rows x {len(dataset.feature_names)} features, "
       f"class counts {dataset.class_counts}")

@@ -10,13 +10,13 @@ import tempfile
 
 import numpy as np
 
-from botsift import (apply_encoding, apply_scaler, cleanse, cross_validate,
-                     default_profile, evaluate_model, fit_encoding, fit_model,
-                     fit_scaler, generate, load_model, save_model, score_batch,
-                     to_dataset, train_test_split)
+from botsift import (apply_scaler, cleanse, cross_validate, default_profile,
+                     encode, evaluate_model, fit_model, fit_scaler, generate,
+                     load_model, save_model, score_batch, to_dataset,
+                     train_test_split)
 
 flows = cleanse(generate(default_profile(), rows=6_000, seed=3))
-dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
+dataset = to_dataset(encode(flows)[0])
 train, test = train_test_split(dataset, test_fraction=0.25, seed=4)
 scaler = fit_scaler(train)  # fitted on training rows only
 train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)

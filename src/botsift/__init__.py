@@ -12,9 +12,8 @@ from .classifiers import (GnbModel, KnnModel, MlpConfig, MlpModel, fit_model,
                           gnb_posteriors, load_model, mlp_loss_and_grads,
                           predict_batch, save_model, score_batch)
 from .errors import (BotsiftError, CleanseError, ConfigError, DivergenceError,
-                     EncodingError, EvaluationError, FeatureScoreError,
-                     LoadError, ResampleError, SchemaError, SynthError,
-                     TrainingError)
+                     EvaluationError, FeatureScoreError, LoadError,
+                     ResampleError, SchemaError, SynthError, TrainingError)
 from .evaluate import (ConfusionMatrix, EvalReport, Metrics, RocCurve,
                        cross_validate, evaluate_model, make_folds,
                        metrics_from, percent, roc_curve, split_indices,
@@ -24,8 +23,7 @@ from .features import FeatureScoreReport, chi2_scores, select_features
 from .flows import (Dataset, FlowTable, Schema, class_summary, default_schema,
                     load_csv, read_dataset_csv, to_dataset, write_dataset_csv,
                     write_records_csv)
-from .preprocess import (EncodingMap, ScalerParams, apply_encoding,
-                         apply_scaler, cleanse, fit_encoding, fit_scaler)
+from .preprocess import ScalerParams, apply_scaler, cleanse, encode, fit_scaler
 from .smote import SmoteConfig, minority_neighbors, smote
 from .synth import (FeatureSpec, TrafficProfile, bundled_profile_path,
                     class_counts_for, default_profile, generate,

@@ -27,7 +27,7 @@ from .features import chi2_scores
 from .flows import (Schema, _counts_json, _read_json, _write_json, class_summary,
                     load_csv, read_dataset_csv, to_dataset, write_dataset_csv,
                     write_records_csv)
-from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
+from .preprocess import apply_scaler, cleanse, encode, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, bundled_profile_path, generate
 
@@ -123,14 +123,13 @@ def _require(args, key: str):
 
 
 def _cmd_ingest(args) -> None:
-    schema = _schema_arg(args)
-    loaded = load_csv(_require(args, "csv"), schema)
-    flows = cleanse(loaded, schema)
-    encoding = fit_encoding(flows, schema)
-    dataset = to_dataset(apply_encoding(flows, encoding))
+    loaded = load_csv(_require(args, "csv"), _schema_arg(args))
+    flows = cleanse(loaded)
+    encoded, codes = encode(flows)
+    dataset = to_dataset(encoded)
     out = _out_dir(args)
     write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
-    encoding.to_json(os.path.join(out, "encoding.json"))
+    _write_json(os.path.join(out, "encoding.json"), codes)
     normal, botnet = dataset.class_counts
     dropped = len(loaded) - len(flows)
     _write_json(os.path.join(out, "counts.json"),

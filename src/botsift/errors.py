@@ -22,10 +22,6 @@ class CleanseError(BotsiftError):
     """Cleansing removed every row."""
 
 
-class EncodingError(BotsiftError):
-    """A categorical token has no assigned code."""
-
-
 class FeatureScoreError(BotsiftError):
     """Feature scoring preconditions were violated."""
 

@@ -23,8 +23,10 @@ train[raw/knn]; no job starts after a failure, and only the jobs already
 running finish.
 
 Every stage seed is the master seed plus a fixed labelled offset, the
-manifest records seeds, mode, and executed stage order, and no output
-contains timestamps, so equal configs give byte-identical bundles.
+manifest records seeds, mode, and the pipeline's stages (its stage_order
+ends train, evaluate, cross_validate, though the fold jobs are sent
+first), and no output contains timestamps, so equal configs give
+byte-identical bundles.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .evaluate import (CvResult, EvalReport, METRIC_NAMES, make_folds, percent,
 from .features import chi2_scores, select_features
 from .flows import (_ACCEPTS, Dataset, Schema, _counts_json, _read_json,
                     _write_json, load_csv, to_dataset)
-from .preprocess import apply_encoding, apply_scaler, cleanse, fit_encoding, fit_scaler
+from .preprocess import apply_scaler, cleanse, encode, fit_scaler
 from .smote import SmoteConfig, smote
 from .synth import TrafficProfile, generate
 
@@ -184,16 +186,14 @@ def _load_input(config: ExperimentConfig, seeds: dict[str, int],
         stages.append("synth")
         profile = TrafficProfile.from_json(config.input_profile)
         flows = generate(profile, rows=config.input_rows, seed=seeds["synth"])
-        schema = None
     else:
         stages.append("load")
         schema = Schema.from_json(config.input_schema) if config.input_schema else None
         flows = load_csv(config.input_csv, schema)
     stages.append("cleanse")
-    flows = cleanse(flows, schema)
+    flows = cleanse(flows)
     stages.append("encode")
-    encoding = fit_encoding(flows, schema)
-    return to_dataset(apply_encoding(flows, encoding))
+    return to_dataset(encode(flows)[0])
 
 
 def _summary_table(reports: dict[tuple[str, str], EvalReport],

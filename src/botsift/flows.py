@@ -67,7 +67,6 @@ NAMED_FIELDS = (
 )
 COUNT_FIELDS = ("pkts", "bytes", "spkts", "dpkts", "sbytes", "dbytes")
 NONNEGATIVE_FIELDS = COUNT_FIELDS + ("dur", "rate", "srate", "drate")
-CATEGORICAL_FIELDS = ("proto", "state")
 LABEL_FIELD = "attack"
 
 # Rows the CSV readers and writers hold at a time.
@@ -150,9 +149,6 @@ class Schema:
     def role_of(self, column: str) -> str:
         return self.roles.get(column, self.default_role)
 
-    def feature_columns(self) -> list[str]:
-        return [c for c, r in self.roles.items() if r in ("numeric", "categorical")]
-
     @classmethod
     def from_json(cls, path: str) -> "Schema":
         """The schema in the JSON file at path, an object with a "roles"
@@ -184,10 +180,8 @@ class FlowTable:
     float64 with NaN where a numeric value is missing, or string tokens
     (proto/state as loaded) with "" where a token is missing. Named fields
     come first, in canonical order, then other columns in the order given.
-    labels holds the 0/1 attack labels and lines the physical source line
-    on which each row starts; lines defaults to the lines the rows take in
-    write_records_csv output when no token holds a line break (2, 3, ...).
-    Arrays are frozen, so tables can share columns.
+    labels holds the 0/1 attack labels. Arrays are frozen, so tables can
+    share columns.
 
     missing_counts is filled in by cleanse: for each enforced column, how
     many input rows had no value there (a row missing several values counts
@@ -196,7 +190,6 @@ class FlowTable:
 
     columns: dict[str, np.ndarray]
     labels: np.ndarray
-    lines: np.ndarray | None = None
     missing_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -206,21 +199,14 @@ class FlowTable:
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise LoadError("labels must be 0 or 1")
         rows = labels.shape[0]
-        if self.lines is None:
-            lines = np.arange(2, rows + 2, dtype=np.int64)
-        else:
-            lines = np.asarray(self.lines, dtype=np.int64)
-        if lines.shape != (rows,):
-            raise LoadError(f"{lines.size} line numbers for {rows} rows")
         order = ([c for c in NAMED_FIELDS if c in self.columns]
                  + [c for c in self.columns if c not in NAMED_FIELDS])
         columns = {name: _as_column(name, self.columns[name], rows)
                    for name in order}
-        for array in (labels, lines, *columns.values()):
+        for array in (labels, *columns.values()):
             array.setflags(write=False)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "missing_counts", dict(self.missing_counts))
 
     def __len__(self) -> int:
@@ -234,7 +220,7 @@ class FlowTable:
     def take(self, rows: np.ndarray) -> "FlowTable":
         """The rows an index array or boolean mask selects, in that order."""
         return FlowTable({name: column[rows] for name, column in self.columns.items()},
-                         self.labels[rows], self.lines[rows])
+                         self.labels[rows])
 
 
 def _as_column(name: str, values, rows: int) -> np.ndarray:
@@ -446,11 +432,10 @@ def _read_whole(path: str, layout: Callable, *args) -> dict[str, np.ndarray] | N
     return columns
 
 
-def _read_lines(path: str, layout: Callable,
-                *args) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """(the columns read by name, each row's line) of a CSV format, read
-    by csv.reader CHUNK_ROWS rows at a time with each cell parsed by its
-    column's kind; a LoadError names the first line a rule fails on."""
+def _read_lines(path: str, layout: Callable, *args) -> dict[str, np.ndarray]:
+    """The columns of a CSV format read by name, read by csv.reader
+    CHUNK_ROWS rows at a time with each cell parsed by its column's kind;
+    a LoadError names the first line a rule fails on."""
     with _csv_reader(path) as reader:
         try:
             header = [name.strip() for name in next(reader)]
@@ -463,16 +448,13 @@ def _read_lines(path: str, layout: Callable,
         read = {name: _KINDS[kind] for name, kind in zip(header, kinds)
                 if kind != "ignore"}
         parts = {name: [np.array([], dtype)] for name, (_, dtype, _) in read.items()}
-        line_parts = [np.array([], np.int64)]
         for rows, lines in _row_chunks(reader, path, len(header)):
             cells = dict(zip(header, zip(*rows)))
             values = {name: parse(cells[name]) for name, (parse, _, _) in read.items()}
             _raise_first(path, lines, rules, cells, values)
             for name, column in values.items():
                 parts[name].append(column)
-            line_parts.append(lines)
-    return ({name: np.concatenate(chunks) for name, chunks in parts.items()},
-            np.concatenate(line_parts))
+    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
 
 
 def _header_first(path: str, layout: Callable, *args) -> None:
@@ -491,9 +473,12 @@ def _header_first(path: str, layout: Callable, *args) -> None:
 def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
     """Load a flow CSV into a FlowTable.
 
-    Columns are interpreted per the schema role map (bundled default when
-    schema is None); columns whose role is "ignore" are not kept. Missing
-    or unparseable numeric cells become NaN and are left for cleansing.
+    Each column is read by its role, as listed in the schema or else its
+    default_role (the bundled schema when schema is None): a numeric one as
+    float64, a categorical one as tokens; an "ignore" one is not kept. This
+    is the one place a schema applies: cleanse and encode read the table.
+    Missing or unparseable numeric cells become NaN and are left for
+    cleansing.
     Every row must have as many cells as the header, its label must be 0
     or 1, and its count, duration and rate fields must not be negative; the
     first line breaking a rule is named in the LoadError. Row order is
@@ -526,15 +511,14 @@ def _flow_layout(path: str, header: list[str],
 
 def _load_csv_lines(path: str, schema: Schema) -> FlowTable:
     """load_csv by line through csv.reader; a LoadError names the first bad line."""
-    return _flow_table(schema, *_read_lines(path, _flow_layout, schema))
+    return _flow_table(schema, _read_lines(path, _flow_layout, schema))
 
 
-def _flow_table(schema: Schema, columns: dict[str, np.ndarray],
-                lines: np.ndarray | None = None) -> FlowTable:
+def _flow_table(schema: Schema, columns: dict[str, np.ndarray]) -> FlowTable:
     labels = columns.pop(schema.label_column)
     # a column parsed in C is copied out of the parse buffer here
     return FlowTable({name: np.ascontiguousarray(c) for name, c in columns.items()},
-                     np.ascontiguousarray(labels), lines)
+                     np.ascontiguousarray(labels))
 
 
 @dataclass(frozen=True)
@@ -823,7 +807,7 @@ def _dataset_layout(path: str, header: list[str]) -> tuple[list[str], list[_Rule
 def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:
     """read_dataset_csv by line through csv.reader; a LoadError names the
     first offending physical line."""
-    return _dataset(_read_lines(path, _dataset_layout)[0])
+    return _dataset(_read_lines(path, _dataset_layout))
 
 
 def _dataset(columns: dict[str, np.ndarray]) -> tuple[Dataset, np.ndarray | None]:

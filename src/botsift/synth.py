@@ -60,6 +60,8 @@ class TrafficProfile:
                 if not (spec.cv > 0 and math.isfinite(spec.cv)):
                     raise SynthError(f"feature {name!r}: cv must be positive")
         for column, per_class in self.tokens.items():
+            if set(per_class) != {0, 1}:
+                raise SynthError(f"token column {column!r} needs both classes")
             for weights in per_class.values():
                 if not weights:
                     raise SynthError(f"token column {column!r} has no tokens")
@@ -134,9 +136,6 @@ class TrafficProfile:
             if set(table(value, where)) <= set(CLASS_KEYS):
                 tokens[column] = {CLASS_KEYS[k]: weights(v, f"{where}.{k}")
                                   for k, v in value.items()}
-                if len(tokens[column]) != 2:
-                    raise SynthError(
-                        f"{path}: token column {column!r} needs both classes")
             else:  # one flat weight table shared by both classes
                 shared = weights(value, where)
                 tokens[column] = {0: shared, 1: dict(shared)}

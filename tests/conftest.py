@@ -34,10 +34,10 @@ def make_flows(rows) -> FlowTable:
 
 
 def table_bytes(table):
-    """A flow table's columns (names, dtypes, values), labels and lines as bytes."""
+    """A flow table's columns (names, dtypes, values) and labels as bytes."""
     return ([(name, column.dtype.str, column.tobytes())
              for name, column in table.columns.items()],
-            table.labels.tobytes(), table.lines.tobytes())
+            table.labels.tobytes())
 
 
 def read_outcome(read, path):

@@ -29,14 +29,13 @@ from botsift import (
     MlpConfig,
     SmoteConfig,
     TrafficProfile,
-    apply_encoding,
     apply_scaler,
     chi2_scores,
     class_counts_for,
     cleanse,
     default_profile,
     default_schema,
-    fit_encoding,
+    encode,
     fit_model,
     fit_scaler,
     generate,
@@ -65,7 +64,7 @@ def _ok(number: int, name: str) -> None:
 
 def flows_to_dataset(flows):
     kept = cleanse(flows)
-    return to_dataset(apply_encoding(kept, fit_encoding(kept)))
+    return to_dataset(encode(kept)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def test_09_smote_benefit():
     improved = {"gnb": 0, "knn": 0, "mlp": 0}
     for base in range(5):
         flows = cleanse(generate(profile, rows=20_000, seed=base + 1))
-        dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
+        dataset = to_dataset(encode(flows)[0])
         train_idx, test_idx = split_indices(
             dataset.labels, 0.5, seed=base + 2)
         train, test = dataset.take(train_idx), dataset.take(test_idx)

@@ -143,6 +143,44 @@ class TestIngest:
         assert counts["dropped"] == 2
         assert counts["missing"] == {"pkts": 1, "dur": 1, "proto": 1}
 
+    def ingest_with_schema(self, tmp_path, text, default_role):
+        """counts.json, encoding.json and dataset.csv of an ingest of text,
+        with the schema that lists pkts and the label and leaves every
+        other column to default_role, or with no schema when that is None."""
+        raw, out = tmp_path / "raw.csv", tmp_path / f"out-{default_role}"
+        raw.write_text(text)
+        argv = ["ingest", "--csv", str(raw), "--out", str(out)]
+        if default_role is not None:
+            schema = tmp_path / "schema.json"
+            schema.write_text(json.dumps({"roles": {"pkts": "numeric", "attack": "label"},
+                                          "default_role": default_role}))
+            argv += ["--schema", str(schema)]
+        assert main(argv) == 0
+        return [(out / name).read_text()
+                for name in ("counts.json", "encoding.json", "dataset.csv")]
+
+    def test_default_role_categorical_columns_are_cleansed_and_encoded(self, tmp_path):
+        counts, encoding, dataset = self.ingest_with_schema(
+            tmp_path, "pkts,proto,extra,attack\n1,tcp,a,0\n2,udp,b,1\n"
+                      "3,tcp,a,1\n4,udp,,0\n", "categorical")
+        counts = json.loads(counts)
+        assert (counts["rows"], counts["dropped"]) == (3, 1)
+        assert counts["features"] == ["pkts", "proto", "extra"]
+        assert counts["missing"] == {"pkts": 0, "proto": 0, "extra": 1}
+        assert encoding == ('{\n  "extra": {\n    "a": 1,\n    "b": 2\n  },\n'
+                            '  "proto": {\n    "tcp": 1,\n    "udp": 2\n  },\n'
+                            '  "state": {}\n}\n')
+        assert dataset == "pkts,proto,extra,attack\n1,1,1,0\n2,2,2,1\n3,1,1,1\n"
+
+    def test_default_role_numeric_columns_are_cleansed(self, tmp_path):
+        text = "pkts,dur,attack\n1,0.5,0\n2,,1\n3,0.7,1\n4,0.1,0\n"
+        outputs = self.ingest_with_schema(tmp_path, text, "numeric")
+        counts = json.loads(outputs[0])
+        assert (counts["rows"], counts["dropped"]) == (3, 1)
+        assert counts["features"] == ["pkts", "dur"]
+        # the bundled schema lists dur, so it reads the file the same way
+        assert outputs == self.ingest_with_schema(tmp_path, text, None)
+
     def test_missing_csv_option_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["ingest"]) == 1
@@ -221,6 +259,16 @@ class TestScoreFeatures:
                   encoding="utf-8") as fh:
             payload = json.load(fh)
         assert set(payload) == {"scores", "mean_score", "selected", "ranked"}
+
+    @pytest.mark.parametrize("argv", [["score-features"], ["train", "--model", "gnb"],
+                                      ["smote"]])
+    def test_a_dataset_of_no_rows_exits_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "empty.csv"
+        path.write_text("a,attack\n")
+        code = main([*argv, "--csv", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("botsift: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSmote:

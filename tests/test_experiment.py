@@ -16,9 +16,9 @@ import botsift.evaluate
 import botsift.experiment
 from botsift import (BotsiftError, ConfigError, DivergenceError,
                      EvaluationError, ExperimentConfig, ResampleError, SmoteConfig,
-                     TrafficProfile, TrainingError, apply_encoding, cleanse,
-                     cross_validate, fit_encoding, generate, load_model,
-                     run_experiment, to_dataset, train_test_split)
+                     TrafficProfile, TrainingError, cleanse, cross_validate,
+                     encode, generate, load_model, run_experiment, to_dataset,
+                     train_test_split)
 
 PROFILE = {
     "features": {
@@ -324,7 +324,7 @@ class TestFoldJobs:
 
         flows = cleanse(generate(TrafficProfile.from_json(profile_path),
                                  seed=seeds["synth"]))
-        dataset = to_dataset(apply_encoding(flows, fit_encoding(flows)))
+        dataset = to_dataset(encode(flows)[0])
         train, _ = train_test_split(dataset, config.test_fraction, seeds["split"])
         for arm, balance in (("raw", None), ("smote", SmoteConfig(config.smote_k))):
             for name, params in models:
@@ -563,7 +563,7 @@ class TestPooledGrid:
         # pool workers send failures back to the parent pickled
         kinds = [obj for obj in vars(botsift).values()
                  if isinstance(obj, type) and issubclass(obj, BotsiftError)]
-        assert DivergenceError in kinds and len(kinds) == 12
+        assert DivergenceError in kinds and len(kinds) == 11
         for kind in kinds:
             error = kind(3) if kind is DivergenceError else kind("bad input")
             again = pickle.loads(pickle.dumps(error))

@@ -150,20 +150,35 @@ class TestLoadCsv:
         flows = load_csv(write(tmp_path, "pkts,attack\n" + "\n".join(rows) + "\n",
                                name="fine.csv"))
         assert len(flows) == CHUNK_ROWS + 9
-        assert flows.lines[:6].tolist() == [2, 3, 4, 5, 6, 8]
-        assert flows.lines[-1] == CHUNK_ROWS + 11
+        # a bad row in each of the first six records, and in the last one
+        for row, line in [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (6, 8),
+                          (CHUNK_ROWS + 9, CHUNK_ROWS + 11)]:
+            bad = rows.copy()
+            bad[row] = "-4,0"
+            path = write(tmp_path, "pkts,attack\n" + "\n".join(bad) + "\n",
+                         name="bad.csv")
+            with pytest.raises(LoadError, match=rf"bad\.csv:{line}: field 'pkts'"):
+                load_csv(path)
 
     def test_lines_after_a_quoted_line_break_are_physical(self, tmp_path):
         # the bad label sits on physical line 4, the third CSV record
         path = write(tmp_path, 'pkts,proto,attack\n1,"a\nb",0\n2,tcp,7\n')
         with pytest.raises(LoadError, match=r"flows\.csv:4: label column 'attack'"):
             load_csv(path)
-        fine = write(tmp_path, 'pkts,"pr\noto",attack\n1,"a\r\nb\rc",0\n\n2,tcp,1\n'
-                     '3,"\n\n",0\n4,udp,1\n', name="fine.csv")
+        records = ['1,"a\r\nb\rc",0', "", "2,tcp,1", '3,"\n\n",0', "4,udp,1"]
         schema = Schema({"pkts": "numeric", "pr\noto": "categorical",
                          "attack": "label"})
-        flows = load_csv(fine, schema)
-        assert flows.lines.tolist() == [3, 7, 8, 11]
+        fine = write(tmp_path, 'pkts,"pr\noto",attack\n' + "\n".join(records) + "\n",
+                     name="fine.csv")
+        assert len(load_csv(fine, schema)) == 4
+        # a bad label in each record in turn names the line the record starts on
+        for record, line in zip([0, 2, 3, 4], [3, 7, 8, 11]):
+            bad = records.copy()
+            bad[record] = bad[record][:-1] + "7"
+            path = write(tmp_path, 'pkts,"pr\noto",attack\n' + "\n".join(bad) + "\n",
+                         name="bad.csv")
+            with pytest.raises(LoadError, match=rf"bad\.csv:{line}: label column"):
+                load_csv(path, schema)
 
     def test_quoted_line_breaks_across_a_chunk_boundary(self, tmp_path):
         rows = [f"{i},x,0" for i in range(CHUNK_ROWS + 3)]
@@ -544,9 +559,21 @@ class TestCsvProperties:
         assert again.columns["proto"].tolist() == flows.columns["proto"].tolist()
         assert np.array_equal(again.labels, flows.labels)
         # a row's line is the physical line its record starts on, after the
-        # line breaks written inside earlier quoted tokens
+        # line breaks written inside earlier quoted tokens: a negative pkts
+        # is named there in the second row, the first of the second chunk
+        # and the last, whose line sums every earlier row's span
         spans = [1 + (r[2] or "").count("\n") for r in table]
-        assert np.array_equal(again.lines, 2 + np.cumsum([0] + spans)[:-1])
+        lines = 2 + np.cumsum([0] + spans)[:-1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.csv")
+            for row in sorted({1, CHUNK_ROWS, rows - 1} & set(range(rows))):
+                line = lines[row]
+                pkts = flows.columns["pkts"].copy()
+                pkts[row] = -1.0
+                write_records_csv(FlowTable({**flows.columns, "pkts": pkts},
+                                            flows.labels), path)
+                with pytest.raises(LoadError, match=rf"bad\.csv:{line}: field 'pkts'"):
+                    load_csv(path, schema)
 
 
 # Draws of a small file and of edits to its cells and lines.

@@ -1,14 +1,18 @@
 """Cleansing, encoding, and min-max scaling."""
 
-import json
-
 import numpy as np
 import pytest
 
-from botsift import (CleanseError, EncodingError, Schema, apply_encoding,
-                     apply_scaler, cleanse, fit_encoding, fit_scaler)
+from botsift import (CleanseError, LoadError, Schema, apply_scaler, cleanse,
+                     encode, fit_scaler, load_csv)
 
 from conftest import make_dataset, make_flows
+
+
+def write(tmp_path, text: str) -> str:
+    path = tmp_path / "flows.csv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 class TestCleanse:
@@ -38,8 +42,6 @@ class TestCleanse:
         kept = cleanse(flows)
         assert len(kept) == 1
         assert kept.missing_counts == {"pkts": 1, "dur": 2, "proto": 1}
-        schema = Schema(roles={"attack": "label", "pkts": "numeric"})
-        assert cleanse(flows, schema).missing_counts == {"pkts": 1}
 
     def test_order_preserved(self):
         rows = [dict(pkts=float(i), attack=0) for i in range(20)]
@@ -47,6 +49,13 @@ class TestCleanse:
         kept = cleanse(make_flows(rows))
         values = kept.columns["pkts"].tolist()
         assert values == sorted(values)
+
+    def test_a_table_that_drops_nothing_keeps_its_columns(self):
+        flows = make_flows([dict(pkts=1.0, proto="tcp", attack=0),
+                            dict(pkts=2.0, proto="udp", attack=1)])
+        kept = cleanse(flows)
+        assert all(kept.columns[name] is column for name, column in flows.columns.items())
+        assert kept.missing_counts == {"pkts": 0, "proto": 0}
 
     def test_all_dropped_is_an_error(self):
         # each row lacks a different observed column, so none survives
@@ -60,59 +69,66 @@ class TestCleanse:
         flows = make_flows([dict(pkts=1.0, attack=0), dict(pkts=2.0, attack=1)])
         assert len(cleanse(flows)) == 2
 
-    def test_schema_restricts_enforced_columns(self):
-        schema = Schema(roles={"attack": "label", "pkts": "numeric"})
-        flows = make_flows([dict(pkts=1.0, dur=None, attack=0)])
-        assert len(cleanse(flows, schema)) == 1
+    @pytest.mark.parametrize("default_role, rows, missing", [
+        ("ignore", 2, {"pkts": 0}),  # dur is not loaded, so it drops nothing
+        ("numeric", 1, {"pkts": 0, "dur": 1}),
+        ("categorical", 1, {"pkts": 0, "dur": 1}),
+    ], ids=["ignore", "numeric", "categorical"])
+    def test_schema_restricts_enforced_columns(self, tmp_path, default_role, rows,
+                                               missing):
+        # the schema lists pkts; dur has the default role
+        path = write(tmp_path, "pkts,dur,attack\n1,,0\n2,3,1\n")
+        schema = Schema(roles={"attack": "label", "pkts": "numeric"},
+                        default_role=default_role)
+        kept = cleanse(load_csv(path, schema))
+        assert len(kept) == rows
+        assert kept.missing_counts == missing
 
 class TestEncoding:
     def test_proto_codes_start_at_one_in_first_appearance_order(self):
         flows = make_flows([dict(proto=p, attack=0) for p in ["tcp", "udp", "tcp", "icmp"]])
-        mapping = fit_encoding(flows)
-        assert mapping.proto_codes == {"tcp": 1, "udp": 2, "icmp": 3}
+        encoded, codes = encode(flows)
+        assert codes["proto"] == {"tcp": 1, "udp": 2, "icmp": 3}
+        assert encoded.columns["proto"].tolist() == [1.0, 2.0, 1.0, 3.0]
 
     def test_state_codes_start_at_ten(self):
         flows = make_flows([dict(state=s, attack=0) for s in ["CON", "INT", "CON"]])
-        mapping = fit_encoding(flows)
-        assert mapping.state_codes == {"CON": 10, "INT": 11}
+        assert encode(flows)[1]["state"] == {"CON": 10, "INT": 11}
 
-    def test_apply_replaces_tokens_with_codes(self):
+    def test_replaces_tokens_with_codes(self):
         flows = make_flows([dict(proto="tcp", state="CON", attack=0),
                             dict(proto="udp", state="INT", attack=1)])
-        encoded = apply_encoding(flows, fit_encoding(flows))
+        encoded, _ = encode(flows)
         assert encoded.columns["proto"].tolist() == [1.0, 2.0]
         assert encoded.columns["state"].tolist() == [10.0, 11.0]
         # the inputs are untouched
         assert flows.columns["proto"][0] == "tcp"
 
-    def test_unknown_token_errors_with_field_and_token(self):
-        mapping = fit_encoding(make_flows([dict(proto="tcp", attack=0)]))
-        with pytest.raises(EncodingError, match=r"proto.*'icmp'"):
-            apply_encoding(make_flows([dict(proto="icmp", attack=0)]), mapping)
-
-    def test_declared_extra_column_is_encoded_from_one(self):
-        schema = Schema(roles={"attack": "label", "proto": "categorical",
-                               "flgs": "categorical"})
+    def test_extra_token_column_is_encoded_from_one(self):
         flows = make_flows([dict(proto="tcp", flgs="eU", attack=0),
                             dict(proto="tcp", flgs=None, attack=1),
                             dict(proto="tcp", flgs="e", attack=1)])
-        mapping = fit_encoding(flows, schema)
-        assert mapping.extra_codes == {"flgs": {"eU": 1, "e": 2}}
-        encoded = apply_encoding(flows, mapping).columns["flgs"]
-        assert np.array_equal(encoded, [1.0, np.nan, 2.0], equal_nan=True)
+        encoded, codes = encode(flows)
+        assert codes == {"proto": {"tcp": 1}, "state": {}, "flgs": {"eU": 1, "e": 2}}
+        assert np.array_equal(encoded.columns["flgs"], [1.0, np.nan, 2.0],
+                              equal_nan=True)
 
-    def test_to_json_records_every_column_table(self, tmp_path):
-        schema = Schema(roles={"attack": "label", "proto": "categorical",
-                               "state": "categorical", "flgs": "categorical"})
-        flows = make_flows([dict(proto="udp", state="CON", flgs="e", attack=0),
-                            dict(proto="tcp", state="CON", flgs="eU", attack=1)])
-        path = tmp_path / "encoding.json"
-        fit_encoding(flows, schema).to_json(str(path))
-        text = path.read_text(encoding="utf-8")
-        assert json.loads(text) == {"flgs": {"e": 1, "eU": 2},
-                                    "proto": {"udp": 1, "tcp": 2},
-                                    "state": {"CON": 10}}
-        assert text.endswith("}\n")
+    def test_numeric_columns_and_missing_counts_are_kept(self):
+        flows = cleanse(make_flows([dict(pkts=1.5, proto="tcp", attack=0),
+                                    dict(pkts=None, proto="udp", attack=1),
+                                    dict(pkts=2.5, proto="udp", attack=1)]))
+        encoded, codes = encode(flows)
+        assert codes == {"proto": {"tcp": 1, "udp": 2}, "state": {}}
+        assert encoded.columns["pkts"].tolist() == [1.5, 2.5]
+        assert encoded.columns["proto"].tolist() == [1.0, 2.0]
+        assert encoded.missing_counts == {"pkts": 1, "proto": 0}
+
+    def test_zero_rows(self):
+        flows = make_flows([dict(proto="tcp", attack=0)]).take(np.array([], dtype=np.int64))
+        encoded, codes = encode(flows)
+        assert codes == {"proto": {}, "state": {}}
+        assert encoded.columns["proto"].dtype == np.float64
+        assert len(encoded) == 0
 
 class TestScaler:
     def test_basic_scaling(self):
@@ -154,6 +170,11 @@ class TestScaler:
         once = apply_scaler(ds, fit_scaler(ds))
         twice = apply_scaler(once, fit_scaler(once))
         assert np.allclose(once.features, twice.features, atol=1e-15)
+
+    def test_empty_dataset_is_a_load_error(self):
+        ds = make_dataset(np.empty((0, 1)), [], names=("a",))
+        with pytest.raises(LoadError, match="empty dataset"):
+            fit_scaler(ds)
 
     def test_mismatched_columns_rejected(self):
         ds = make_dataset([[1.0], [2.0]], [0, 1], names=("a",))

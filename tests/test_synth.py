@@ -153,6 +153,13 @@ class TestProfileValidation:
             tiny_profile(tokens={"proto": {0: {"tcp": -2.0},
                                            1: {"tcp": 1.0}}})
 
+    @pytest.mark.parametrize("per_class", [{0: {"tcp": 1.0}}, {1: {"tcp": 1.0}}, {},
+                                           {0: {"tcp": 1.0}, 2: {"tcp": 1.0}}])
+    def test_token_tables_need_both_classes(self, per_class):
+        # built in code as from a file, a half table never reaches generate
+        with pytest.raises(SynthError, match="^token column 'proto' needs both classes$"):
+            tiny_profile(tokens={"proto": per_class})
+
     def test_inconsistent_packet_means_rejected(self):
         with pytest.raises(SynthError, match="pkts"):
             TrafficProfile(
