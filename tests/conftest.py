@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from botsift import Dataset, FlowTable, LoadError
+from botsift.flows import SIDECAR_SUFFIX
 
 
 @pytest.fixture
@@ -31,6 +34,12 @@ def make_flows(rows) -> FlowTable:
         else:
             columns[name] = np.array(values, dtype=np.float64)  # None -> NaN
     return FlowTable(columns, [row["attack"] for row in rows])
+
+
+def drop_sidecar(path) -> None:
+    """Remove the sidecar write_dataset_csv keeps beside the CSV at path,
+    so that a read of path parses it."""
+    os.remove(str(path) + SIDECAR_SUFFIX)
 
 
 def table_bytes(table):

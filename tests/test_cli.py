@@ -130,6 +130,24 @@ class TestIngest:
             encoding = json.load(fh)
         assert set(encoding["proto"]) <= {"tcp", "udp"}
 
+    @pytest.mark.parametrize("header, feature", [("pkts,synthetic,attack", "synthetic"),
+                                                 ("pkts,attack,label", "attack")])
+    def test_a_feature_named_as_a_flag_exits_two(self, tmp_path, capsys, header, feature):
+        # the dataset CSV would read the feature back as a flag column, so
+        # ingest refuses it instead of writing a file the next command refuses
+        raw = tmp_path / "raw.csv"
+        raw.write_text(f"{header}\n1,5,0\n2,6,1\n3,7,1\n4,8,0\n")
+        label = header.split(",")[-1]
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"roles": {"pkts": "numeric", feature: "numeric",
+                                                label: "label"}}))
+        out = tmp_path / "data"
+        assert main(["ingest", "--csv", str(raw), "--schema", str(schema),
+                     "--out", str(out)]) == 2
+        assert (f"dataset.csv: feature column {feature!r} would read back as a flag"
+                in capsys.readouterr().err)
+        assert not (out / "dataset.csv").exists()
+
     def test_reports_dropped_rows_per_column(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text("pkts,dur,proto,attack\n1,2,tcp,0\n,2,tcp,1\n"

@@ -17,7 +17,7 @@ from botsift import (Dataset, FlowTable, LoadError, read_dataset_csv, write_data
 from botsift import flows
 from botsift.flows import CHUNK_ROWS
 
-from conftest import read_outcome
+from conftest import drop_sidecar, read_outcome
 
 
 @pytest.mark.parametrize("read", [read_dataset_csv, flows._read_dataset_lines],
@@ -44,6 +44,7 @@ def test_a_fifo_reads_as_the_file_it_carries(tmp_path, rows, reader):
                                     ds.labels), path)
     else:
         write_dataset_csv(ds, path, rng.integers(0, 2, rows))
+        drop_sidecar(path)  # so the file is parsed in C, as the pipe is by line
     os.mkfifo(fifo)
     # the read runs in a child process, so a read that waits for data the
     # pipe no longer holds fails the test by its timeout, not by hanging;

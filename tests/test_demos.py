@@ -1,11 +1,14 @@
-"""Every demo, and the README quick start, runs to completion."""
+"""Every demo, the README quick start and its CLI session run to completion."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from botsift.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,6 +32,39 @@ def test_readme_quick_start_runs(tmp_path):
     assert block, "README.md has no python block under Quick start"
     result = run_python(["-c", block.group(1)], tmp_path)
     assert "model: knn" in result.stdout
+
+
+def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
+    """The README's CLI session at 2,000 rows, through botsift.cli.main: every
+    command exits 0, and deleting every sidecar before each command changes
+    no file the session writes."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"^A typical session end to end:\n+```sh\n(.*?)^```$", readme,
+                      re.DOTALL | re.MULTILINE)
+    assert block, "README.md has no sh block for the CLI session"
+    lines = block.group(1).splitlines()
+    assert all(line.startswith("botsift ") for line in lines)
+    assert any("--rows 50000" in line for line in lines)
+    commands = [shlex.split(line.replace("--rows 50000", "--rows 2000"))[1:]
+                for line in lines]
+    monkeypatch.delenv("BOTSIFT_OUT", raising=False)
+    written = {}
+    for drop_sidecars in (False, True):
+        run = tmp_path / ("parsed" if drop_sidecars else "as written")
+        run.mkdir()
+        monkeypatch.chdir(run)
+        for argv in commands:
+            if drop_sidecars:
+                for sidecar in run.rglob("*.parsed"):
+                    sidecar.unlink()
+            assert main(argv) == 0, capsys.readouterr().err
+        written[drop_sidecars] = {str(path.relative_to(run)): path.read_bytes()
+                                  for path in sorted(run.rglob("*")) if path.is_file()}
+    sidecars = {"data/dataset.csv.parsed", "balanced/balanced.csv.parsed"}
+    assert sidecars <= written[False].keys()
+    assert {name: data for name, data in written[False].items()
+            if name not in sidecars} == written[True]
 
 
 def run_python(argv, tmp_path) -> subprocess.CompletedProcess:

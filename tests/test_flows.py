@@ -22,7 +22,7 @@ from botsift import (Dataset, FlowTable, LoadError, Schema, SchemaError,
 from botsift import _pool, flows
 from botsift.flows import CHUNK_ROWS
 
-from conftest import make_dataset, make_flows, read_outcome, table_bytes
+from conftest import drop_sidecar, make_dataset, make_flows, read_outcome, table_bytes
 
 
 def write(tmp_path, text, name="flows.csv"):
@@ -407,6 +407,19 @@ class TestCsvRoundTrip:
         write_dataset_csv(ds, path, synthetic=np.array([0.0, 1.0, True]))
         assert list(read_dataset_csv(path)[1]) == [0, 1, 1]
 
+    @pytest.mark.parametrize("names, message", [
+        (("pkts", "synthetic"), "feature column 'synthetic' would read back as a flag"),
+        (("attack",), "feature column 'attack' would read back as a flag"),
+        ((" a",), "feature column ' a' would read back as 'a'"),
+        (("a", "a\t"), r"feature column 'a\\t' would read back as 'a'"),
+        ((), "dataset has no feature column"),
+    ])
+    def test_writer_refuses_what_would_not_read_back(self, tmp_path, names, message):
+        ds = Dataset(np.ones((4, len(names))), [0, 1, 1, 0], names)
+        with pytest.raises(LoadError, match=rf"data\.csv: {message}"):
+            write_dataset_csv(ds, str(tmp_path / "data.csv"))
+        assert os.listdir(tmp_path) == []
+
 
 # ---------------------------------------------------------------------------
 # Round trips and byte-level format, across the chunk boundaries
@@ -506,6 +519,7 @@ class TestCsvProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             write_dataset_csv(ds, path, synthetic=synthetic)
+            drop_sidecar(path)
             with open(path, "rb") as fh:
                 written = fh.read()
             again, again_flags = read_dataset_csv(path)
@@ -636,6 +650,7 @@ class TestWholeFileReader:
         flagged = output == "flagged dataset"
         synthetic = rng.integers(0, 2, rows) if flagged else None
         write_dataset_csv(ds, path, synthetic=synthetic)
+        drop_sidecar(path)
         again, flags = read_dataset_csv(path)
         assert again.feature_names == ds.feature_names
         # -0.0 is written as 0, so compare with it as +0.0
@@ -667,6 +682,7 @@ class TestWholeFileReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.csv")
             write_dataset_csv(ds, path, rng.integers(0, 2, rows) if flagged else None)
+            drop_sidecar(path)
             mutate_csv(path, rows, line_end, cells, lines)
             assert (read_outcome(read_dataset_csv, path)
                     == read_outcome(flows._read_dataset_lines, path))
@@ -737,6 +753,7 @@ class TestSplitIo:
                      ("a", "b"))
         path = str(tmp_path / "data.csv")
         write_dataset_csv(ds, path, rng.integers(0, 2, rows))
+        drop_sidecar(path)
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\r\n")[:-1]
         lines[-3:-2] = mutate(lines[-3])
@@ -781,7 +798,8 @@ class TestSplitIo:
                 ["pkts", "proto", "attack"],
                 [[reference_cell(abs(v)), t, str(y)]
                  for v, t, y in zip(values, tokens, labels)])
-        assert os.listdir(tmp_path) == ["data.csv"]
+        # no part file is left; the sidecar is the dataset write's
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.parsed"]
 
     @pytest.mark.parametrize("failure, error", [("dies", BrokenProcessPool),
                                                 ("raises", OSError)])
@@ -806,12 +824,13 @@ class TestSplitIo:
     def test_small_files_do_not_import_multiprocessing(self, tmp_path):
         src = os.path.dirname(os.path.dirname(flows.__file__))
         code = (
-            "import sys, numpy as np, botsift._pool as pool\n"
+            "import os, sys, numpy as np, botsift._pool as pool\n"
             "from botsift import Dataset, read_dataset_csv, write_dataset_csv\n"
             "pool.WORKERS = 2\n"
             "for rows in (CHUNK, CHUNK + 1):\n"
             "    ds = Dataset(np.ones((rows, 1)), np.zeros(rows), ('a',))\n"
             "    write_dataset_csv(ds, PATH)\n"
+            "    os.remove(PATH + '.parsed')\n"
             "    read_dataset_csv(PATH)\n"
             "    print('multiprocessing' in sys.modules)\n"
         ).replace("CHUNK", str(CHUNK_ROWS)).replace("PATH", repr(str(tmp_path / "d.csv")))
@@ -819,3 +838,105 @@ class TestSplitIo:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "True"]
+
+
+# Edits to a sidecar, each of which leaves the CSV to be parsed.
+SIDECAR_EDITS = {
+    "truncated": lambda data: data[:-1],
+    "one byte more": lambda data: data + b"\0",
+    "another version": lambda data: data.replace(b'"version": 1', b'"version": 2', 1),
+    "another row count": lambda data: data.replace(b'"rows": 3', b'"rows": 2', 1),
+    "flags dropped": lambda data: data.replace(b'"flags": true', b'"flags": false', 1),
+    "no header line": lambda data: data[data.index(b"\n") + 1:],
+    "garbage": lambda data: b"\xff\x00 not a sidecar\n" + data,
+    "empty": lambda data: b"",
+}
+
+
+class TestSidecar:
+    """write_dataset_csv keeps a binary copy of what the parse of its CSV
+    returns, and read_dataset_csv returns it while the CSV is unchanged."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.sampled_from(ROW_COUNTS),
+           values=st.lists(st.tuples(finite_floats, finite_floats),
+                           min_size=1, max_size=8),
+           labels=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+           flags=st.one_of(st.none(),
+                           st.lists(st.integers(0, 1), min_size=1, max_size=8)))
+    @example(rows=CHUNK_ROWS + 1, values=list(zip(SPECIAL_FLOATS, SPECIAL_FLOATS[::-1])),
+             labels=[0, 1], flags=[1, 0, 0])
+    @example(rows=0, values=[(1.0, 2.0)], labels=[0], flags=None)
+    def test_the_sidecar_reads_as_the_parse(self, rows, values, labels, flags):
+        X = np.array(cycled(values, rows), dtype=np.float64).reshape(rows, 2)
+        ds = Dataset(X, cycled(labels, rows), ("a", "b"))
+        synthetic = None if flags is None else np.array(cycled(flags, rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            write_dataset_csv(ds, path, synthetic=synthetic)
+            assert flows._read_sidecar(path) is not None
+            from_sidecar = read_outcome(read_dataset_csv, path)
+            drop_sidecar(path)
+            assert from_sidecar == read_outcome(read_dataset_csv, path)
+
+    def test_an_edited_csv_is_parsed(self, tmp_path):
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(make_dataset([[1.5], [2.0], [3.0]], [0, 1, 1]), path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"\n2,", b"\n4,"))  # one byte changed
+        assert flows._read_sidecar(path) is None
+        assert read_dataset_csv(path)[0].features[:, 0].tolist() == [1.5, 4.0, 3.0]
+
+    @pytest.mark.parametrize("edit", list(SIDECAR_EDITS))
+    def test_a_sidecar_that_does_not_fit_is_parsed(self, tmp_path, edit):
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(make_dataset([[1.5], [2.0], [3.0]], [0, 1, 1]), path,
+                          synthetic=np.array([0, 0, 1]))
+        with open(path + flows.SIDECAR_SUFFIX, "rb") as fh:
+            data = fh.read()
+        edited = SIDECAR_EDITS[edit](data)
+        assert edited != data
+        with open(path + flows.SIDECAR_SUFFIX, "wb") as fh:
+            fh.write(edited)
+        assert flows._read_sidecar(path) is None
+        parsed = read_outcome(read_dataset_csv, path)
+        drop_sidecar(path)
+        assert parsed == read_outcome(read_dataset_csv, path)
+
+    def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        ds = make_dataset([[1.5], [2.0], [3.0]], [0, 1, 1])
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(ds, path)
+        assert os.listdir(tmp_path) == ["data.csv"]
+        again, _ = read_dataset_csv(path)
+        assert np.array_equal(again.features, ds.features)
+
+    def test_a_path_that_is_not_a_regular_file_gets_none(self, tmp_path):
+        os.symlink(os.devnull, tmp_path / "null.csv")
+        write_dataset_csv(make_dataset([[1.5]], [0]), str(tmp_path / "null.csv"))
+        assert os.listdir(tmp_path) == ["null.csv"]
+
+    def test_a_sidecar_is_read_without_a_process_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_pool, "WORKERS", 2)
+        rows = CHUNK_ROWS + 1
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(make_dataset(np.ones((rows, 1)), np.zeros(rows)), path)
+        code = (
+            "import sys, botsift._pool as pool\n"
+            "from botsift import read_dataset_csv\n"
+            "pool.WORKERS = 2\n"
+            "pool.fork_map = None\n"
+            "print(read_dataset_csv(sys.argv[1])[0].n_rows,"
+            " 'multiprocessing' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(flows.__file__))
+        out = subprocess.run([sys.executable, "-c", code, path],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == [str(rows), "False"]
