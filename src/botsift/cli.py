@@ -128,7 +128,7 @@ def _cmd_ingest(args) -> None:
     encoded, codes = encode(flows)
     dataset = to_dataset(encoded)
     out = _out_dir(args)
-    write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
+    write_dataset_csv(dataset, os.path.join(out, "dataset.csv"), source=args.csv)
     _write_json(os.path.join(out, "encoding.json"), codes)
     normal, botnet = dataset.class_counts
     dropped = len(loaded) - len(flows)
@@ -177,7 +177,7 @@ def _cmd_smote(args) -> None:
     result = smote(dataset, config, seed=args.seed)
     out = _out_dir(args)
     write_dataset_csv(result.dataset, os.path.join(out, "balanced.csv"),
-                      synthetic=result.synthetic)
+                      synthetic=result.synthetic, source=args.csv)
     _write_json(os.path.join(out, "counts.json"), {
         "before": _counts_json(result.original_counts),
         "after": _counts_json(result.counts),

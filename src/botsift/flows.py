@@ -34,11 +34,23 @@ into its own file, and append the parts in order. The readers parse ranges
 of whole lines side by side into one shared array. Either way the bytes
 written and the values read do not depend on the cut.
 
-write_dataset_csv also keeps a binary copy of what the parse of its CSV
-returns beside it, at path + SIDECAR_SUFFIX, and read_dataset_csv returns
-that copy without parsing while the CSV holds the bytes it was made from
-(its sha256 is in the copy). So a dataset CSV is parsed in C or by line,
-or read from its sidecar, with the same result.
+Both writers also keep a binary copy of what the parse of their CSV
+returns beside it, at path + SIDECAR_SUFFIX, and read_dataset_csv and
+load_csv return that copy without parsing while the CSV holds the bytes it
+was made from (its sha256 is in the copy). So a CSV botsift wrote is
+parsed in C or by line, or read from its sidecar, with the same result.
+load_csv reads a flow CSV's copy only where the parse could not differ:
+the label is `attack`, each column the schema keeps is stored in the kind
+its role reads, and no count, duration or rate is negative (the parse
+names that line).
+
+write_dataset_csv(..., source=csv) formats text once: where the source CSV
+(one botsift wrote and whose sidecar matches its bytes) holds the same
+value at the same row and column, the cell's text is copied from it, and
+only the other cells are formatted. Equal values have equal text, so the
+bytes written do not depend on the source; the source is hashed again
+after the write, and a source that changed meanwhile has the file written
+again with every cell formatted.
 """
 
 from __future__ import annotations
@@ -429,14 +441,19 @@ def _read_whole(path: str, layout: Callable, *args) -> dict[str, np.ndarray] | N
         elif kind == "categorical":
             if np.char.str_len(values).max(initial=0) >= TOKEN_WIDTH:
                 return None
-            # stripped as str.strip strips, as wide as the longest token
-            values = np.char.strip(values)
-            values = values.astype(f"U{max(1, np.char.str_len(values).max(initial=0))}")
+            values = _narrow_tokens(values)
         if kind != "ignore":
             columns[name] = values
     if any(fails(columns[name]).any() for name, fails, _ in rules):
         return None
     return columns
+
+
+def _narrow_tokens(values: np.ndarray) -> np.ndarray:
+    """Tokens stripped as str.strip strips, as wide as the longest (at
+    least one character), as the line reader's parse returns them."""
+    values = np.char.strip(values)
+    return values.astype(f"U{max(1, np.char.str_len(values).max(initial=0))}")
 
 
 def _read_lines(path: str, layout: Callable, *args) -> dict[str, np.ndarray]:
@@ -489,13 +506,46 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
     Every row must have as many cells as the header, its label must be 0
     or 1, and its count, duration and rate fields must not be negative; the
     first line breaking a rule is named in the LoadError. Row order is
-    preserved. The file is parsed in C or by line as the module docstring
-    says; the result does not depend on which.
+    preserved. The file is parsed in C or by line, or read from its
+    sidecar, as the module docstring says; the result does not depend on
+    which.
     """
     if schema is None:
         schema = default_schema()
+    table = _flow_sidecar(path, schema)
+    if table is not None:
+        return table
     columns = _read_whole(path, _flow_layout, schema)
     return _load_csv_lines(path, schema) if columns is None else _flow_table(schema, columns)
+
+
+# The kind of a flow sidecar's column, by dtype kind, as the role that reads it.
+_ROLE_OF_DTYPE = {"f": "numeric", "U": "categorical"}
+
+
+def _flow_sidecar(path: str, schema: Schema) -> FlowTable | None:
+    """load_csv's result for the flow CSV at path, read from its sidecar.
+    None, and the CSV is parsed, when there is no sidecar to read (see
+    _read_sidecar) or the parse might differ from it: the schema's label is
+    not `attack`, a column the schema keeps is stored in another kind than
+    its role reads, none is kept, or a count, duration or rate is negative."""
+    read = _read_sidecar(path) if schema.label_column == LABEL_FIELD else None
+    if read is None or any(array.ndim != 1 for array in read[1]):  # a dataset's
+        return None
+    columns = _by_column(*read)
+    labels = columns.pop(LABEL_FIELD, None)
+    kept = {}
+    for name, column in columns.items():
+        role = schema.role_of(name)
+        if role == "ignore":
+            continue
+        if role != _ROLE_OF_DTYPE.get(column.dtype.kind) or (
+                name in NONNEGATIVE_FIELDS and role == "numeric" and (column < 0).any()):
+            return None
+        kept[name] = column
+    if labels is None or labels.dtype.kind != "i" or not kept:
+        return None
+    return FlowTable(kept, labels)
 
 
 def _flow_layout(path: str, header: list[str],
@@ -679,15 +729,20 @@ def _format_column(values: np.ndarray) -> list[str]:
     """CSV cells for one column.
 
     Tokens are written as they are, quoted where csv.writer would quote
-    them. A float that is a whole number below 1e16 in magnitude is
-    written as an integer, any other float by repr (the shortest string
-    that reads back to the same value), and NaN, a missing value, as an
-    empty cell.
+    them, and integers (labels, flags) as they are. A float that is a whole
+    number below 1e16 in magnitude is written as an integer, any other
+    float by repr (the shortest string that reads back to the same value),
+    and NaN, a missing value, as an empty cell.
     """
     if values.dtype.kind == "U":
         return list(map(_quote, values.tolist()))
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    whole = (np.trunc(values) == values) & (np.abs(values) < 1e16)
+    if whole.all():  # such as codes: no float to repr
+        return list(map(str, values.astype(np.int64).tolist()))
     cells = list(map(repr, values.tolist()))
-    whole = np.flatnonzero((np.trunc(values) == values) & (np.abs(values) < 1e16))
+    whole = np.flatnonzero(whole)
     for i, text in zip(whole.tolist(),
                        map(str, values[whole].astype(np.int64).tolist())):
         cells[i] = text
@@ -696,30 +751,39 @@ def _format_column(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _write_chunks(path: str, header: list[str], rows: int,
-                  chunk_columns: Callable[[slice], list[list[str]]]) -> None:
-    """Write header, then the rows chunk_columns formats per CHUNK_ROWS slice.
+def _join(cells: Sequence[Sequence[str]]) -> str:
+    """The CSV text of rows whose cells come column by column: the same
+    bytes csv.writer would write, without its per-cell quoting checks."""
+    return "".join(",".join(row) + "\r\n" for row in zip(*cells))
 
-    The cells come formatted, so rows are joined directly: the same bytes
-    csv.writer would write, without its per-cell quoting checks. A file of
-    more than CHUNK_ROWS rows is cut at chunk boundaries into up to
-    _pool.WORKERS row ranges, formatted side by side: the first range is
-    written to path after the header, each other one to a part file beside
-    it, which is then appended to path. The part files are removed whether
-    or not the write succeeds.
+
+def _write_chunks(path: str, header: list[str] | None, rows: range,
+                  chunk: Callable[[slice], str]) -> None:
+    """Write header, then the text chunk gives for each CHUNK_ROWS slice of
+    rows; with header None, append that text to path instead.
+
+    Writing the header first removes path's sidecar, which no longer
+    describes it. More than CHUNK_ROWS rows are cut at chunk boundaries
+    into up to _pool.WORKERS ranges, written side by side: the first range
+    to path, each other one to a part file beside it, which is then
+    appended to path. The part files are removed whether or not the write
+    succeeds.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-    chunks = -(-rows // CHUNK_ROWS)
+    if header is not None:
+        with suppress(OSError):
+            os.remove(path + SIDECAR_SUFFIX)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(header)
+    chunks = -(-len(rows) // CHUNK_ROWS)
     count = max(1, min(_pool.WORKERS, chunks))
-    bounds = [CHUNK_ROWS * (chunks * i // count) for i in range(count)] + [rows]
+    bounds = ([rows.start + CHUNK_ROWS * (chunks * i // count) for i in range(count)]
+              + [rows.stop])
     parts: list[str] = []
 
     def write_range(i: int) -> None:
         with open(parts[i - 1] if i else path, "a", encoding="utf-8", newline="") as fh:
             for start in range(bounds[i], bounds[i + 1], CHUNK_ROWS):
-                cells = chunk_columns(slice(start, min(start + CHUNK_ROWS, bounds[i + 1])))
-                fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+                fh.write(chunk(slice(start, min(start + CHUNK_ROWS, bounds[i + 1]))))
 
     try:
         for _ in range(1, count):
@@ -738,17 +802,26 @@ def _write_chunks(path: str, header: list[str], rows: int,
 
 
 def write_records_csv(flows: FlowTable, path: str) -> None:
-    """Write a flow table to CSV. Values read back equal through load_csv."""
-    def chunk(rows: slice) -> list[list[str]]:
-        cells = [_format_column(column[rows]) for column in flows.columns.values()]
-        cells.append(list(map(str, flows.labels[rows].tolist())))
-        return cells
+    """Write a flow table to CSV. Values read back equal through load_csv.
 
-    _write_chunks(path, list(flows.columns) + [LABEL_FIELD], len(flows), chunk)
+    The CSV's sidecar (see the module docstring) is written after it,
+    unless a column name would not read back as written: one with
+    surrounding blanks, or one repeated (`attack` included).
+    """
+    header = list(flows.columns) + [LABEL_FIELD]
+    columns = [*flows.columns.values(), flows.labels]
+
+    def chunk(rows: slice) -> str:
+        return _join([_format_column(column[rows]) for column in columns])
+
+    _write_chunks(path, header, range(len(flows)), chunk)
+    if len(set(header)) == len(header) and all(name == name.strip() for name in header):
+        _write_sidecar(path, {"header": header}, columns)
 
 
 def write_dataset_csv(dataset: Dataset, path: str,
-                      synthetic: np.ndarray | None = None) -> None:
+                      synthetic: np.ndarray | None = None, *,
+                      source: str | None = None) -> None:
     """Write a numeric dataset to CSV.
 
     synthetic, when given, is a 0/1 row flag column marking rows that were
@@ -758,6 +831,12 @@ def write_dataset_csv(dataset: Dataset, path: str,
     flag (`attack`, `synthetic`) or under another name (surrounding
     blanks), before any byte is written. The CSV's sidecar (see the module
     docstring) is written after it.
+
+    source, when given, is the path of a CSV botsift wrote, a flow or a
+    dataset CSV: the text of each of its cells that holds the same value
+    at the same row and column (by name) is copied rather than formatted
+    again, as the module docstring says. The bytes written are the same
+    with or without it.
     """
     if not dataset.n_features:
         raise LoadError(f"{path}: dataset has no feature column")
@@ -768,6 +847,7 @@ def write_dataset_csv(dataset: Dataset, path: str,
             raise LoadError(f"{path}: feature column {name!r} would read back "
                             f"as {name.strip()!r}")
     header = list(dataset.feature_names) + [LABEL_FIELD]
+    flags = []
     if synthetic is not None:
         if len(synthetic) != dataset.n_rows:
             raise LoadError("synthetic flag length does not match row count")
@@ -776,27 +856,136 @@ def write_dataset_csv(dataset: Dataset, path: str,
         if bad.size:
             raise LoadError(f"synthetic flag of row {bad[0]} is "
                             f"{synthetic[bad[0]].item()!r}, expected 0 or 1")
-        synthetic = synthetic.astype(np.int64)
+        flags.append(synthetic.astype(np.int64))
         header.append("synthetic")
+    plan = None if source is None else _copy_plan(source, path)
 
-    def chunk(rows: slice) -> list[list[str]]:
-        block = dataset.features[rows]
-        cells = [_format_column(block[:, j]) for j in range(dataset.n_features)]
-        cells.append(list(map(str, dataset.labels[rows].tolist())))
-        if synthetic is not None:
-            cells.append(list(map(str, synthetic[rows].tolist())))
-        return cells
+    def columns(rows: slice) -> list[np.ndarray]:
+        return [*dataset.features[rows].T, dataset.labels[rows], *(f[rows] for f in flags)]
 
-    _write_chunks(path, header, dataset.n_rows, chunk)
-    _write_sidecar(dataset, path, synthetic)
+    def formatted(rows: slice) -> str:
+        return _join([_format_column(column) for column in columns(rows)])
+
+    def copied(rows: slice) -> str:
+        text = _copied(plan, header, columns(rows), rows)
+        return formatted(rows) if text is None else text
+
+    rows = dataset.n_rows
+    if plan is None:
+        _write_chunks(path, header, range(rows), formatted)
+    else:
+        # the rows past the source in a pass of their own, so that their
+        # formatting is shared between the workers too
+        _write_chunks(path, header, range(min(plan.rows, rows)), copied)
+        _write_chunks(path, None, range(min(plan.rows, rows), rows), formatted)
+        if not plan.unchanged():
+            _write_chunks(path, header, range(rows), formatted)
+    _write_sidecar(path, {"header": header}, [dataset.features, dataset.labels, *flags])
 
 
-# The sidecar of a dataset CSV: one JSON line (format version, the CSV's
-# sha256, feature names, row count, whether flags follow), then the
-# features row by row as little-endian float64, the labels and any
-# synthetic flags as little-endian int64.
+@dataclass(frozen=True)
+class _Source:
+    """A CSV write_dataset_csv copies cells from: its path, the sha256 its
+    bytes had, its header and row count (from its sidecar), and the byte
+    offset of every CHUNK_ROWS-th data row, then of its end."""
+
+    path: str
+    sha256: str
+    header: list[str]
+    rows: int
+    offsets: list[int]
+
+    def unchanged(self) -> bool:
+        """Whether the file still has the bytes it was planned from."""
+        try:
+            return _sha256(self.path) == self.sha256
+        except OSError:
+            return False
+
+
+def _copy_plan(source: str, path: str) -> _Source | None:
+    """source as write_dataset_csv copies cells from it into path, from one
+    pass over its bytes. None, and every cell is formatted, when source is
+    path itself, has no sidecar that fits (see _read_sidecar), holds a '"'
+    (a cell might hold a ',' or a line break) or other bytes than its
+    sidecar was made from."""
+    read = _read_sidecar(source, slice(0))
+    if read is None or os.path.exists(path) and os.path.samefile(source, path):
+        return None
+    meta = read[0]
+    digest, offsets, lines, size = hashlib.sha256(), [], 0, 0
+    block = bytearray(_SCAN_BYTES)
+    with open(source, "rb") as fh:
+        while count := fh.readinto(block):
+            digest.update(memoryview(block)[:count])
+            byte = np.frombuffer(block, np.uint8, count)
+            if (byte == ord('"')).any():
+                return None
+            ends = np.flatnonzero(byte == ord("\n"))
+            # line break number k * CHUNK_ROWS ends the line before data row k * CHUNK_ROWS
+            starts = ends[np.arange(lines, lines + ends.size) % CHUNK_ROWS == 0]
+            offsets += (starts + size + 1).tolist()
+            lines, size = lines + ends.size, size + count
+    if digest.hexdigest() != meta["sha256"] or lines != meta["rows"] + 1:
+        return None
+    return _Source(source, meta["sha256"], meta["header"], meta["rows"], offsets + [size])
+
+
+def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
+            rows: slice) -> str | None:
+    """The CSV text of rows, a chunk of source's, with these columns under
+    header: a cell is copied from source where its sidecar holds the same
+    value at the same row and column, and formatted elsewhere. None, and
+    the caller formats every cell, when the chunk does not read as planned.
+    """
+    count = rows.stop - rows.start
+    chunk = rows.start // CHUNK_ROWS
+    try:
+        with open(source.path, "rb") as fh:
+            fh.seek(source.offsets[chunk])
+            text = fh.read(source.offsets[chunk + 1] - source.offsets[chunk]).decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
+    read = _read_sidecar(source.path, rows)
+    if read is None or any(len(a) != count for a in read[1]):
+        return None
+    stored = _by_column(*read)
+    same = [None if name not in stored or stored[name].dtype.kind == "U"
+            else column == stored[name] for name, column in zip(header, columns)]
+    width = len(source.header)
+    if header[:width] == source.header and all(s is not None and s.all() for s in same[:width]):
+        # every source cell in order: a line is the source's plus the new cells
+        lines = text.split("\r\n", count)
+        if len(lines) <= count:
+            return None
+        return _join([lines[:count], *map(_format_column, columns[width:])])
+    # the cells of the chunk in one split, column j every width-th from j
+    cells = text.replace("\r\n", ",").split(",", count * width)
+    if len(cells) <= count * width:
+        return None
+    index = {name: i for i, name in enumerate(source.header)}
+    out = []
+    for name, column, equal in zip(header, columns, same):
+        if equal is None or not equal.any():
+            out.append(_format_column(column))
+            continue
+        kept = cells[index[name]:count * width:width]
+        differ = np.flatnonzero(~equal)
+        for i, cell in zip(differ.tolist(), _format_column(column[differ])):
+            kept[i] = cell
+        out.append(kept)
+    return _join(out)
+
+
+# The sidecar of a CSV: one JSON line (format version, the CSV's sha256,
+# the row count, each array's dtype and shape past the rows, the CSV's
+# header), then each array's rows in turn, as the parse returns them. A
+# dataset's arrays are its features row by row as little-endian float64,
+# its labels and any synthetic flags as little-endian int64; a flow
+# table's are its columns, float64 or UTF-32 tokens, and its labels.
 SIDECAR_SUFFIX = ".parsed"
-_SIDECAR_VERSION = 1
+_SIDECAR_VERSION = 2
+_SIDECAR_DTYPE = re.compile(r"<f8|<i8|<U[1-9][0-9]*")
 
 
 def _sha256(path: str) -> str:
@@ -807,58 +996,99 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_sidecar(dataset: Dataset, path: str, synthetic: np.ndarray | None) -> None:
-    """Write the sidecar of the dataset CSV just written at path: to a
-    temporary file beside it, then moved into place. A path that is not a
-    regular file gets none, and a sidecar that cannot be written is
-    skipped, leaving the CSV to be parsed."""
+def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
+    """Write the sidecar of the CSV just written at path: meta (its header)
+    and arrays, one entry per CSV row, as the parse returns them. A float
+    is stored plus 0.0 (-0.0 is written as the integer 0), any non-finite
+    one as NaN; tokens stripped, as wide as the longest; integers as int64.
+    It goes to a temporary file beside path, CHUNK_ROWS rows at a time,
+    then is moved into place. A path that is not a regular file gets none,
+    and a sidecar that cannot be written is skipped, leaving the CSV to be
+    parsed."""
     if not os.path.isfile(path):
         return
+    arrays = [_narrow_tokens(a) if a.dtype.kind == "U" else a for a in arrays]
+    kinds = [f"<U{a.dtype.itemsize // 4}" if a.dtype.kind == "U"
+             else "<f8" if a.dtype.kind == "f" else "<i8" for a in arrays]
     temp = f"{path}{SIDECAR_SUFFIX}.{os.getpid()}.tmp"
     try:
         with open(temp, "wb") as fh:
-            fh.write(json.dumps({"version": _SIDECAR_VERSION, "sha256": _sha256(path),
-                                 "names": list(dataset.feature_names), "rows": dataset.n_rows,
-                                 "flags": synthetic is not None}).encode("utf-8") + b"\n")
-            for start in range(0, dataset.n_rows, CHUNK_ROWS):
-                # as the parse returns it: -0.0 is written as the integer 0
-                fh.write(np.asarray(dataset.features[start:start + CHUNK_ROWS] + 0.0, "<f8"))
-            for column in (dataset.labels, synthetic):
-                if column is not None:
-                    fh.write(np.ascontiguousarray(column, "<i8"))
+            fh.write(json.dumps({
+                "version": _SIDECAR_VERSION, "sha256": _sha256(path), "rows": len(arrays[-1]),
+                "arrays": [[kind, list(a.shape[1:])] for kind, a in zip(kinds, arrays)],
+                **meta}).encode("utf-8") + b"\n")
+            for kind, array in zip(kinds, arrays):
+                for start in range(0, len(array), CHUNK_ROWS):
+                    values = array[start:start + CHUNK_ROWS]
+                    if kind == "<f8":
+                        values = np.where(np.isfinite(values), values + 0.0, np.nan)
+                    fh.write(np.ascontiguousarray(values, kind))
         os.replace(temp, path + SIDECAR_SUFFIX)
     except OSError:
         with suppress(OSError):
             os.remove(temp)
 
 
-def _read_sidecar(path: str) -> tuple[Dataset, np.ndarray | None] | None:
-    """read_dataset_csv's result for the CSV at path, read from its
-    sidecar. None, and the CSV is parsed, when path is not a regular file
-    or the sidecar is missing or unreadable, of another version, with a
-    header field or payload length that does not fit, or made from bytes
-    other than the CSV's."""
+def _read_sidecar(path: str, rows: slice | None = None
+                  ) -> tuple[dict, list[np.ndarray]] | None:
+    """(meta, arrays) of the sidecar of the CSV at path: its JSON line and
+    its arrays. With rows None, every row, and only while the CSV's bytes
+    have the recorded sha256; with a slice, those rows, unchecked, for a
+    caller that hashed the CSV. None, and the CSV is parsed, when path is
+    not a regular file or the sidecar is missing or unreadable, of another
+    version, or with a JSON line or payload length that does not fit."""
     if not os.path.isfile(path):
         return None
     try:
         with open(path + SIDECAR_SUFFIX, "rb") as fh:
-            head = json.loads(fh.readline())
-            names, rows, flagged = head["names"], head["rows"], head["flags"]
-            size = 8 * rows * (len(names) + 1 + flagged)
-            if (head["version"] != _SIDECAR_VERSION
-                    or os.fstat(fh.fileno()).st_size - fh.tell() != size
-                    or head["sha256"] != _sha256(path)):
+            meta = json.loads(fh.readline())
+            count = meta["rows"]
+            if meta["version"] != _SIDECAR_VERSION or not all(
+                    _SIDECAR_DTYPE.fullmatch(kind) and len(tail) <= 1
+                    for kind, tail in meta["arrays"]):
                 return None
-            # read straight into the arrays returned: read into an anonymous
-            # mmap first, the CLI session's peak RSS rose by about 2.5 MB
-            features, labels = np.empty((rows, len(names)), "<f8"), np.empty(rows, "<i8")
-            flags = np.empty(rows, "<i8") if flagged else None
-            if any(fh.readinto(array) != array.nbytes
-                   for array in (features, labels, flags) if array is not None):
+            shapes = [(np.dtype(kind), tuple(tail)) for kind, tail in meta["arrays"]]
+            sizes = [dtype.itemsize * math.prod(tail) for dtype, tail in shapes]
+            if (sum(math.prod(tail) for _, tail in shapes) != len(meta["header"])
+                    or os.fstat(fh.fileno()).st_size - fh.tell() != count * sum(sizes)
+                    or rows is None and meta["sha256"] != _sha256(path)):
                 return None
-        return Dataset(features, labels, tuple(names)), flags
-    except (OSError, ValueError, KeyError, TypeError):  # LoadError and JSON errors included
+            first, stop, _ = (slice(None) if rows is None else rows).indices(count)
+            arrays, start = [], fh.tell()
+            for (dtype, tail), size in zip(shapes, sizes):
+                # read straight into the arrays returned: read into an
+                # anonymous mmap first, the CLI session's peak RSS rose
+                array = np.empty((stop - first, *tail), dtype)
+                fh.seek(start + first * size)
+                if fh.readinto(array) != array.nbytes:
+                    return None
+                arrays.append(array)
+                start += count * size
+        return meta, arrays
+    except (OSError, ValueError, KeyError, TypeError):  # JSON errors included
         return None
+
+
+def _by_column(meta: dict, arrays: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """A sidecar's arrays by the header column each holds; a 2-d array
+    holds one column per entry of its rows."""
+    return dict(zip(meta["header"], (column for array in arrays
+                                     for column in (array.T if array.ndim == 2 else [array]))))
+
+
+def _dataset_sidecar(path: str) -> tuple[Dataset, np.ndarray | None] | None:
+    """read_dataset_csv's result for the CSV at path, read from its
+    sidecar; None, and the CSV is parsed, when there is none to read (see
+    _read_sidecar) or it is not a dataset's."""
+    read = _read_sidecar(path)
+    if read is None or len(read[1]) not in (2, 3) or read[1][0].ndim != 2:  # a flow table's
+        return None
+    meta, (features, labels, *flags) = read
+    try:
+        dataset = Dataset(features, labels, tuple(meta["header"][:features.shape[1]]))
+    except ValueError:  # LoadError included
+        return None
+    return dataset, flags[0] if flags else None
 
 
 def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
@@ -872,7 +1102,7 @@ def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
     parsed in C or by line, or read from its sidecar, as the module
     docstring says; the result does not depend on which.
     """
-    read = _read_sidecar(path)
+    read = _dataset_sidecar(path)
     if read is not None:
         return read
     columns = _read_whole(path, _dataset_layout)

@@ -36,8 +36,9 @@ def test_readme_quick_start_runs(tmp_path):
 
 def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
     """The README's CLI session at 2,000 rows, through botsift.cli.main: every
-    command exits 0, and deleting every sidecar before each command changes
-    no file the session writes."""
+    command exits 0, and no file the session writes changes when every
+    sidecar is deleted before each command, or only the sidecar of the CSV
+    that ingest and smote read, so that they copy no cell from it."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     block = re.search(r"^A typical session end to end:\n+```sh\n(.*?)^```$", readme,
@@ -50,21 +51,25 @@ def test_readme_cli_session_runs(tmp_path, monkeypatch, capsys):
                 for line in lines]
     monkeypatch.delenv("BOTSIFT_OUT", raising=False)
     written = {}
-    for drop_sidecars in (False, True):
-        run = tmp_path / ("parsed" if drop_sidecars else "as written")
+    for drop in ("none", "every sidecar", "the input's sidecar"):
+        run = tmp_path / drop
         run.mkdir()
         monkeypatch.chdir(run)
         for argv in commands:
-            if drop_sidecars:
+            if drop == "every sidecar":
                 for sidecar in run.rglob("*.parsed"):
                     sidecar.unlink()
+            elif drop == "the input's sidecar" and argv[0] in ("ingest", "smote"):
+                (run / (argv[argv.index("--csv") + 1] + ".parsed")).unlink()
             assert main(argv) == 0, capsys.readouterr().err
-        written[drop_sidecars] = {str(path.relative_to(run)): path.read_bytes()
-                                  for path in sorted(run.rglob("*")) if path.is_file()}
-    sidecars = {"data/dataset.csv.parsed", "balanced/balanced.csv.parsed"}
-    assert sidecars <= written[False].keys()
-    assert {name: data for name, data in written[False].items()
-            if name not in sidecars} == written[True]
+        written[drop] = {str(path.relative_to(run)): path.read_bytes()
+                         for path in sorted(run.rglob("*")) if path.is_file()}
+    sidecars = {"flows/synth.csv.parsed", "data/dataset.csv.parsed",
+                "balanced/balanced.csv.parsed"}
+    assert sidecars <= written["none"].keys()
+    csvs = [{name: data for name, data in files.items() if name not in sidecars}
+            for files in written.values()]
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def run_python(argv, tmp_path) -> subprocess.CompletedProcess:

@@ -636,6 +636,7 @@ class TestWholeFileReader:
         if output == "records":
             table = records_table(rng, rows)
             write_records_csv(table, path)
+            drop_sidecar(path)
             # -0.0 is written as 0, so compare with it as +0.0; the junk
             # column has the default role, "ignore"
             want = FlowTable({name: column + 0.0 if column.dtype.kind == "f" else column
@@ -798,7 +799,7 @@ class TestSplitIo:
                 ["pkts", "proto", "attack"],
                 [[reference_cell(abs(v)), t, str(y)]
                  for v, t, y in zip(values, tokens, labels)])
-        # no part file is left; the sidecar is the dataset write's
+        # no part file is left; the sidecar is the records write's
         assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.parsed"]
 
     @pytest.mark.parametrize("failure, error", [("dies", BrokenProcessPool),
@@ -844,9 +845,9 @@ class TestSplitIo:
 SIDECAR_EDITS = {
     "truncated": lambda data: data[:-1],
     "one byte more": lambda data: data + b"\0",
-    "another version": lambda data: data.replace(b'"version": 1', b'"version": 2', 1),
+    "another version": lambda data: data.replace(b'"version": 2', b'"version": 1', 1),
     "another row count": lambda data: data.replace(b'"rows": 3', b'"rows": 2', 1),
-    "flags dropped": lambda data: data.replace(b'"flags": true', b'"flags": false', 1),
+    "flags dropped": lambda data: data.replace(b', "synthetic"]', b']', 1),
     "no header line": lambda data: data[data.index(b"\n") + 1:],
     "garbage": lambda data: b"\xff\x00 not a sidecar\n" + data,
     "empty": lambda data: b"",
@@ -940,3 +941,197 @@ class TestSidecar:
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == [str(rows), "False"]
+
+    def test_a_flow_write_removes_a_dataset_sidecar(self, tmp_path):
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1], ("pkts",)), path)
+        write_records_csv(make_flows([{"pkts": 3.0, "proto": "tcp", "attack": 1}]), path)
+        meta, arrays = flows._read_sidecar(path)
+        assert meta["header"] == ["pkts", "proto", "attack"]
+        assert read_outcome(read_dataset_csv, path).startswith(f"{path}:2: feature cell")
+
+    def test_a_failed_sidecar_write_leaves_no_old_one(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1]), path)
+
+        def failing(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        write_dataset_csv(make_dataset([[4.0]], [1]), path)
+        assert os.listdir(tmp_path) == ["data.csv"]
+
+
+# Schemas a flow sidecar is read under: it holds pkts and x as numbers,
+# proto and (when drawn) junk as tokens.
+FLOW_SCHEMAS = {
+    "listed": Schema({"attack": "label", "pkts": "numeric", "x": "numeric",
+                      "proto": "categorical"}),
+    "default numeric": Schema({"attack": "label", "proto": "categorical"}, "numeric"),
+    "default categorical": Schema({"attack": "label", "pkts": "numeric",
+                                   "x": "numeric"}, "categorical"),
+    "default ignore": Schema({"attack": "label", "x": "numeric"}),
+    "only the label": Schema({"attack": "label"}),
+    "tokens as numbers": Schema({"attack": "label", "proto": "numeric"}, "numeric"),
+    "another label": Schema({"pkts": "label", "x": "numeric"}),
+}
+flow_floats = st.one_of(finite_floats, st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0]))
+# blanks, commas and quotes, and tokens as long as the whole-file
+# reader's field and longer
+wide_tokens = st.one_of(
+    st.text(alphabet=' ab,"\t\n　é', max_size=5),
+    st.sampled_from(["y" * (flows.TOKEN_WIDTH - 1), "y" * flows.TOKEN_WIDTH,
+                     " " + "é" * (flows.TOKEN_WIDTH + 3) + " "]))
+
+
+class TestFlowSidecar:
+    """write_records_csv keeps a sidecar too, and load_csv reads it where
+    the parse could not differ and parses the CSV elsewhere."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.sampled_from((0, 1, 7, CHUNK_ROWS + 1)),
+           values=st.lists(st.tuples(flow_floats, flow_floats, wide_tokens, wide_tokens,
+                                     st.integers(0, 1)), min_size=1, max_size=8),
+           junk=st.booleans(), schema=st.sampled_from(sorted(FLOW_SCHEMAS)))
+    @example(rows=3, values=[(-1.0, 2.0, "tcp", "", 0)], junk=False, schema="listed")
+    def test_the_sidecar_reads_as_the_parse(self, rows, values, junk, schema):
+        table = cycled(values, rows)
+        columns = {"pkts": np.array([r[0] for r in table], dtype=np.float64),
+                   "x": np.array([r[1] for r in table], dtype=np.float64),
+                   "proto": np.array([r[2] for r in table], dtype=str)}
+        if junk:
+            columns["junk"] = np.array([r[3] for r in table], dtype=str)
+        read = partial(load_csv, schema=FLOW_SCHEMAS[schema])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "flows.csv")
+            write_records_csv(FlowTable(columns, [r[4] for r in table]), path)
+            assert flows._read_sidecar(path) is not None
+            from_sidecar = read_outcome(read, path)
+            drop_sidecar(path)
+            assert from_sidecar == read_outcome(read, path)
+
+    def test_a_negative_count_is_parsed(self, tmp_path):
+        path = str(tmp_path / "flows.csv")
+        write_records_csv(make_flows([{"pkts": 1.0, "x": -2.0, "attack": 0},
+                                      {"pkts": -3.5, "x": 4.0, "attack": 1}]), path)
+        schema = FLOW_SCHEMAS["listed"]
+        assert flows._read_sidecar(path) is not None
+        assert flows._flow_sidecar(path, schema) is None
+        message = f"{path}:3: field 'pkts' is negative (-3.5)"
+        with pytest.raises(LoadError) as raised:
+            load_csv(path, schema)
+        assert str(raised.value) == message
+        # x is not one of NONNEGATIVE_FIELDS, so the sidecar serves it
+        table = flows._flow_sidecar(path, FLOW_SCHEMAS["default ignore"])
+        assert table.columns["x"].tolist() == [-2.0, 4.0]
+
+    @pytest.mark.parametrize("names", [("pkts", " x"), ("pkts", "attack")])
+    def test_a_header_that_reads_back_otherwise_gets_no_sidecar(self, tmp_path, names):
+        path = str(tmp_path / "flows.csv")
+        write_records_csv(FlowTable({name: np.ones(2) for name in names}, [0, 1]), path)
+        assert os.listdir(tmp_path) == ["flows.csv"]
+
+    def test_a_sidecar_is_read_as_one_row_range(self, tmp_path):
+        rows = 2 * CHUNK_ROWS + 5
+        table = records_table(np.random.default_rng(3), rows)
+        path = str(tmp_path / "flows.csv")
+        write_records_csv(table, path)
+        meta, whole = flows._read_sidecar(path)
+        part = flows._read_sidecar(path, slice(CHUNK_ROWS, 2 * CHUNK_ROWS))[1]
+        assert [a.tobytes() for a in part] == [
+            a[CHUNK_ROWS:2 * CHUNK_ROWS].tobytes() for a in whole]
+
+
+def copy_case(case: str, tmp: str, rng, rows: int, monkeypatch):
+    """(dataset, synthetic, source) of a write_dataset_csv that copies
+    cells from source, as the case sets them up."""
+    source = os.path.join(tmp, "source.csv")
+    X = rng.lognormal(0.0, 6.0, (rows, 3)) * rng.choice([-1.0, 1.0], (rows, 3))
+    X[::3, 1] = np.round(X[::3, 1])
+    X[:len(SPECIAL_FLOATS), 2] = SPECIAL_FLOATS[:rows]
+    labels = rng.integers(0, 2, rows)
+    ds = Dataset(X, labels, ("a", "b", "c"))
+    if case in ("smote prefix", "output is the source", "stale sidecar", "rewritten source"):
+        # the source's rows come first, then rows past the source
+        write_dataset_csv(ds, source, rng.integers(0, 2, rows))
+        extra = CHUNK_ROWS + 3
+        out = Dataset(np.vstack([X, rng.lognormal(0.0, 3.0, (extra, 3))]),
+                      np.concatenate([labels, np.zeros(extra, np.int64)]), ds.feature_names)
+        synthetic = np.repeat([0, 1], [rows, extra])
+        if case == "stale sidecar":
+            with open(source, "rb") as fh:
+                data = fh.read()
+            with open(source, "wb") as fh:
+                fh.write(data.replace(b"\r\n1", b"\r\n2", 1))
+        elif case == "rewritten source":
+            plan = flows._copy_plan
+
+            def rewriting(source, path):
+                planned = plan(source, path)
+                with open(source, "rb") as fh:
+                    data = fh.read()
+                with open(source, "wb") as fh:  # as long, but other cells
+                    fh.write(data.replace(b"1", b"3").replace(b"2", b"1").replace(b"3", b"2"))
+                return planned
+
+            monkeypatch.setattr(flows, "_copy_plan", rewriting)
+        return out, synthetic, source
+    if case == "selected columns":
+        write_dataset_csv(ds, source)
+        return ds.with_columns(("c", "a")), None, source
+    # flow sources: ingest codes proto, cleanse drops rows with no value
+    proto = np.array(cycled(["tcp", "udp", "x,y" if case == "quoted source" else "icmp"],
+                            rows))
+    x = X[:, 2].copy()
+    if case == "cleanse drops rows":
+        x[1::4] = np.nan
+    write_records_csv(FlowTable({"pkts": np.abs(X[:, 0]), "proto": proto, "x": x},
+                                labels), source)
+    keep = ~np.isnan(x)
+    codes = np.unique(proto, return_inverse=True)[1] + 1.0
+    out = Dataset(np.column_stack([np.abs(X[:, 0]), codes, x])[keep], labels[keep],
+                  ("pkts", "proto", "x"))
+    return out, None, source
+
+
+COPY_CASES = ("smote prefix", "ingest substitution", "cleanse drops rows",
+              "selected columns", "stale sidecar", "quoted source",
+              "rewritten source", "output is the source")
+
+
+class TestCopiedCells:
+    """write_dataset_csv(..., source=...) writes the bytes it writes
+    without source, copying the cells source holds with the same value."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(COPY_CASES),
+           rows=st.sampled_from((0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(case="smote prefix", rows=2 * CHUNK_ROWS + 1, seed=0)
+    @example(case="ingest substitution", rows=2 * CHUNK_ROWS + 1, seed=0)
+    @example(case="cleanse drops rows", rows=2 * CHUNK_ROWS + 1, seed=0)
+    @example(case="rewritten source", rows=2 * CHUNK_ROWS + 1, seed=0)
+    def test_the_bytes_do_not_depend_on_the_source(self, case, rows, seed):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_pool, "WORKERS", 2)
+            out, synthetic, source = copy_case(case, tmp, np.random.default_rng(seed),
+                                               rows, patch)
+            path = source if case == "output is the source" else os.path.join(tmp, "out.csv")
+            write_dataset_csv(out, path, synthetic, source=source)
+            with open(path, "rb") as fh, open(path + flows.SIDECAR_SUFFIX, "rb") as side:
+                copied = fh.read(), side.read()
+            write_dataset_csv(out, path, synthetic)
+            with open(path, "rb") as fh, open(path + flows.SIDECAR_SUFFIX, "rb") as side:
+                assert copied == (fh.read(), side.read())
+
+    @pytest.mark.parametrize("case, copies", [
+        ("smote prefix", True), ("ingest substitution", True),
+        ("selected columns", True), ("stale sidecar", False),
+        ("quoted source", False), ("output is the source", False)])
+    def test_a_source_is_copied_from_only_as_it_was_written(self, tmp_path, monkeypatch,
+                                                            case, copies):
+        out, synthetic, source = copy_case(case, str(tmp_path), np.random.default_rng(0),
+                                           CHUNK_ROWS + 1, monkeypatch)
+        path = source if case == "output is the source" else str(tmp_path / "out.csv")
+        assert (flows._copy_plan(source, path) is not None) == copies
