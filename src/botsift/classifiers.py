@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .errors import DivergenceError, LoadError, TrainingError
 from .flows import _ACCEPTS, Dataset, _read_json, _write_json
@@ -34,6 +33,17 @@ from .flows import _ACCEPTS, Dataset, _read_json, _write_json
 THRESHOLD = 0.5
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# Deferred: importing scipy.special costs about 0.2 s and 20 MB, which a
+# process that never scores GNB or runs an MLP should not pay. _special()
+# binds these on first use; _forward and _backward read them here.
+expit = logsumexp = None
+
+
+def _special() -> None:
+    global expit, logsumexp
+    if expit is None:
+        from scipy.special import expit, logsumexp
 
 
 class _Model:
@@ -88,6 +98,7 @@ def _gnb_fit(train: Dataset) -> GnbModel:
 def gnb_posteriors(model: GnbModel, X: np.ndarray) -> np.ndarray:
     """Class posteriors, shape (n, 2); each row sums to 1. The joint
     log(prior * likelihood) is normalized in log space."""
+    _special()
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     joint = np.empty((X.shape[0], 2))
     for c in (0, 1):
@@ -271,6 +282,7 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, y: np.ndarray):
     pre-activation, which stays finite for any finite z. The forward and
     backward passes are the ones _mlp_fit steps through.
     """
+    _special()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     (n, d), hidden = X.shape, model.w_in.shape[1]
@@ -317,6 +329,7 @@ def _mlp_fit(train: Dataset, config: MlpConfig) -> MlpModel:
     losses seen during that epoch. A non-finite epoch loss aborts training
     with a divergence error naming the epoch (1-based).
     """
+    _special()
     X, y = train.features, np.asarray(train.labels, dtype=np.float64)
     n, d, hidden = train.n_rows, train.n_features, config.hidden
     rng = np.random.default_rng(config.seed)
@@ -367,6 +380,7 @@ def _mlp_fit(train: Dataset, config: MlpConfig) -> MlpModel:
 
 
 def _mlp_scores(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    _special()
     a1, z2 = np.empty((X.shape[0], model.w_in.shape[1])), np.empty(X.shape[0])
     _forward(X, model.w_in, model.b_in, model.w_out, model.b_out, a1, z2)
     return expit(z2, out=z2)

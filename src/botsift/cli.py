@@ -175,6 +175,7 @@ def _cmd_smote(args) -> None:
     dataset, _ = read_dataset_csv(_require(args, "csv"))
     config = SmoteConfig(k_neighbors=args.k, target_minority_count=args.target)
     result = smote(dataset, config, seed=args.seed)
+    del dataset  # the balanced dataset holds a copy of its rows
     out = _out_dir(args)
     write_dataset_csv(result.dataset, os.path.join(out, "balanced.csv"),
                       synthetic=result.synthetic, source=args.csv)

@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .classifiers import (THRESHOLD, _features_for, _seeded, check_params, fit_model,
-                          labels_from_scores, model_kind, score_batch, tie_rule)
+from .classifiers import (THRESHOLD, _features_for, _seeded, _special, check_params,
+                          fit_model, labels_from_scores, model_kind, score_batch,
+                          tie_rule)
 from ._pool import fork_map
 from .errors import BotsiftError, EvaluationError, TrainingError
 from .flows import Dataset, _counts_json, _write_json
@@ -397,6 +398,7 @@ def run_fold_jobs(jobs: list, cv_sets: dict, full_sets: dict, seed: int, *,
             scored.append(report if f is None else report.metrics)
         return scored
 
+    _special()  # scipy.special, imported before the fork so that children inherit it
     results: dict[tuple, list] = {}
     for (arm, _, models), scored in zip(jobs, fork_map(run_job, jobs)):
         for (name, _), result in zip(models, scored):

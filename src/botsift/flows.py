@@ -1003,9 +1003,15 @@ def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
     one as NaN; tokens stripped, as wide as the longest; integers as int64.
     It goes to a temporary file beside path, CHUNK_ROWS rows at a time,
     then is moved into place. A path that is not a regular file gets none,
-    and a sidecar that cannot be written is skipped, leaving the CSV to be
-    parsed."""
-    if not os.path.isfile(path):
+    nor does a CSV with a header name or cell longer than
+    csv.field_size_limit() characters, which the parse refuses; a sidecar
+    that cannot be written is skipped, leaving the CSV to be parsed."""
+    limit = csv.field_size_limit()
+    # a number's text is at most 24 characters; a token column is measured
+    # only when its dtype could hold a cell past the limit
+    widths = [24 if a.dtype.kind != "U" else 0 if a.dtype.itemsize <= 4 * limit
+              else np.char.str_len(a).max(initial=0) for a in arrays]
+    if not os.path.isfile(path) or max([*map(len, meta["header"]), *widths]) > limit:
         return
     arrays = [_narrow_tokens(a) if a.dtype.kind == "U" else a for a in arrays]
     kinds = [f"<U{a.dtype.itemsize // 4}" if a.dtype.kind == "U"

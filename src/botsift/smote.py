@@ -22,7 +22,9 @@ from .classifiers import _nearest, squared_distances
 from .errors import ResampleError
 from .flows import Dataset
 
-_NEIGHBOR_CHUNK = 512
+# Rows handled at a time: minority rows compared with every minority row,
+# and synthetic rows interpolated.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ def minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     _check_k(k, m)
     c = min(k + 1, m - 1)
     out = np.empty((m, k), dtype=np.int64)
-    for start in range(0, m, _NEIGHBOR_CHUNK):
-        block = points[start:start + _NEIGHBOR_CHUNK]
+    for start in range(0, m, _CHUNK):
+        block = points[start:start + _CHUNK]
         d2 = squared_distances(block[:, None, :], points[None, :, :])
         rows = np.arange(len(block))
         # NaN sorts last and fails every <=; +inf would tie an overflow
@@ -118,17 +120,20 @@ def smote(dataset: Dataset, config: SmoteConfig = SmoteConfig(),
         picks[rows] = rng.integers(config.k_neighbors, size=quotas[i])
         u[rows, 0] = rng.random(quotas[i])
 
-    # p + u * (q - p), one array pass written in place after the originals
+    # p + u * (q - p), written in place after the originals, p gathered
+    # one block of rows at a time
     features = np.empty((n + total_new, dataset.n_features))
     features[:n] = dataset.features
     src = np.repeat(np.arange(m), quotas)
-    p = points[src]
     # the indices are in range; mode="clip" spares mode="raise"'s out buffer
     synth = np.take(points, neighbors[src, picks], axis=0, out=features[n:],
                     mode="clip")
-    synth -= p
-    synth *= u
-    synth += p
+    for start in range(0, total_new, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        p, block = points[src[rows]], synth[rows]
+        block -= p
+        block *= u[rows]
+        block += p
     labels = np.concatenate([
         dataset.labels, np.full(total_new, minority_label, dtype=np.int64)])
 

@@ -16,11 +16,11 @@ from scipy.stats import norm
 import botsift
 from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
                      LoadError, MlpConfig, MlpModel, TrainingError,
-                     cross_validate, evaluate_model, fit_model,
-                     gnb_posteriors, load_model, make_folds,
-                     mlp_loss_and_grads, predict_batch, save_model,
+                     cross_validate, evaluate_model, fit_model, load_model,
+                     make_folds, mlp_loss_and_grads, predict_batch, save_model,
                      score_batch)
-from botsift.classifiers import MODEL_NAMES, check_params, labels_from_scores
+from botsift.classifiers import (MODEL_NAMES, check_params, gnb_posteriors,
+                                 labels_from_scores)
 
 from conftest import make_dataset
 
@@ -300,28 +300,50 @@ class TestKnn:
             score_batch(model, np.array([[np.nan]]))
 
     def test_importing_botsift_leaves_the_kd_tree_unloaded(self, tmp_path):
-        # scipy.spatial is imported only when KNN scores, and
-        # multiprocessing only when a process pool runs, so
-        # importing the package, the CLI and the experiment runner does
-        # not pay for either; nor does the smote command, whose neighbour
-        # search is its own
+        # scipy.spatial is imported only when KNN scores, scipy.special only
+        # when GNB scores or an MLP runs, and multiprocessing only when a
+        # process pool runs, so importing the package, the CLI and the
+        # experiment runner does not pay for any of them; nor do synth,
+        # ingest, smote (whose neighbour search is its own) and a GNB fit
         src = os.path.dirname(os.path.dirname(botsift.__file__))
         code = (
             "import sys, botsift, botsift.cli, botsift.experiment\n"
-            "loaded = ['scipy.spatial' in sys.modules, 'multiprocessing' in sys.modules]\n"
-            "import numpy as np\n"
-            "data, out = sys.argv[1:]\n"
-            "X = np.random.default_rng(0).normal(size=(40, 2))\n"
-            "ds = botsift.Dataset(X, [0] * 10 + [1] * 30, ('a', 'b'))\n"
-            "botsift.write_dataset_csv(ds, data)\n"
-            "code = botsift.cli.main(['smote', '--csv', data, '--out', out])\n"
-            "print(*loaded, 'scipy.spatial' in sys.modules, code)\n"
+            "mods = ('scipy.spatial', 'scipy.special', 'multiprocessing')\n"
+            "loaded = [m in sys.modules for m in mods]\n"
+            "out = sys.argv[1]\n"
+            "codes = [botsift.cli.main(argv + ['--seed', '3']) for argv in (\n"
+            "    ['synth', '--rows', '2000', '--out', out + '/flows'],\n"
+            "    ['ingest', '--csv', out + '/flows/synth.csv', '--out', out + '/data'],\n"
+            "    ['smote', '--csv', out + '/data/dataset.csv', '--out', out + '/bal'],\n"
+            "    ['train', '--model', 'gnb', '--csv', out + '/bal/balanced.csv',\n"
+            "     '--out', out + '/fit'])]\n"
+            "print(*loaded, *(m in sys.modules for m in mods[:2]), *codes)\n"
         )
         env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "data.csv"),
-                              str(tmp_path / "balanced")], env=env,
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "False False False 0"
+        assert out.stdout.splitlines()[-1] == "False False False False False 0 0 0 0"
+
+    def test_pool_children_inherit_scipy_special(self):
+        # the fold runner imports scipy.special before it forks, so the
+        # parent holds it afterwards; pooled folds equal inline ones
+        src = os.path.dirname(os.path.dirname(botsift.__file__))
+        code = (
+            "import sys, numpy as np, botsift, botsift._pool as pool\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "X = np.random.default_rng(0).normal(size=(60, 3))\n"
+            "ds = botsift.Dataset(X, [0] * 20 + [1] * 40, ('a', 'b', 'c'))\n"
+            "def cv(workers):\n"
+            "    pool.WORKERS = workers\n"
+            "    return botsift.cross_validate(ds, 'gnb', k=4, seed=1).as_dict()\n"
+            "pooled = cv(2)\n"
+            "after = 'scipy.special' in sys.modules\n"
+            "print(before, after, pooled == cv(1))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False True True"
 
     def test_k_bounds_enforced(self, rng):
         train = blobs(rng, n0=5, n1=5)

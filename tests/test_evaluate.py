@@ -17,9 +17,9 @@ import botsift.evaluate
 from botsift import (ConfusionMatrix, EvaluationError, Metrics, ResampleError,
                      RocCurve, SmoteConfig, TrainingError, cross_validate,
                      evaluate_model, fit_model, make_folds, metrics_from,
-                     percent, roc_curve, round_half_up, split_indices,
-                     train_test_split)
-from botsift.evaluate import fold_counts, fold_sets
+                     roc_curve, split_indices, train_test_split)
+from botsift.evaluate import fold_counts, fold_sets, percent
+from botsift.synth import round_half_up
 
 from conftest import make_dataset
 

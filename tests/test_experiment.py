@@ -465,7 +465,7 @@ class TestPooledGrid:
                                       ("mlp", {"epochs": 2})))
         evaluate_model = botsift.evaluate.evaluate_model
         runs = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(botsift._pool, "WORKERS", workers)
             pid_dir = tmp_path / f"pids{workers}"
             pid_dir.mkdir()
@@ -480,13 +480,14 @@ class TestPooledGrid:
             pids = {int(name) for name in os.listdir(pid_dir)}
             runs[workers] = (result, bundle_bytes(outdir), pids)
         (inline, inline_files, inline_pids) = runs[1]
-        (pooled, pooled_files, pooled_pids) = runs[2]
         assert inline_pids == {os.getpid()}
-        assert pooled_pids and os.getpid() not in pooled_pids
         assert len(inline_files) == 4 + 6 * 4
-        assert pooled_files == inline_files
-        assert pooled.reports == inline.reports
-        assert pooled.manifest == inline.manifest
+        for workers in (2, 3):
+            (pooled, pooled_files, pooled_pids) = runs[workers]
+            assert 1 <= len(pooled_pids) <= workers and os.getpid() not in pooled_pids
+            assert pooled_files == inline_files
+            assert pooled.reports == inline.reports
+            assert pooled.manifest == inline.manifest
 
     def test_first_failure_in_grid_order_is_raised(self, profile_path,
                                                    tmp_path, monkeypatch):

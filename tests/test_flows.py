@@ -777,6 +777,56 @@ class TestSplitIo:
         if mutation == "none":
             assert split[1] == (ds.features + 0.0).tobytes()
 
+    @pytest.mark.parametrize("kind", ["dataset", "records"])
+    def test_three_workers_match_one(self, tmp_path, monkeypatch, rng, kind):
+        # three chunks: at three workers a write, a copying write and a C
+        # parse each run three ranges on three processes at most, and give
+        # the bytes and values they give in one
+        def deferred(path, *args):
+            raise AssertionError(f"{path} was left to the line reader")
+
+        monkeypatch.setattr(flows, "_read_dataset_lines", deferred)
+        monkeypatch.setattr(flows, "_load_csv_lines", deferred)
+        rows = 2 * CHUNK_ROWS + 1
+        table = records_table(rng, rows)
+        ds = Dataset(np.column_stack([table.columns["pkts"], table.columns["x"]]),
+                     table.labels, ("pkts", "x"))
+        flags = rng.integers(0, 2, rows)
+        fork_map, calls = _pool.fork_map, []
+
+        def recorded(fn, items):
+            pid_dir = tmp_path / f"pids{len(calls)}"
+            pid_dir.mkdir()
+            calls.append((len(items), pid_dir))
+
+            def call(item):
+                (pid_dir / str(os.getpid())).touch()
+                return fn(item)
+            return fork_map(call, items)
+
+        monkeypatch.setattr(_pool, "fork_map", recorded)
+        outcomes = {}
+        for workers in (3, 1):
+            monkeypatch.setattr(_pool, "WORKERS", workers)
+            path, copy = str(tmp_path / f"{workers}.csv"), str(tmp_path / f"{workers}c.csv")
+            if kind == "dataset":
+                write_dataset_csv(ds, path, synthetic=flags)
+                write_dataset_csv(ds, copy, synthetic=flags, source=path)
+                read = read_dataset_csv
+            else:
+                write_records_csv(table, path)
+                write_dataset_csv(ds, copy, source=path)
+                read = partial(load_csv, schema=RECORDS_SCHEMA)
+            drop_sidecar(path)
+            with open(path, "rb") as fh, open(copy, "rb") as cfh:
+                outcomes[workers] = (fh.read(), cfh.read(), read_outcome(read, path))
+        split = [{int(pid) for pid in os.listdir(pid_dir)}
+                 for items, pid_dir in calls if items == 3]
+        assert len(split) == 3  # the write, the copying write and the parse
+        assert all(1 <= len(pids) <= 3 and os.getpid() not in pids for pids in split)
+        assert outcomes[3] == outcomes[1]
+        assert isinstance(outcomes[1][2], tuple)  # read, not refused
+
     @pytest.mark.parametrize("rows", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS - 1,
                                       2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
     def test_writers_match_csv_writer(self, tmp_path, rows):
@@ -950,6 +1000,20 @@ class TestSidecar:
         assert meta["header"] == ["pkts", "proto", "attack"]
         assert read_outcome(read_dataset_csv, path).startswith(f"{path}:2: feature cell")
 
+    def test_a_feature_name_past_the_field_limit_gets_no_sidecar(self, tmp_path):
+        # the sidecar answers as the parse would: it reads a name of the
+        # limit's length, and refuses one longer
+        limit = csv.field_size_limit()
+        for width in (limit, limit + 1):
+            path = str(tmp_path / f"{width}.csv")
+            write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1], ("a" * width,)), path)
+            assert os.path.exists(path + flows.SIDECAR_SUFFIX) == (width == limit)
+            outcome = read_outcome(read_dataset_csv, path)
+            if width == limit:
+                drop_sidecar(path)
+            assert outcome == read_outcome(read_dataset_csv, path)
+        assert outcome == f"{path}:1: field larger than field limit ({limit})"
+
     def test_a_failed_sidecar_write_leaves_no_old_one(self, tmp_path, monkeypatch):
         path = str(tmp_path / "data.csv")
         write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1]), path)
@@ -1031,6 +1095,24 @@ class TestFlowSidecar:
         path = str(tmp_path / "flows.csv")
         write_records_csv(FlowTable({name: np.ones(2) for name in names}, [0, 1]), path)
         assert os.listdir(tmp_path) == ["flows.csv"]
+
+    @pytest.mark.parametrize("where", ["token", "name"])
+    def test_a_cell_past_the_field_limit_gets_no_sidecar(self, tmp_path, where):
+        # a proto token or a column name: the sidecar reads one of the
+        # limit's length, as the parse does, and none is kept for a longer one
+        limit = csv.field_size_limit()
+        for width in (limit, limit + 1):
+            path = str(tmp_path / f"{width}.csv")
+            name, token = ("p" * width, "tcp") if where == "name" else ("proto", "t" * width)
+            write_records_csv(FlowTable({"pkts": np.ones(2), name: np.array([token, "udp"])},
+                                        [0, 1]), path)
+            assert os.path.exists(path + flows.SIDECAR_SUFFIX) == (width == limit)
+            outcome = read_outcome(load_csv, path)
+            if width == limit:
+                drop_sidecar(path)
+            assert outcome == read_outcome(load_csv, path)
+        line = 1 if where == "name" else 2
+        assert outcome == f"{path}:{line}: field larger than field limit ({limit})"
 
     def test_a_sidecar_is_read_as_one_row_range(self, tmp_path):
         rows = 2 * CHUNK_ROWS + 5
