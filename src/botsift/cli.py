@@ -19,7 +19,8 @@ import os
 import sys
 from concurrent.futures import BrokenExecutor
 
-from .classifiers import MODEL_NAMES, _seeded, fit_model, load_model, save_model
+from .classifiers import (MODEL_NAMES, _seeded, _special, fit_model, load_model,
+                          model_kind, save_model)
 from .errors import BotsiftError, ConfigError, LoadError, SchemaError
 from .evaluate import cross_validate, evaluate_model
 from .experiment import ExperimentConfig, run_experiment
@@ -189,8 +190,10 @@ def _cmd_smote(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    dataset, _ = read_dataset_csv(_require(args, "csv"))
     name = _require(args, "model")
+    if name == "mlp":
+        _special()
+    dataset, _ = read_dataset_csv(_require(args, "csv"))
     params = _seeded(name, _params_arg(args), args.seed)
     model = fit_model(name, dataset, params)
     model = dataclasses.replace(model, provenance={
@@ -206,6 +209,8 @@ def _cmd_train(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     model = load_model(_require(args, "model_file"))
+    if model_kind(model) != "knn":
+        _special()
     csv = _require(args, "csv")
     dataset, _ = read_dataset_csv(csv)
     try:
@@ -217,6 +222,7 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_cross_validate(args) -> None:
+    _special()  # the fold runner imports it before it forks in any case
     dataset, _ = read_dataset_csv(_require(args, "csv"))
     name = _require(args, "model")
     result = cross_validate(

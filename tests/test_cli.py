@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import botsift._pool
+import botsift.classifiers
+import botsift.cli
 import botsift.evaluate
 from botsift import Dataset, cross_validate, read_dataset_csv, write_dataset_csv
 from botsift.cli import main
@@ -392,6 +394,32 @@ class TestTrainEvaluate:
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_scipy_special_is_bound_before_the_rows_are_read(self, tmp_path,
+                                                            dataset_csv,
+                                                            monkeypatch):
+        # imported after a large read, its long-lived heap blocks would sit
+        # above the rows and keep the heap from shrinking once they are freed
+        bound = []
+
+        def read(path):
+            bound.append(botsift.classifiers.expit is not None)
+            return read_dataset_csv(path)
+
+        monkeypatch.setattr(botsift.cli, "read_dataset_csv", read)
+        fit, out = str(tmp_path / "fit"), str(tmp_path / "out")
+        argvs = [["train", "--model", name, "--params", params]
+                 for name, params in (("gnb", "{}"), ("knn", '{"k": 3}'),
+                                      ("mlp", '{"epochs": 1}'))]
+        argvs += [["evaluate", "--model-file", os.path.join(fit, f"model_{name}.json")]
+                  for name in ("gnb", "knn")]
+        argvs.append(["cross-validate", "--model", "gnb", "--folds", "2"])
+        for argv in argvs:
+            monkeypatch.setattr(botsift.classifiers, "expit", None)
+            monkeypatch.setattr(botsift.classifiers, "logsumexp", None)
+            dest = fit if argv[0] == "train" else out
+            assert main(argv + ["--csv", dataset_csv, "--out", dest]) == 0
+        assert bound == [False, False, True, True, False, True]
 
     def test_evaluate_reports_metrics(self, tmp_path, dataset_csv, capsys):
         fit_dir = str(tmp_path / "fit2")
