@@ -12,9 +12,12 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence
 
-# Processes that work side by side. The work is Python-bound (the MLP's
-# SGD step, float formatting, CSV parsing), so threads cannot help.
-WORKERS = min(2, os.cpu_count() or 1)
+# Processes that work side by side: at most two, and no more than the CPUs
+# this process may run on (its affinity mask, where the platform has one).
+# The work is Python-bound (the MLP's SGD step, float formatting, CSV
+# parsing), so threads cannot help.
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 _task: tuple[Callable, Sequence] | None = None  # set only inside pool processes
 

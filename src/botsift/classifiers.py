@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, LoadError, TrainingError
-from .flows import _ACCEPTS, Dataset, _read_json, _write_json
+from .flows import _ACCEPTS, CHUNK_ROWS, Dataset, _read_json, _write_json
 
 # The decision threshold: a row is labelled botnet when its score is at
 # least this.
@@ -74,42 +74,79 @@ class GnbModel(_Model):
     provenance: dict = field(default_factory=dict)
 
 
+def _group_sums(X: np.ndarray, y: np.ndarray, centers: list | None = None) -> list:
+    """numpy's axis-0 sums over all rows of X, the normal rows and the
+    botnet rows; with centers (one per group), of (x - center) ** 2.
+
+    numpy adds a C-contiguous matrix's rows one after another when it has
+    two or more columns, so the rows are gathered CHUNK_ROWS at a time and
+    each block is summed behind the sum carried so far; that starts as
+    numpy's own sum of the group's first rows. One column is summed
+    pairwise, so it is gathered whole.
+    """
+    n, d = X.shape
+    step = CHUNK_ROWS if d > 1 else max(n, 1)
+    buf, sums = np.empty((min(step, n) + 1, d)), [None, None, None]
+    for start in range(0, n, step):
+        labels = y[start:start + step]
+        for g, pick in enumerate((labels >= 0, labels == 0, labels == 1)):
+            index = np.flatnonzero(pick)
+            if index.size:  # mode="clip" spares the copy mode="raise" makes of out
+                rows = np.take(X[start:start + step], index, axis=0,
+                               out=buf[1:index.size + 1], mode="clip")
+                if centers is not None:
+                    np.square(np.subtract(rows, centers[g], out=rows), out=rows)
+                if sums[g] is not None:
+                    buf[0], rows = sums[g], buf[:index.size + 1]
+                sums[g] = np.add.reduce(rows, axis=0)
+    return sums
+
+
 def _gnb_fit(train: Dataset) -> GnbModel:
     """Fit per-class feature Gaussians with frequency priors.
 
     Variances are maximum-likelihood (divide by class count) plus a
     smoothing term of 1e-9 times the largest per-feature variance over the
     whole training set, so a within-class constant feature cannot produce
-    a zero variance.
+    a zero variance. Means and variances are bit-identical to np.mean and
+    np.var, with temporaries of one block of rows (see _group_sums).
     """
     normal, botnet = train.class_counts
-    X, y = train.features, train.labels
-    eps = 1e-9 * float(X.var(axis=0).max())
+    X, y, counts = train.features, train.labels, (train.n_rows, normal, botnet)
+    means = [total / count for total, count in zip(_group_sums(X, y), counts)]
+    var = [total / count for total, count in zip(_group_sums(X, y, means), counts)]
+    eps = 1e-9 * float(var[0].max())
     if eps == 0.0:
         eps = 1e-12  # every feature constant over the whole set
     priors = np.array([normal, botnet], dtype=np.float64) / train.n_rows
-    means = np.empty((2, train.n_features))
-    variances = np.empty((2, train.n_features))
-    for c in (0, 1):
-        rows = X[y == c]
-        means[c] = rows.mean(axis=0)
-        variances[c] = rows.var(axis=0) + eps
     return GnbModel(feature_names=train.feature_names, priors=priors,
-                    means=means, variances=variances, smoothing=eps)
+                    means=np.array(means[1:]), variances=np.array(var[1:]) + eps,
+                    smoothing=eps)
 
 
 def gnb_posteriors(model: GnbModel, X: np.ndarray) -> np.ndarray:
     """Class posteriors, shape (n, 2); each row sums to 1. The joint
-    log(prior * likelihood) is normalized in log space."""
+    log(prior * likelihood) is normalized in log space, CHUNK_ROWS rows at
+    a time, so the temporaries are of one block. Each row's arithmetic is
+    that of numpy's whole-array formula on a C-contiguous X, whatever X's
+    layout, so the posteriors do not depend on the blocking."""
     _special()
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    joint = np.empty((X.shape[0], 2))
-    for c in (0, 1):
-        var = model.variances[c]
-        gap = X - model.means[c]
-        log_like = -0.5 * (_LOG_2PI + np.log(var) + gap * gap / var).sum(axis=1)
-        joint[:, c] = np.log(model.priors[c]) + log_like
-    return np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    out = np.empty((X.shape[0], 2))
+    for start in range(0, X.shape[0], CHUNK_ROWS):
+        block, joint = X[start:start + CHUNK_ROWS], out[start:start + CHUNK_ROWS]
+        gap = np.empty((block.shape[0], X.shape[1]))
+        for c in (0, 1):
+            var = model.variances[c]
+            np.subtract(block, model.means[c], out=gap)
+            gap *= gap
+            gap /= var
+            gap += _LOG_2PI + np.log(var)
+            joint[:, c] = np.log(model.priors[c]) + -0.5 * gap.sum(axis=1)
+        del gap  # before logsumexp, whose temporaries take about 140 bytes a row
+        joint -= logsumexp(joint, axis=1, keepdims=True)
+        np.exp(joint, out=joint)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -978,13 +978,14 @@ def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
 
 
 # The sidecar of a CSV: one JSON line (format version, the CSV's sha256,
-# the row count, each array's dtype and shape past the rows, the CSV's
-# header), then each array's rows in turn, as the parse returns them. A
-# dataset's arrays are its features row by row as little-endian float64,
-# its labels and any synthetic flags as little-endian int64; a flow
-# table's are its columns, float64 or UTF-32 tokens, and its labels.
+# the row count, each array's dtype and shape past the rows, the widest
+# cell or header name in characters, the CSV's header), then each array's
+# rows in turn, as the parse returns them. A dataset's arrays are its
+# features row by row as little-endian float64, its labels and any
+# synthetic flags as little-endian int64; a flow table's are its columns,
+# float64 or UTF-32 tokens, and its labels.
 SIDECAR_SUFFIX = ".parsed"
-_SIDECAR_VERSION = 2
+_SIDECAR_VERSION = 3
 _SIDECAR_DTYPE = re.compile(r"<f8|<i8|<U[1-9][0-9]*")
 
 
@@ -1004,14 +1005,13 @@ def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
     It goes to a temporary file beside path, CHUNK_ROWS rows at a time,
     then is moved into place. A path that is not a regular file gets none,
     nor does a CSV with a header name or cell longer than
-    csv.field_size_limit() characters, which the parse refuses; a sidecar
-    that cannot be written is skipped, leaving the CSV to be parsed."""
-    limit = csv.field_size_limit()
-    # a number's text is at most 24 characters; a token column is measured
-    # only when its dtype could hold a cell past the limit
-    widths = [24 if a.dtype.kind != "U" else 0 if a.dtype.itemsize <= 4 * limit
-              else np.char.str_len(a).max(initial=0) for a in arrays]
-    if not os.path.isfile(path) or max([*map(len, meta["header"]), *widths]) > limit:
+    csv.field_size_limit() characters, which the parse refuses; the widest
+    is recorded, so that a reader under a lower limit parses instead. A
+    sidecar that cannot be written is skipped, leaving the CSV to be parsed."""
+    # a number's text is at most 24 characters
+    width = int(max([*map(len, meta["header"]), *(
+        24 if a.dtype.kind != "U" else np.char.str_len(a).max(initial=0) for a in arrays)]))
+    if not os.path.isfile(path) or width > csv.field_size_limit():
         return
     arrays = [_narrow_tokens(a) if a.dtype.kind == "U" else a for a in arrays]
     kinds = [f"<U{a.dtype.itemsize // 4}" if a.dtype.kind == "U"
@@ -1022,7 +1022,7 @@ def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
             fh.write(json.dumps({
                 "version": _SIDECAR_VERSION, "sha256": _sha256(path), "rows": len(arrays[-1]),
                 "arrays": [[kind, list(a.shape[1:])] for kind, a in zip(kinds, arrays)],
-                **meta}).encode("utf-8") + b"\n")
+                "width": width, **meta}).encode("utf-8") + b"\n")
             for kind, array in zip(kinds, arrays):
                 for start in range(0, len(array), CHUNK_ROWS):
                     values = array[start:start + CHUNK_ROWS]
@@ -1042,16 +1042,17 @@ def _read_sidecar(path: str, rows: slice | None = None
     have the recorded sha256; with a slice, those rows, unchecked, for a
     caller that hashed the CSV. None, and the CSV is parsed, when path is
     not a regular file or the sidecar is missing or unreadable, of another
-    version, or with a JSON line or payload length that does not fit."""
+    version, with a JSON line or payload length that does not fit, or with
+    a cell or header name wider than csv.field_size_limit() now allows."""
     if not os.path.isfile(path):
         return None
     try:
         with open(path + SIDECAR_SUFFIX, "rb") as fh:
             meta = json.loads(fh.readline())
             count = meta["rows"]
-            if meta["version"] != _SIDECAR_VERSION or not all(
-                    _SIDECAR_DTYPE.fullmatch(kind) and len(tail) <= 1
-                    for kind, tail in meta["arrays"]):
+            if (meta["version"] != _SIDECAR_VERSION or meta["width"] > csv.field_size_limit()
+                    or not all(_SIDECAR_DTYPE.fullmatch(kind) and len(tail) <= 1
+                               for kind, tail in meta["arrays"])):
                 return None
             shapes = [(np.dtype(kind), tuple(tail)) for kind, tail in meta["arrays"]]
             sizes = [dtype.itemsize * math.prod(tail) for dtype, tail in shapes]

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 import botsift
@@ -21,6 +23,7 @@ from botsift import (ConfusionMatrix, DivergenceError, GnbModel, KnnModel,
                      score_batch)
 from botsift.classifiers import (MODEL_NAMES, check_params, gnb_posteriors,
                                  labels_from_scores)
+from botsift.flows import CHUNK_ROWS
 
 from conftest import make_dataset
 
@@ -119,6 +122,85 @@ class TestGnb:
         a = score_batch(fit_model("gnb", ds), ds.features)
         b = score_batch(fit_model("gnb", ds), ds.features)
         assert np.array_equal(a, b)
+
+
+def whole_gnb_fit(X, y):
+    """The fit's means, variances and smoothing from np.mean and np.var
+    over whole arrays: every row and each class's rows."""
+    eps = 1e-9 * float(X.var(axis=0).max())
+    if eps == 0.0:
+        eps = 1e-12
+    rows = [X[y == c] for c in (0, 1)]
+    return (np.array([r.mean(axis=0) for r in rows]),
+            np.array([r.var(axis=0) + eps for r in rows]), eps)
+
+
+def whole_gnb_posteriors(model, X):
+    """The posteriors with every temporary as large as X."""
+    joint = np.empty((X.shape[0], 2))
+    for c in (0, 1):
+        var = model.variances[c]
+        gap = X - model.means[c]
+        log_like = -0.5 * (np.log(2.0 * np.pi) + np.log(var) + gap * gap / var).sum(axis=1)
+        joint[:, c] = np.log(model.priors[c]) + log_like
+    return np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+
+
+class TestGnbBlocks:
+    """The fit and the posteriors work CHUNK_ROWS rows at a time, with the
+    bytes of the whole-array formulas."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   2 * CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("d", [1, 2, 5, 13])
+    @settings(max_examples=4, deadline=None)
+    @given(exponent=st.integers(-150, 150),
+           labels=st.sampled_from(["mixed", "botnet last", "normal last"]),
+           zeros=st.booleans(), constant=st.sampled_from(["none", "one", "all"]),
+           fortran=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_same_bytes_as_whole_arrays(self, n, d, exponent, labels, zeros,
+                                            constant, fortran, seed):
+        rng = np.random.default_rng(seed)
+        rows = max(n, 2)  # a fit needs both classes
+        X = (rng.standard_normal((rows, d)) + 4.0 * rng.standard_normal(d)) * 10.0 ** exponent
+        if zeros:
+            X[rng.random((rows, d)) < 0.3] = -0.0
+        if constant != "none":
+            X[:, :1 if constant == "one" else d] = -3.0 * 10.0 ** exponent
+        if labels == "mixed":
+            y = rng.integers(0, 2, rows)
+            y[:2] = [0, 1]
+        else:  # one class only in the last row, so only in the last block
+            y = np.full(rows, int(labels == "normal last"))
+            y[-1] = 1 - y[0]
+        model = fit_model("gnb", make_dataset(X, y))
+        means, variances, eps = whole_gnb_fit(X, y)
+        assert model.means.tobytes() == means.tobytes()
+        assert model.variances.tobytes() == variances.tobytes()
+        assert model.smoothing == eps
+        # a row's posteriors do not depend on the input's memory layout
+        probe = np.asfortranarray(X[:n]) if fortran else X[:n]
+        assert (gnb_posteriors(model, probe).tobytes()
+                == whole_gnb_posteriors(model, X[:n]).tobytes())
+
+    def test_memory_is_of_one_block(self, rng):
+        X = rng.standard_normal((4 * CHUNK_ROWS, 12))
+        y = rng.integers(0, 2, len(X))
+        y[:2] = [0, 1]
+        ds = make_dataset(X, y)
+        gnb_posteriors(fit_model("gnb", ds.take(np.arange(2))), X[:2])  # imports scipy
+        tracemalloc.start()
+        try:
+            model = fit_model("gnb", ds)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            posteriors = gnb_posteriors(model, X)
+            score_peak = tracemalloc.get_traced_memory()[1] - held - posteriors.nbytes
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < X.nbytes / 2
+        assert score_peak < X.nbytes / 2
 
 
 def knn_score_oracle(train_X, train_y, X, k):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -891,17 +892,50 @@ class TestSplitIo:
         assert out.stdout.split() == ["False", "True"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_workers_count_the_cpus_the_process_may_run_on():
+    # a process pinned to one CPU before it imports botsift runs every
+    # fork_map inline
+    code = (
+        "import os\n"
+        "try:\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "except OSError:\n"
+        "    print('unpinned')\n"
+        "else:\n"
+        "    import botsift._pool as pool\n"
+        "    print(pool.WORKERS)\n"
+    )
+    src = os.path.dirname(os.path.dirname(flows.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    if out.stdout.split() == ["unpinned"]:
+        pytest.skip("this process cannot pin itself to one CPU")
+    assert out.stdout.split() == ["1"]
+
+
 # Edits to a sidecar, each of which leaves the CSV to be parsed.
 SIDECAR_EDITS = {
     "truncated": lambda data: data[:-1],
     "one byte more": lambda data: data + b"\0",
-    "another version": lambda data: data.replace(b'"version": 2', b'"version": 1', 1),
+    "another version": lambda data: data.replace(
+        b'"version": %d' % flows._SIDECAR_VERSION, b'"version": %d' % (flows._SIDECAR_VERSION - 1), 1),
     "another row count": lambda data: data.replace(b'"rows": 3', b'"rows": 2', 1),
     "flags dropped": lambda data: data.replace(b', "synthetic"]', b']', 1),
     "no header line": lambda data: data[data.index(b"\n") + 1:],
     "garbage": lambda data: b"\xff\x00 not a sidecar\n" + data,
     "empty": lambda data: b"",
 }
+
+
+@contextmanager
+def lowered_field_limit(limit: int):
+    """csv.field_size_limit(limit) for the block, then the old limit."""
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
 
 
 class TestSidecar:
@@ -1014,6 +1048,18 @@ class TestSidecar:
             assert outcome == read_outcome(read_dataset_csv, path)
         assert outcome == f"{path}:1: field larger than field limit ({limit})"
 
+    def test_a_reader_under_a_lower_field_limit_parses(self, tmp_path):
+        # a 50-character feature name is within the writer's limit; a
+        # reader that lowers the limit to 20 gets the parse's error
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1], ("f" * 50,)), path)
+        assert os.path.exists(path + flows.SIDECAR_SUFFIX)
+        with lowered_field_limit(20):
+            from_sidecar = read_outcome(read_dataset_csv, path)
+            drop_sidecar(path)
+            assert from_sidecar == read_outcome(read_dataset_csv, path)
+        assert from_sidecar == f"{path}:1: field larger than field limit (20)"
+
     def test_a_failed_sidecar_write_leaves_no_old_one(self, tmp_path, monkeypatch):
         path = str(tmp_path / "data.csv")
         write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1]), path)
@@ -1113,6 +1159,19 @@ class TestFlowSidecar:
             assert outcome == read_outcome(load_csv, path)
         line = 1 if where == "name" else 2
         assert outcome == f"{path}:{line}: field larger than field limit ({limit})"
+
+    def test_a_reader_under_a_lower_field_limit_parses(self, tmp_path):
+        # a 50-character proto token is within the writer's limit; a
+        # reader that lowers the limit to 20 gets the parse's error
+        path = str(tmp_path / "flows.csv")
+        write_records_csv(FlowTable({"pkts": np.ones(2), "proto": np.array(["t" * 50, "udp"])},
+                                    [0, 1]), path)
+        assert os.path.exists(path + flows.SIDECAR_SUFFIX)
+        with lowered_field_limit(20):
+            from_sidecar = read_outcome(load_csv, path)
+            drop_sidecar(path)
+            assert from_sidecar == read_outcome(load_csv, path)
+        assert from_sidecar == f"{path}:2: field larger than field limit (20)"
 
     def test_a_sidecar_is_read_as_one_row_range(self, tmp_path):
         rows = 2 * CHUNK_ROWS + 5
