@@ -20,29 +20,25 @@ feature in header order finite, then the synthetic flag. A header without
 the label, repeating a column it reads, or with no feature column (for a
 flow CSV, none the schema keeps) is a LoadError naming the file, ahead of
 any fault in the rows, a byte that is not UTF-8 included.
-A regular file whose every record is one physical line (no '"', no control
-byte but line breaks, no line over the csv field size limit, no empty
-cell) is parsed with numpy.loadtxt, in C, and kept if no rule fails and no
-token fills TOKEN_WIDTH characters. Any other file, or one with an unusual
-cell (" 1 ", "1_0"), is read CHUNK_ROWS rows at a time by the line reader
-under the same rules, which gives the same values or names the first
-offending line, as it names that of a csv.Error or a non-UTF-8 byte.
+
+Both writers keep a binary copy of what the parse of their CSV returns
+beside it, at path + SIDECAR_SUFFIX, with the CSV's sha256. The readers
+first read the whole file at once: from that copy while the CSV holds the
+bytes it was made from, else, for a regular file whose every record is one
+physical line (no '"', no control byte but line breaks, no line over the
+csv field size limit, no empty cell), by numpy.loadtxt, in C, where no
+token fills TOKEN_WIDTH characters. Either answer is kept by one rule: its
+columns must pass the format's kinds and rules, as a parse's must. Any
+other file, or one with an unusual cell (" 1 ", "1_0"), is read CHUNK_ROWS
+rows at a time by the line reader under the same rules, which gives the
+same values or names the first offending line, as it names that of a
+csv.Error or a non-UTF-8 byte.
 
 Files of more than CHUNK_ROWS rows use both cores through _pool.fork_map.
 The writers format contiguous ranges of whole chunks side by side, each
 into its own file, and append the parts in order. The readers parse ranges
 of whole lines side by side into one shared array. Either way the bytes
 written and the values read do not depend on the cut.
-
-Both writers also keep a binary copy of what the parse of their CSV
-returns beside it, at path + SIDECAR_SUFFIX, and read_dataset_csv and
-load_csv return that copy without parsing while the CSV holds the bytes it
-was made from (its sha256 is in the copy). So a CSV botsift wrote is
-parsed in C or by line, or read from its sidecar, with the same result.
-load_csv reads a flow CSV's copy only where the parse could not differ:
-the label is `attack`, each column the schema keeps is stored in the kind
-its role reads, and no count, duration or rate is negative (the parse
-names that line).
 
 write_dataset_csv(..., source=csv) formats text once: where the source CSV
 (one botsift wrote and whose sidecar matches its bytes) holds the same
@@ -67,6 +63,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from itertools import islice, repeat
 from typing import Callable, Sequence
@@ -97,13 +94,16 @@ TOKEN_WIDTH = 16
 
 
 def _read_json(path: str, what: str, error: type[Exception]):
-    """The JSON value in the file at path. A missing file, or one that is
-    not UTF-8 JSON, raises error naming path and calling the file what."""
+    """The JSON value in the file at path. A file that is missing, cannot
+    be read or is not UTF-8 JSON raises error naming path and calling the
+    file what."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise error(f"{path}: {what} not found") from None
+    except OSError as exc:  # such as a directory
+        raise error(f"{path}: {what} cannot be read: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise error(f"{path}: {what} is not valid JSON: {exc}") from None
 
@@ -262,11 +262,14 @@ def _as_column(name: str, values, rows: int) -> np.ndarray:
 def _csv_reader(path: str):
     """A csv.reader over path whose csv.Error (such as a cell over the
     csv module's field size limit) or undecodable byte is a LoadError
-    naming the physical line, as a missing file is one naming path."""
+    naming the physical line, as a file that is missing or cannot be read
+    is one naming path."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
-        raise LoadError(f"input file not found: {path}")
+        raise LoadError(f"input file not found: {path}") from None
+    except OSError as exc:  # such as a directory
+        raise LoadError(f"{path}: input file cannot be read: {exc.strerror}") from None
     with fh:
         reader = csv.reader(fh)
         try:
@@ -360,6 +363,14 @@ def _negative(values: np.ndarray) -> np.ndarray:
     return values < 0
 
 
+def _not_flag(values: np.ndarray) -> np.ndarray:
+    return (values != 0) & (values != 1)
+
+
+def _not_finite(values: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(values)
+
+
 _FLAG_VALUES = {"0": 0, "1": 1}
 
 
@@ -392,12 +403,12 @@ def _parse_tokens(cells: Sequence[str]) -> np.ndarray:
 
 
 # Per column kind, a schema role but "flag" for the label: the line
-# reader's parse of its cells, the dtype of a column of no rows, and the
-# type numpy.loadtxt parses it as in C ("U1" for an ignored column, whose
-# cells are not kept).
+# reader's parse of its cells, the dtype a read column of the kind has,
+# and the type numpy.loadtxt parses it as in C ("U1" for an ignored
+# column, whose cells are not kept).
 _KINDS = {
     "numeric": (_parse_numeric, np.float64, "f8"),
-    "categorical": (_parse_tokens, str, f"U{TOKEN_WIDTH}"),
+    "categorical": (_parse_tokens, np.str_, f"U{TOKEN_WIDTH}"),
     "flag": (_parse_flags, np.int64, "i8"),
     "ignore": (None, None, "U1"),
 }
@@ -417,24 +428,50 @@ def _layout(path: str, header: list[str], layout: Callable,
 
 
 def _read_whole(path: str, layout: Callable, *args) -> dict[str, np.ndarray] | None:
-    """The columns of a CSV format read by name, parsed in C; an all-finite
-    numeric column and a flag stay views into the parse buffer. None, and
-    the line reader reads the file, when the header is faulty, _body_ranges
-    or _parse_ranges declines the file, a token fills its field or any rule
-    fails."""
+    """The columns of a CSV format read by name from the whole file at
+    once, as _checked keeps them: from its sidecar, else parsed in C. None,
+    and the line reader reads the file, when neither is kept."""
+    sidecar = _read_sidecar(path)
+    columns = None if sidecar is None else _checked(
+        path, sidecar[0]["header"], lambda kinds: _columns(sidecar[1]), layout, *args)
+    del sidecar  # its arrays are not held through a parse
+    if columns is not None:
+        return columns
     cut = _body_ranges(path)
-    if cut is None:
-        return None
-    header, ranges = cut
+    return None if cut is None else _checked(
+        path, cut[0], partial(_parse_columns, path, cut[1]), layout, *args)
+
+
+def _checked(path: str, header: list[str], read: Callable, layout: Callable,
+             *args) -> dict[str, np.ndarray] | None:
+    """The columns of a CSV format read by name from read(kinds), an array
+    per header column or None, where the header's layout holds, each
+    column the format reads has its kind's dtype and no rule fails; else
+    None."""
     try:
         kinds, rules = _layout(path, header, layout, *args)
     except LoadError:  # the line reader names it
         return None
+    stored = read(kinds)
+    if stored is None or not all(np.issubdtype(column.dtype, _KINDS[kind][1])
+                                 for kind, column in zip(kinds, stored) if kind != "ignore"):
+        return None
+    columns = {name: column for name, kind, column in zip(header, kinds, stored)
+               if kind != "ignore"}
+    return None if any(fails(columns[name]).any() for name, fails, _ in rules) else columns
+
+
+def _parse_columns(path: str, ranges: list[tuple[int, int]],
+                   kinds: list[str]) -> list[np.ndarray] | None:
+    """The ranges of path parsed in C, a column per header column by its
+    kind; an all-finite numeric column and a flag stay views into the
+    parse buffer. None when _parse_ranges declines the file or a token
+    fills its field."""
     body = _parse_ranges(path, ranges, [_KINDS[kind][2] for kind in kinds])
     if body is None:
         return None
-    columns = {}
-    for j, (name, kind) in enumerate(zip(header, kinds)):
+    columns = []
+    for j, kind in enumerate(kinds):
         values = body[f"f{j}"]
         if kind == "numeric" and not np.isfinite(values).all():
             values = np.where(np.isfinite(values), values, np.nan)
@@ -442,10 +479,7 @@ def _read_whole(path: str, layout: Callable, *args) -> dict[str, np.ndarray] | N
             if np.char.str_len(values).max(initial=0) >= TOKEN_WIDTH:
                 return None
             values = _narrow_tokens(values)
-        if kind != "ignore":
-            columns[name] = values
-    if any(fails(columns[name]).any() for name, fails, _ in rules):
-        return None
+        columns.append(values)
     return columns
 
 
@@ -512,40 +546,8 @@ def load_csv(path: str, schema: Schema | None = None) -> FlowTable:
     """
     if schema is None:
         schema = default_schema()
-    table = _flow_sidecar(path, schema)
-    if table is not None:
-        return table
     columns = _read_whole(path, _flow_layout, schema)
     return _load_csv_lines(path, schema) if columns is None else _flow_table(schema, columns)
-
-
-# The kind of a flow sidecar's column, by dtype kind, as the role that reads it.
-_ROLE_OF_DTYPE = {"f": "numeric", "U": "categorical"}
-
-
-def _flow_sidecar(path: str, schema: Schema) -> FlowTable | None:
-    """load_csv's result for the flow CSV at path, read from its sidecar.
-    None, and the CSV is parsed, when there is no sidecar to read (see
-    _read_sidecar) or the parse might differ from it: the schema's label is
-    not `attack`, a column the schema keeps is stored in another kind than
-    its role reads, none is kept, or a count, duration or rate is negative."""
-    read = _read_sidecar(path) if schema.label_column == LABEL_FIELD else None
-    if read is None or any(array.ndim != 1 for array in read[1]):  # a dataset's
-        return None
-    columns = _by_column(*read)
-    labels = columns.pop(LABEL_FIELD, None)
-    kept = {}
-    for name, column in columns.items():
-        role = schema.role_of(name)
-        if role == "ignore":
-            continue
-        if role != _ROLE_OF_DTYPE.get(column.dtype.kind) or (
-                name in NONNEGATIVE_FIELDS and role == "numeric" and (column < 0).any()):
-            return None
-        kept[name] = column
-    if labels is None or labels.dtype.kind != "i" or not kept:
-        return None
-    return FlowTable(kept, labels)
 
 
 def _flow_layout(path: str, header: list[str],
@@ -558,7 +560,7 @@ def _flow_layout(path: str, header: list[str],
     if "numeric" not in kinds and "categorical" not in kinds:
         raise LoadError(f"{path}: header has no feature column the schema keeps")
     return kinds, [
-        (label, _negative,
+        (label, _not_flag,
          lambda cell: f"label column {label!r} has value {cell!r}, expected 0 or 1"),
         *((name, _negative, lambda cell, name=name: f"field {name!r} is negative "
                                                     f"({float(cell)!r})")
@@ -573,7 +575,8 @@ def _load_csv_lines(path: str, schema: Schema) -> FlowTable:
 
 def _flow_table(schema: Schema, columns: dict[str, np.ndarray]) -> FlowTable:
     labels = columns.pop(schema.label_column)
-    # a column parsed in C is copied out of the parse buffer here
+    # a column parsed in C, or a column of a sidecar's feature matrix, is
+    # copied out of its buffer here
     return FlowTable({name: np.ascontiguousarray(c) for name, c in columns.items()},
                      np.ascontiguousarray(labels))
 
@@ -816,7 +819,7 @@ def write_records_csv(flows: FlowTable, path: str) -> None:
 
     _write_chunks(path, header, range(len(flows)), chunk)
     if len(set(header)) == len(header) and all(name == name.strip() for name in header):
-        _write_sidecar(path, {"header": header}, columns)
+        _write_sidecar(path, header, columns)
 
 
 def write_dataset_csv(dataset: Dataset, path: str,
@@ -880,7 +883,7 @@ def write_dataset_csv(dataset: Dataset, path: str,
         _write_chunks(path, None, range(min(plan.rows, rows), rows), formatted)
         if not plan.unchanged():
             _write_chunks(path, header, range(rows), formatted)
-    _write_sidecar(path, {"header": header}, [dataset.features, dataset.labels, *flags])
+    _write_sidecar(path, header, [dataset.features, dataset.labels, *flags])
 
 
 @dataclass(frozen=True)
@@ -949,7 +952,7 @@ def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
     read = _read_sidecar(source.path, rows)
     if read is None or any(len(a) != count for a in read[1]):
         return None
-    stored = _by_column(*read)
+    stored = dict(zip(read[0]["header"], _columns(read[1])))
     same = [None if name not in stored or stored[name].dtype.kind == "U"
             else column == stored[name] for name, column in zip(header, columns)]
     width = len(source.header)
@@ -997,9 +1000,9 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
-    """Write the sidecar of the CSV just written at path: meta (its header)
-    and arrays, one entry per CSV row, as the parse returns them. A float
+def _write_sidecar(path: str, header: list[str], arrays: list[np.ndarray]) -> None:
+    """Write the sidecar of the CSV just written at path: its header and
+    arrays, one entry per CSV row, as the parse returns them. A float
     is stored plus 0.0 (-0.0 is written as the integer 0), any non-finite
     one as NaN; tokens stripped, as wide as the longest; integers as int64.
     It goes to a temporary file beside path, CHUNK_ROWS rows at a time,
@@ -1009,7 +1012,7 @@ def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
     is recorded, so that a reader under a lower limit parses instead. A
     sidecar that cannot be written is skipped, leaving the CSV to be parsed."""
     # a number's text is at most 24 characters
-    width = int(max([*map(len, meta["header"]), *(
+    width = int(max([*map(len, header), *(
         24 if a.dtype.kind != "U" else np.char.str_len(a).max(initial=0) for a in arrays)]))
     if not os.path.isfile(path) or width > csv.field_size_limit():
         return
@@ -1022,7 +1025,7 @@ def _write_sidecar(path: str, meta: dict, arrays: list[np.ndarray]) -> None:
             fh.write(json.dumps({
                 "version": _SIDECAR_VERSION, "sha256": _sha256(path), "rows": len(arrays[-1]),
                 "arrays": [[kind, list(a.shape[1:])] for kind, a in zip(kinds, arrays)],
-                "width": width, **meta}).encode("utf-8") + b"\n")
+                "width": width, "header": header}).encode("utf-8") + b"\n")
             for kind, array in zip(kinds, arrays):
                 for start in range(0, len(array), CHUNK_ROWS):
                     values = array[start:start + CHUNK_ROWS]
@@ -1076,26 +1079,11 @@ def _read_sidecar(path: str, rows: slice | None = None
         return None
 
 
-def _by_column(meta: dict, arrays: list[np.ndarray]) -> dict[str, np.ndarray]:
-    """A sidecar's arrays by the header column each holds; a 2-d array
-    holds one column per entry of its rows."""
-    return dict(zip(meta["header"], (column for array in arrays
-                                     for column in (array.T if array.ndim == 2 else [array]))))
-
-
-def _dataset_sidecar(path: str) -> tuple[Dataset, np.ndarray | None] | None:
-    """read_dataset_csv's result for the CSV at path, read from its
-    sidecar; None, and the CSV is parsed, when there is none to read (see
-    _read_sidecar) or it is not a dataset's."""
-    read = _read_sidecar(path)
-    if read is None or len(read[1]) not in (2, 3) or read[1][0].ndim != 2:  # a flow table's
-        return None
-    meta, (features, labels, *flags) = read
-    try:
-        dataset = Dataset(features, labels, tuple(meta["header"][:features.shape[1]]))
-    except ValueError:  # LoadError included
-        return None
-    return dataset, flags[0] if flags else None
+def _columns(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """A sidecar's arrays as the header columns they hold, in order; a 2-d
+    array holds one column per entry of its rows."""
+    return [column for array in arrays
+            for column in (array.T if array.ndim == 2 else [array])]
 
 
 def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
@@ -1109,9 +1097,6 @@ def read_dataset_csv(path: str) -> tuple[Dataset, np.ndarray | None]:
     parsed in C or by line, or read from its sidecar, as the module
     docstring says; the result does not depend on which.
     """
-    read = _dataset_sidecar(path)
-    if read is not None:
-        return read
     columns = _read_whole(path, _dataset_layout)
     return _dataset(columns) if columns is not None else _read_dataset_lines(path)
 
@@ -1124,12 +1109,12 @@ def _dataset_layout(path: str, header: list[str]) -> tuple[list[str], list[_Rule
     features = [name for name, kind in zip(header, kinds) if kind == "numeric"]
     if not features:
         raise LoadError(f"{path}: header has no feature column")
-    rules: list[_Rule] = [(LABEL_FIELD, _negative,
+    rules: list[_Rule] = [(LABEL_FIELD, _not_flag,
                            lambda cell: f"label value {cell.strip()!r}")]
-    rules += [(name, np.isnan, lambda cell: f"feature cell {cell!r} is not a finite number")
+    rules += [(name, _not_finite, lambda cell: f"feature cell {cell!r} is not a finite number")
               for name in features]
     if "synthetic" in header:
-        rules.append(("synthetic", _negative,
+        rules.append(("synthetic", _not_flag,
                       lambda cell: f"synthetic flag {cell!r}, expected 0 or 1"))
     return kinds, rules
 
@@ -1142,9 +1127,13 @@ def _read_dataset_lines(path: str) -> tuple[Dataset, np.ndarray | None]:
 
 def _dataset(columns: dict[str, np.ndarray]) -> tuple[Dataset, np.ndarray | None]:
     labels, flags = columns.pop(LABEL_FIELD), columns.pop("synthetic", None)
+    features = list(columns.values())
+    # a sidecar's features are the columns of its matrix, kept as it is
+    matrix = features[0].base
+    if matrix is None or matrix.shape != (len(labels), len(features)):
+        matrix = np.column_stack(features)
     # the label and flag parsed in C are copied out of the parse buffer here
-    dataset = Dataset(np.column_stack(list(columns.values())),
-                      np.ascontiguousarray(labels), tuple(columns))
+    dataset = Dataset(matrix, np.ascontiguousarray(labels), tuple(columns))
     return dataset, None if flags is None else np.ascontiguousarray(flags)
 
 

@@ -819,3 +819,27 @@ class TestParser:
         monkeypatch.chdir(tmp_path)
         assert main(["ingest", "--csv", flows_csv]) == 0
         assert os.path.exists(os.path.join(target, "dataset.csv"))
+
+
+class TestUnreadableInput:
+    """A directory given for an input file exits with the toolkit error
+    that names it, and the exit code of that error, as a missing file does."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["ingest", "--csv", "{csv}", "--schema", "{dir}"], 1,
+         "{dir}: schema file cannot be read: Is a directory"),
+        (["train", "--config", "{dir}"], 1, "{dir}: config file cannot be read: Is a directory"),
+        (["run", "--config", "{dir}"], 1, "{dir}: config file cannot be read: Is a directory"),
+        (["synth", "--profile", "{dir}"], 2, "{dir}: profile cannot be read: Is a directory"),
+        (["ingest", "--csv", "{dir}"], 2, "{dir}: input file cannot be read: Is a directory"),
+        (["evaluate", "--model-file", "{dir}", "--csv", "{csv}"], 2,
+         "{dir}: model file cannot be read: Is a directory"),
+    ], ids=["schema", "train config", "run config", "profile", "csv", "model file"])
+    def test_a_directory_exits_naming_it(self, tmp_path, flows_csv, capsys, argv, code,
+                                         message):
+        names = {"dir": str(tmp_path), "csv": flows_csv}
+        out = tmp_path / "never"
+        argv = [arg.format(**names) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"botsift: {message.format(**names)}\n"
+        assert not out.exists()

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from functools import partial
@@ -76,6 +77,12 @@ class TestLoadCsv:
     def test_missing_file(self):
         with pytest.raises(LoadError, match="not found"):
             load_csv("/nonexistent/flows.csv")
+
+    @pytest.mark.parametrize("read", [load_csv, read_dataset_csv])
+    def test_a_directory_is_a_load_error_naming_it(self, tmp_path, read):
+        with pytest.raises(LoadError) as raised:
+            read(str(tmp_path))
+        assert str(raised.value) == f"{tmp_path}: input file cannot be read: Is a directory"
 
     def test_header_without_label_column(self, tmp_path):
         path = write(tmp_path, "pkts,proto\n10,tcp\n")
@@ -928,6 +935,16 @@ SIDECAR_EDITS = {
 }
 
 
+def forbid_parsing(monkeypatch) -> None:
+    """Make any parse of a CSV, in C or by line, fail the test, so that
+    only a read from a sidecar succeeds."""
+    def parsed(*args):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(flows, "_body_ranges", parsed)
+    monkeypatch.setattr(flows, "_read_lines", parsed)
+
+
 @contextmanager
 def lowered_field_limit(limit: int):
     """csv.field_size_limit(limit) for the block, then the old limit."""
@@ -989,6 +1006,32 @@ class TestSidecar:
         parsed = read_outcome(read_dataset_csv, path)
         drop_sidecar(path)
         assert parsed == read_outcome(read_dataset_csv, path)
+
+    @pytest.mark.parametrize("fmt, array, row, value", [
+        ("dataset", 0, 1, np.inf), ("dataset", 1, 2, 2), ("dataset", 2, 0, 5),
+        ("flow", 1, 0, 3)], ids=["an infinite feature", "a label of 2", "a flag of 5",
+                                 "a flow label of 3"])
+    def test_a_sidecar_value_that_breaks_a_rule_is_parsed(self, tmp_path, fmt, array, row,
+                                                          value):
+        # the CSV keeps its bytes, so only the rules can catch a damaged value
+        path = str(tmp_path / "data.csv")
+        if fmt == "dataset":
+            write_dataset_csv(make_dataset([[1.5], [2.0], [3.0]], [0, 1, 1]), path,
+                              synthetic=np.array([0, 0, 1]))
+            read = read_dataset_csv
+        else:
+            write_records_csv(make_flows([{"pkts": 1.0, "attack": 0},
+                                          {"pkts": 2.0, "attack": 1}]), path)
+            read = load_csv
+        arrays = flows._read_sidecar(path)[1]
+        arrays[array][row] = value
+        with open(path + flows.SIDECAR_SUFFIX, "r+b") as fh:
+            fh.readline()
+            fh.write(b"".join(a.tobytes() for a in arrays))
+        assert flows._read_sidecar(path) is not None
+        from_sidecar = read_outcome(read, path)
+        drop_sidecar(path)
+        assert from_sidecar == read_outcome(read, path)
 
     def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, monkeypatch):
         def failing(*args):
@@ -1060,6 +1103,23 @@ class TestSidecar:
             assert from_sidecar == read_outcome(read_dataset_csv, path)
         assert from_sidecar == f"{path}:1: field larger than field limit (20)"
 
+    def test_a_sidecar_read_takes_no_copy_of_the_features(self, tmp_path, monkeypatch):
+        # the features come back in the array the sidecar is read into;
+        # a copy of them would double the read's peak
+        rows, width = 20_000, 20
+        path = str(tmp_path / "data.csv")
+        X = np.random.default_rng(5).normal(size=(rows, width))
+        write_dataset_csv(make_dataset(X, np.arange(rows) % 2), path)
+        forbid_parsing(monkeypatch)
+        tracemalloc.start()
+        try:
+            again, _ = read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.features.tobytes() == X.tobytes()
+        assert peak < 1.5 * X.nbytes
+
     def test_a_failed_sidecar_write_leaves_no_old_one(self, tmp_path, monkeypatch):
         path = str(tmp_path / "data.csv")
         write_dataset_csv(make_dataset([[1.5], [2.0]], [0, 1]), path)
@@ -1106,35 +1166,63 @@ class TestFlowSidecar:
            junk=st.booleans(), schema=st.sampled_from(sorted(FLOW_SCHEMAS)))
     @example(rows=3, values=[(-1.0, 2.0, "tcp", "", 0)], junk=False, schema="listed")
     def test_the_sidecar_reads_as_the_parse(self, rows, values, junk, schema):
+        # a flow CSV read as flows and as a dataset, its numbers alone read
+        # as a dataset, and a dataset CSV of them (made finite) read as flows
         table = cycled(values, rows)
-        columns = {"pkts": np.array([r[0] for r in table], dtype=np.float64),
-                   "x": np.array([r[1] for r in table], dtype=np.float64),
-                   "proto": np.array([r[2] for r in table], dtype=str)}
+        numbers = {"pkts": np.array([r[0] for r in table], dtype=np.float64),
+                   "x": np.array([r[1] for r in table], dtype=np.float64)}
+        columns = {**numbers, "proto": np.array([r[2] for r in table], dtype=str)}
         if junk:
             columns["junk"] = np.array([r[3] for r in table], dtype=str)
-        read = partial(load_csv, schema=FLOW_SCHEMAS[schema])
+        labels = [r[4] for r in table]
+        finite = np.nan_to_num(np.column_stack(list(numbers.values())),
+                               nan=0.5, posinf=1e300, neginf=-1e300)
+        load = partial(load_csv, schema=FLOW_SCHEMAS[schema])
+        cases = [
+            (partial(write_records_csv, FlowTable(columns, labels)), load),
+            (partial(write_records_csv, FlowTable(columns, labels)), read_dataset_csv),
+            (partial(write_records_csv, FlowTable(numbers, labels)), read_dataset_csv),
+            (partial(write_dataset_csv, Dataset(finite, labels, ("pkts", "x"))), load),
+        ]
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "flows.csv")
-            write_records_csv(FlowTable(columns, [r[4] for r in table]), path)
-            assert flows._read_sidecar(path) is not None
-            from_sidecar = read_outcome(read, path)
-            drop_sidecar(path)
-            assert from_sidecar == read_outcome(read, path)
+            path = os.path.join(tmp, "data.csv")
+            for write_csv, read in cases:
+                write_csv(path)
+                assert flows._read_sidecar(path) is not None
+                from_sidecar = read_outcome(read, path)
+                drop_sidecar(path)
+                assert from_sidecar == read_outcome(read, path)
 
-    def test_a_negative_count_is_parsed(self, tmp_path):
+    def test_a_negative_count_is_parsed(self, tmp_path, monkeypatch):
         path = str(tmp_path / "flows.csv")
         write_records_csv(make_flows([{"pkts": 1.0, "x": -2.0, "attack": 0},
                                       {"pkts": -3.5, "x": 4.0, "attack": 1}]), path)
-        schema = FLOW_SCHEMAS["listed"]
         assert flows._read_sidecar(path) is not None
-        assert flows._flow_sidecar(path, schema) is None
-        message = f"{path}:3: field 'pkts' is negative (-3.5)"
+        # the sidecar fails the pkts rule, so the parse names the line
         with pytest.raises(LoadError) as raised:
-            load_csv(path, schema)
-        assert str(raised.value) == message
+            load_csv(path, FLOW_SCHEMAS["listed"])
+        assert str(raised.value) == f"{path}:3: field 'pkts' is negative (-3.5)"
         # x is not one of NONNEGATIVE_FIELDS, so the sidecar serves it
-        table = flows._flow_sidecar(path, FLOW_SCHEMAS["default ignore"])
+        forbid_parsing(monkeypatch)
+        table = load_csv(path, FLOW_SCHEMAS["default ignore"])
         assert table.columns["x"].tolist() == [-2.0, 4.0]
+
+    def test_a_read_of_the_other_format_is_served_by_the_sidecar(self, tmp_path,
+                                                                  monkeypatch):
+        ds = make_dataset([[1.5, 3.0], [2.0, -1.0]], [0, 1], ("pkts", "x"))
+        flow_csv, dataset_csv = str(tmp_path / "flows.csv"), str(tmp_path / "data.csv")
+        write_records_csv(FlowTable(dict(zip(ds.feature_names, ds.features.T)), ds.labels),
+                          flow_csv)
+        write_dataset_csv(ds, dataset_csv)
+        forbid_parsing(monkeypatch)
+        again, flags = read_dataset_csv(flow_csv)
+        assert (again.feature_names, flags) == (ds.feature_names, None)
+        assert again.features.tolist() == ds.features.tolist()
+        assert again.labels.tolist() == [0, 1]
+        table = load_csv(dataset_csv, FLOW_SCHEMAS["listed"])
+        assert {name: c.tolist() for name, c in table.columns.items()} == {
+            "pkts": [1.5, 2.0], "x": [3.0, -1.0]}
+        assert table.labels.tolist() == [0, 1]
 
     @pytest.mark.parametrize("names", [("pkts", " x"), ("pkts", "attack")])
     def test_a_header_that_reads_back_otherwise_gets_no_sidecar(self, tmp_path, names):
