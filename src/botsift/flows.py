@@ -8,18 +8,24 @@ cleaned, encoded tables are then assembled into a dense numeric Dataset
 for the learning stages.
 
 The writers work through files CHUNK_ROWS rows at a time, so their memory
-does not grow with the file. load_csv and read_dataset_csv share one
-reading core. A CSV format gives, for a header, the kind of each column
-(numeric: float64, NaN where a cell is missing, unparseable or not finite;
-categorical: the stripped token; flag: 0/1, -1 for any other cell; or
-ignore) and its rules in the order they apply within a row: for a flow CSV
-(kinds by schema role, the label a flag) the label, then each of
-NONNEGATIVE_FIELDS not negative; for a dataset CSV (`attack` and
-`synthetic` flags, every other column numeric) the label, then each
-feature in header order finite, then the synthetic flag. A header without
-the label, repeating a column it reads, or with no feature column (for a
-flow CSV, none the schema keeps) is a LoadError naming the file, ahead of
-any fault in the rows, a byte that is not UTF-8 included.
+does not grow with the file. The text of a chunk is computed in numpy by
+_csvtext.chunk, under the cell rule README's "Data formats" states: a
+float's shortest round-trip digits come from Schubfach (R. Giulietti, "The
+Schubfach way to render doubles", 2020) in uint64 arithmetic, laid out as
+repr lays them out.
+
+load_csv and read_dataset_csv share one reading core. A CSV format gives,
+for a header, the kind of each column (numeric: float64, NaN where a cell
+is missing, unparseable or not finite; categorical: the stripped token;
+flag: 0/1, -1 for any other cell; or ignore) and its rules in the order
+they apply within a row: for a flow CSV (kinds by schema role, the label a
+flag) the label, then each of NONNEGATIVE_FIELDS not negative; for a
+dataset CSV (`attack` and `synthetic` flags, every other column numeric)
+the label, then each feature in header order finite, then the synthetic
+flag. A header without the label, repeating a column it reads, or with no
+feature column (for a flow CSV, none the schema keeps) is a LoadError
+naming the file, ahead of any fault in the rows, a byte that is not UTF-8
+included.
 
 Both writers keep a binary copy of what the parse of their CSV returns
 beside it, at path + SIDECAR_SUFFIX, with the CSV's sha256. The readers
@@ -458,7 +464,20 @@ def _checked(path: str, header: list[str], read: Callable, layout: Callable,
         return None
     columns = {name: column for name, kind, column in zip(header, kinds, stored)
                if kind != "ignore"}
-    return None if any(fails(columns[name]).any() for name, fails, _ in rules) else columns
+    ruled: dict[Callable, list[np.ndarray]] = {}
+    for name, fails, _ in rules:
+        ruled.setdefault(fails, []).append(columns[name])
+    return None if any(_any_fails(fails, ruled[fails]) for fails in ruled) else columns
+
+
+def _any_fails(fails: Callable[[np.ndarray], np.ndarray], columns: list[np.ndarray]) -> bool:
+    """Whether a rule fails on any row of these columns; on the matrix they
+    are the columns of, such as a sidecar's features, in one pass."""
+    matrix = columns[0].base
+    if (matrix is not None and matrix.ndim == 2 and matrix.shape[1] == len(columns)
+            and all(column.base is matrix for column in columns)):
+        columns = [matrix]
+    return any(fails(column).any() for column in columns)
 
 
 def _parse_columns(path: str, ranges: list[tuple[int, int]],
@@ -717,41 +736,10 @@ def to_dataset(flows: FlowTable) -> Dataset:
 # CSV writing
 
 
-# A cell holding one of these characters is quoted, as csv.writer quotes
-# under its default dialect (QUOTE_MINIMAL, "\r\n" line ends).
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
-
-
-def _quote(token: str) -> str:
-    if _NEEDS_QUOTES.search(token):
-        return '"' + token.replace('"', '""') + '"'
-    return token
-
-
 def _format_column(values: np.ndarray) -> list[str]:
-    """CSV cells for one column.
-
-    Tokens are written as they are, quoted where csv.writer would quote
-    them, and integers (labels, flags) as they are. A float that is a whole
-    number below 1e16 in magnitude is written as an integer, any other
-    float by repr (the shortest string that reads back to the same value),
-    and NaN, a missing value, as an empty cell.
-    """
-    if values.dtype.kind == "U":
-        return list(map(_quote, values.tolist()))
-    if values.dtype.kind != "f":
-        return list(map(str, values.tolist()))
-    whole = (np.trunc(values) == values) & (np.abs(values) < 1e16)
-    if whole.all():  # such as codes: no float to repr
-        return list(map(str, values.astype(np.int64).tolist()))
-    cells = list(map(repr, values.tolist()))
-    whole = np.flatnonzero(whole)
-    for i, text in zip(whole.tolist(),
-                       map(str, values[whole].astype(np.int64).tolist())):
-        cells[i] = text
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = ""
-    return cells
+    """The CSV cells of one numeric column, as _csvtext.chunk writes them."""
+    from ._csvtext import chunk
+    return chunk([values]).decode("ascii").split("\r\n")[:-1]
 
 
 def _join(cells: Sequence[Sequence[str]]) -> str:
@@ -761,9 +749,12 @@ def _join(cells: Sequence[Sequence[str]]) -> str:
 
 
 def _write_chunks(path: str, header: list[str] | None, rows: range,
-                  chunk: Callable[[slice], str]) -> None:
-    """Write header, then the text chunk gives for each CHUNK_ROWS slice of
-    rows; with header None, append that text to path instead.
+                  columns: Callable[[slice], list[np.ndarray]],
+                  copied: Callable[[slice], bytes | None] | None = None) -> None:
+    """Write header, then for each CHUNK_ROWS slice of rows the CSV text
+    of the columns of those rows (or copied(rows), where copied is given
+    and that is not None); with header None, append that text to path
+    instead.
 
     Writing the header first removes path's sidecar, which no longer
     describes it. More than CHUNK_ROWS rows are cut at chunk boundaries
@@ -772,6 +763,9 @@ def _write_chunks(path: str, header: list[str] | None, rows: range,
     appended to path. The part files are removed whether or not the write
     succeeds.
     """
+    # imported here, ahead of the fork, so that no worker compiles it
+    from ._csvtext import chunk as text
+
     if header is not None:
         with suppress(OSError):
             os.remove(path + SIDECAR_SUFFIX)
@@ -784,9 +778,11 @@ def _write_chunks(path: str, header: list[str] | None, rows: range,
     parts: list[str] = []
 
     def write_range(i: int) -> None:
-        with open(parts[i - 1] if i else path, "a", encoding="utf-8", newline="") as fh:
+        with open(parts[i - 1] if i else path, "ab") as fh:
             for start in range(bounds[i], bounds[i + 1], CHUNK_ROWS):
-                fh.write(chunk(slice(start, min(start + CHUNK_ROWS, bounds[i + 1]))))
+                part = slice(start, min(start + CHUNK_ROWS, bounds[i + 1]))
+                data = None if copied is None else copied(part)
+                fh.write(text(columns(part)) if data is None else data)
 
     try:
         for _ in range(1, count):
@@ -813,11 +809,8 @@ def write_records_csv(flows: FlowTable, path: str) -> None:
     """
     header = list(flows.columns) + [LABEL_FIELD]
     columns = [*flows.columns.values(), flows.labels]
-
-    def chunk(rows: slice) -> str:
-        return _join([_format_column(column[rows]) for column in columns])
-
-    _write_chunks(path, header, range(len(flows)), chunk)
+    _write_chunks(path, header, range(len(flows)),
+                  lambda rows: [column[rows] for column in columns])
     if len(set(header)) == len(header) and all(name == name.strip() for name in header):
         _write_sidecar(path, header, columns)
 
@@ -866,23 +859,17 @@ def write_dataset_csv(dataset: Dataset, path: str,
     def columns(rows: slice) -> list[np.ndarray]:
         return [*dataset.features[rows].T, dataset.labels[rows], *(f[rows] for f in flags)]
 
-    def formatted(rows: slice) -> str:
-        return _join([_format_column(column) for column in columns(rows)])
-
-    def copied(rows: slice) -> str:
-        text = _copied(plan, header, columns(rows), rows)
-        return formatted(rows) if text is None else text
-
     rows = dataset.n_rows
     if plan is None:
-        _write_chunks(path, header, range(rows), formatted)
+        _write_chunks(path, header, range(rows), columns)
     else:
         # the rows past the source in a pass of their own, so that their
         # formatting is shared between the workers too
-        _write_chunks(path, header, range(min(plan.rows, rows)), copied)
-        _write_chunks(path, None, range(min(plan.rows, rows), rows), formatted)
+        _write_chunks(path, header, range(min(plan.rows, rows)), columns,
+                      lambda rows: _copied(plan, header, columns(rows), rows))
+        _write_chunks(path, None, range(min(plan.rows, rows), rows), columns)
         if not plan.unchanged():
-            _write_chunks(path, header, range(rows), formatted)
+            _write_chunks(path, header, range(rows), columns)
     _write_sidecar(path, header, [dataset.features, dataset.labels, *flags])
 
 
@@ -935,7 +922,7 @@ def _copy_plan(source: str, path: str) -> _Source | None:
 
 
 def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
-            rows: slice) -> str | None:
+            rows: slice) -> bytes | None:
     """The CSV text of rows, a chunk of source's, with these columns under
     header: a cell is copied from source where its sidecar holds the same
     value at the same row and column, and formatted elsewhere. None, and
@@ -961,7 +948,7 @@ def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
         lines = text.split("\r\n", count)
         if len(lines) <= count:
             return None
-        return _join([lines[:count], *map(_format_column, columns[width:])])
+        return _join([lines[:count], *map(_format_column, columns[width:])]).encode()
     # the cells of the chunk in one split, column j every width-th from j
     cells = text.replace("\r\n", ",").split(",", count * width)
     if len(cells) <= count * width:
@@ -977,7 +964,7 @@ def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
         for i, cell in zip(differ.tolist(), _format_column(column[differ])):
             kept[i] = cell
         out.append(kept)
-    return _join(out)
+    return _join(out).encode()
 
 
 # The sidecar of a CSV: one JSON line (format version, the CSV's sha256,

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -60,3 +62,22 @@ def read_outcome(read, path):
     dataset, flags = result
     return (dataset.feature_names, dataset.features.tobytes(),
             dataset.labels.tobytes(), None if flags is None else flags.tobytes())
+
+
+def reference_cell(value) -> str:
+    """A value as a CSV cell, one value at a time (the writers' rule)."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if value.is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+def reference_bytes(header, rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")

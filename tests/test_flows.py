@@ -1,7 +1,6 @@
 """Loading, schemas, class summaries, and CSV round-trips."""
 
 import csv
-import io
 import os
 import re
 import subprocess
@@ -21,10 +20,11 @@ from botsift import (Dataset, FlowTable, LoadError, Schema, SchemaError,
                      class_summary, default_schema, load_csv,
                      read_dataset_csv, to_dataset, write_dataset_csv,
                      write_records_csv)
-from botsift import _pool, flows
+from botsift import _csvtext, _pool, flows
 from botsift.flows import CHUNK_ROWS
 
-from conftest import drop_sidecar, make_dataset, make_flows, read_outcome, table_bytes
+from conftest import (drop_sidecar, make_dataset, make_flows, read_outcome,
+                      reference_bytes, reference_cell, table_bytes)
 
 
 def write(tmp_path, text, name="flows.csv"):
@@ -448,25 +448,6 @@ def cycled(values, rows):
     return [values[i % len(values)] for i in range(rows)]
 
 
-def reference_cell(value) -> str:
-    """A value as a CSV cell, one value at a time (the writers' rule)."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if value.is_integer() and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def reference_bytes(header, rows) -> bytes:
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
-
-
 # Edits to one cell of write_dataset_csv output, each valid or not.
 CELL_MUTATIONS = (
     lambda c: f" {c} ", lambda c: f'"{c}"', lambda c: f'" {c} "',
@@ -865,16 +846,16 @@ class TestSplitIo:
     def test_no_part_file_is_left_when_a_worker_fails(self, tmp_path, monkeypatch,
                                                       failure, error):
         parent = os.getpid()
-        format_column = flows._format_column
+        chunk = _csvtext.chunk
 
-        def failing(values):
+        def failing(columns):
             if os.getpid() != parent:
                 if failure == "dies":
                     os._exit(1)
                 raise OSError("disk full")
-            return format_column(values)
+            return chunk(columns)
 
-        monkeypatch.setattr(flows, "_format_column", failing)
+        monkeypatch.setattr(_csvtext, "chunk", failing)
         ds = Dataset(np.ones((2 * CHUNK_ROWS, 1)), np.zeros(2 * CHUNK_ROWS), ("a",))
         with pytest.raises(error):
             write_dataset_csv(ds, str(tmp_path / "data.csv"))
@@ -1032,6 +1013,28 @@ class TestSidecar:
         from_sidecar = read_outcome(read, path)
         drop_sidecar(path)
         assert from_sidecar == read_outcome(read, path)
+
+    def test_the_finite_rule_runs_once_over_a_sidecar_matrix(self, tmp_path, monkeypatch):
+        # one pass over the feature matrix, not one per column view of it,
+        # and an infinite value in any column still sends the read to the parse
+        path = str(tmp_path / "data.csv")
+        X = np.arange(24.0).reshape(8, 3) + 0.5
+        write_dataset_csv(make_dataset(X, np.arange(8) % 2), path)
+        passes, parses = [], []
+        not_finite, body_ranges = flows._not_finite, flows._body_ranges
+        monkeypatch.setattr(flows, "_not_finite",
+                            lambda values: passes.append(values.shape) or not_finite(values))
+        monkeypatch.setattr(flows, "_body_ranges",
+                            lambda path: parses.append(path) or body_ranges(path))
+        assert read_dataset_csv(path)[0].features.tolist() == X.tolist()
+        assert (passes, parses) == ([(8, 3)], [])
+        arrays = flows._read_sidecar(path)[1]
+        arrays[0][5, 1] = np.inf
+        with open(path + flows.SIDECAR_SUFFIX, "r+b") as fh:
+            fh.readline()
+            fh.write(b"".join(a.tobytes() for a in arrays))
+        assert read_dataset_csv(path)[0].features.tolist() == X.tolist()
+        assert parses == [path]
 
     def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, monkeypatch):
         def failing(*args):
