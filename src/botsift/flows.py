@@ -45,14 +45,6 @@ The writers format contiguous ranges of whole chunks side by side, each
 into its own file, and append the parts in order. The readers parse ranges
 of whole lines side by side into one shared array. Either way the bytes
 written and the values read do not depend on the cut.
-
-write_dataset_csv(..., source=csv) formats text once: where the source CSV
-(one botsift wrote and whose sidecar matches its bytes) holds the same
-value at the same row and column, the cell's text is copied from it, and
-only the other cells are formatted. Equal values have equal text, so the
-bytes written do not depend on the source; the source is hashed again
-after the write, and a source that changed meanwhile has the file written
-again with every cell formatted.
 """
 
 from __future__ import annotations
@@ -736,25 +728,10 @@ def to_dataset(flows: FlowTable) -> Dataset:
 # CSV writing
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """The CSV cells of one numeric column, as _csvtext.chunk writes them."""
-    from ._csvtext import chunk
-    return chunk([values]).decode("ascii").split("\r\n")[:-1]
-
-
-def _join(cells: Sequence[Sequence[str]]) -> str:
-    """The CSV text of rows whose cells come column by column: the same
-    bytes csv.writer would write, without its per-cell quoting checks."""
-    return "".join(",".join(row) + "\r\n" for row in zip(*cells))
-
-
-def _write_chunks(path: str, header: list[str] | None, rows: range,
-                  columns: Callable[[slice], list[np.ndarray]],
-                  copied: Callable[[slice], bytes | None] | None = None) -> None:
-    """Write header, then for each CHUNK_ROWS slice of rows the CSV text
-    of the columns of those rows (or copied(rows), where copied is given
-    and that is not None); with header None, append that text to path
-    instead.
+def _write_chunks(path: str, header: list[str], rows: int,
+                  columns: Callable[[slice], list[np.ndarray]]) -> None:
+    """Write header, then the CSV text of rows rows, CHUNK_ROWS at a
+    time: for each slice of them, that of columns(slice).
 
     Writing the header first removes path's sidecar, which no longer
     describes it. More than CHUNK_ROWS rows are cut at chunk boundaries
@@ -766,23 +743,20 @@ def _write_chunks(path: str, header: list[str] | None, rows: range,
     # imported here, ahead of the fork, so that no worker compiles it
     from ._csvtext import chunk as text
 
-    if header is not None:
-        with suppress(OSError):
-            os.remove(path + SIDECAR_SUFFIX)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(header)
-    chunks = -(-len(rows) // CHUNK_ROWS)
+    with suppress(OSError):
+        os.remove(path + SIDECAR_SUFFIX)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+    chunks = -(-rows // CHUNK_ROWS)
     count = max(1, min(_pool.WORKERS, chunks))
-    bounds = ([rows.start + CHUNK_ROWS * (chunks * i // count) for i in range(count)]
-              + [rows.stop])
+    bounds = [CHUNK_ROWS * (chunks * i // count) for i in range(count)] + [rows]
     parts: list[str] = []
 
     def write_range(i: int) -> None:
         with open(parts[i - 1] if i else path, "ab") as fh:
             for start in range(bounds[i], bounds[i + 1], CHUNK_ROWS):
                 part = slice(start, min(start + CHUNK_ROWS, bounds[i + 1]))
-                data = None if copied is None else copied(part)
-                fh.write(text(columns(part)) if data is None else data)
+                fh.write(text(columns(part)))
 
     try:
         for _ in range(1, count):
@@ -809,15 +783,14 @@ def write_records_csv(flows: FlowTable, path: str) -> None:
     """
     header = list(flows.columns) + [LABEL_FIELD]
     columns = [*flows.columns.values(), flows.labels]
-    _write_chunks(path, header, range(len(flows)),
+    _write_chunks(path, header, len(flows),
                   lambda rows: [column[rows] for column in columns])
     if len(set(header)) == len(header) and all(name == name.strip() for name in header):
         _write_sidecar(path, header, columns)
 
 
 def write_dataset_csv(dataset: Dataset, path: str,
-                      synthetic: np.ndarray | None = None, *,
-                      source: str | None = None) -> None:
+                      synthetic: np.ndarray | None = None) -> None:
     """Write a numeric dataset to CSV.
 
     synthetic, when given, is a 0/1 row flag column marking rows that were
@@ -827,12 +800,6 @@ def write_dataset_csv(dataset: Dataset, path: str,
     flag (`attack`, `synthetic`) or under another name (surrounding
     blanks), before any byte is written. The CSV's sidecar (see the module
     docstring) is written after it.
-
-    source, when given, is the path of a CSV botsift wrote, a flow or a
-    dataset CSV: the text of each of its cells that holds the same value
-    at the same row and column (by name) is copied rather than formatted
-    again, as the module docstring says. The bytes written are the same
-    with or without it.
     """
     if not dataset.n_features:
         raise LoadError(f"{path}: dataset has no feature column")
@@ -854,117 +821,12 @@ def write_dataset_csv(dataset: Dataset, path: str,
                             f"{synthetic[bad[0]].item()!r}, expected 0 or 1")
         flags.append(synthetic.astype(np.int64))
         header.append("synthetic")
-    plan = None if source is None else _copy_plan(source, path)
 
     def columns(rows: slice) -> list[np.ndarray]:
         return [*dataset.features[rows].T, dataset.labels[rows], *(f[rows] for f in flags)]
 
-    rows = dataset.n_rows
-    if plan is None:
-        _write_chunks(path, header, range(rows), columns)
-    else:
-        # the rows past the source in a pass of their own, so that their
-        # formatting is shared between the workers too
-        _write_chunks(path, header, range(min(plan.rows, rows)), columns,
-                      lambda rows: _copied(plan, header, columns(rows), rows))
-        _write_chunks(path, None, range(min(plan.rows, rows), rows), columns)
-        if not plan.unchanged():
-            _write_chunks(path, header, range(rows), columns)
+    _write_chunks(path, header, dataset.n_rows, columns)
     _write_sidecar(path, header, [dataset.features, dataset.labels, *flags])
-
-
-@dataclass(frozen=True)
-class _Source:
-    """A CSV write_dataset_csv copies cells from: its path, the sha256 its
-    bytes had, its header and row count (from its sidecar), and the byte
-    offset of every CHUNK_ROWS-th data row, then of its end."""
-
-    path: str
-    sha256: str
-    header: list[str]
-    rows: int
-    offsets: list[int]
-
-    def unchanged(self) -> bool:
-        """Whether the file still has the bytes it was planned from."""
-        try:
-            return _sha256(self.path) == self.sha256
-        except OSError:
-            return False
-
-
-def _copy_plan(source: str, path: str) -> _Source | None:
-    """source as write_dataset_csv copies cells from it into path, from one
-    pass over its bytes. None, and every cell is formatted, when source is
-    path itself, has no sidecar that fits (see _read_sidecar), holds a '"'
-    (a cell might hold a ',' or a line break) or other bytes than its
-    sidecar was made from."""
-    read = _read_sidecar(source, slice(0))
-    if read is None or os.path.exists(path) and os.path.samefile(source, path):
-        return None
-    meta = read[0]
-    digest, offsets, lines, size = hashlib.sha256(), [], 0, 0
-    block = bytearray(_SCAN_BYTES)
-    with open(source, "rb") as fh:
-        while count := fh.readinto(block):
-            digest.update(memoryview(block)[:count])
-            byte = np.frombuffer(block, np.uint8, count)
-            if (byte == ord('"')).any():
-                return None
-            ends = np.flatnonzero(byte == ord("\n"))
-            # line break number k * CHUNK_ROWS ends the line before data row k * CHUNK_ROWS
-            starts = ends[np.arange(lines, lines + ends.size) % CHUNK_ROWS == 0]
-            offsets += (starts + size + 1).tolist()
-            lines, size = lines + ends.size, size + count
-    if digest.hexdigest() != meta["sha256"] or lines != meta["rows"] + 1:
-        return None
-    return _Source(source, meta["sha256"], meta["header"], meta["rows"], offsets + [size])
-
-
-def _copied(source: _Source, header: list[str], columns: list[np.ndarray],
-            rows: slice) -> bytes | None:
-    """The CSV text of rows, a chunk of source's, with these columns under
-    header: a cell is copied from source where its sidecar holds the same
-    value at the same row and column, and formatted elsewhere. None, and
-    the caller formats every cell, when the chunk does not read as planned.
-    """
-    count = rows.stop - rows.start
-    chunk = rows.start // CHUNK_ROWS
-    try:
-        with open(source.path, "rb") as fh:
-            fh.seek(source.offsets[chunk])
-            text = fh.read(source.offsets[chunk + 1] - source.offsets[chunk]).decode("utf-8")
-    except (OSError, UnicodeDecodeError):
-        return None
-    read = _read_sidecar(source.path, rows)
-    if read is None or any(len(a) != count for a in read[1]):
-        return None
-    stored = dict(zip(read[0]["header"], _columns(read[1])))
-    same = [None if name not in stored or stored[name].dtype.kind == "U"
-            else column == stored[name] for name, column in zip(header, columns)]
-    width = len(source.header)
-    if header[:width] == source.header and all(s is not None and s.all() for s in same[:width]):
-        # every source cell in order: a line is the source's plus the new cells
-        lines = text.split("\r\n", count)
-        if len(lines) <= count:
-            return None
-        return _join([lines[:count], *map(_format_column, columns[width:])]).encode()
-    # the cells of the chunk in one split, column j every width-th from j
-    cells = text.replace("\r\n", ",").split(",", count * width)
-    if len(cells) <= count * width:
-        return None
-    index = {name: i for i, name in enumerate(source.header)}
-    out = []
-    for name, column, equal in zip(header, columns, same):
-        if equal is None or not equal.any():
-            out.append(_format_column(column))
-            continue
-        kept = cells[index[name]:count * width:width]
-        differ = np.flatnonzero(~equal)
-        for i, cell in zip(differ.tolist(), _format_column(column[differ])):
-            kept[i] = cell
-        out.append(kept)
-    return _join(out).encode()
 
 
 # The sidecar of a CSV: one JSON line (format version, the CSV's sha256,
@@ -1025,15 +887,13 @@ def _write_sidecar(path: str, header: list[str], arrays: list[np.ndarray]) -> No
             os.remove(temp)
 
 
-def _read_sidecar(path: str, rows: slice | None = None
-                  ) -> tuple[dict, list[np.ndarray]] | None:
+def _read_sidecar(path: str) -> tuple[dict, list[np.ndarray]] | None:
     """(meta, arrays) of the sidecar of the CSV at path: its JSON line and
-    its arrays. With rows None, every row, and only while the CSV's bytes
-    have the recorded sha256; with a slice, those rows, unchecked, for a
-    caller that hashed the CSV. None, and the CSV is parsed, when path is
-    not a regular file or the sidecar is missing or unreadable, of another
-    version, with a JSON line or payload length that does not fit, or with
-    a cell or header name wider than csv.field_size_limit() now allows."""
+    its arrays, while the CSV's bytes have the recorded sha256. None, and
+    the CSV is parsed, when path is not a regular file or the sidecar is
+    missing or unreadable, of another version, with a JSON line or payload
+    length that does not fit, or with a cell or header name wider than
+    csv.field_size_limit() now allows."""
     if not os.path.isfile(path):
         return None
     try:
@@ -1048,19 +908,16 @@ def _read_sidecar(path: str, rows: slice | None = None
             sizes = [dtype.itemsize * math.prod(tail) for dtype, tail in shapes]
             if (sum(math.prod(tail) for _, tail in shapes) != len(meta["header"])
                     or os.fstat(fh.fileno()).st_size - fh.tell() != count * sum(sizes)
-                    or rows is None and meta["sha256"] != _sha256(path)):
+                    or meta["sha256"] != _sha256(path)):
                 return None
-            first, stop, _ = (slice(None) if rows is None else rows).indices(count)
-            arrays, start = [], fh.tell()
-            for (dtype, tail), size in zip(shapes, sizes):
+            arrays = []
+            for dtype, tail in shapes:
                 # read straight into the arrays returned: read into an
                 # anonymous mmap first, the CLI session's peak RSS rose
-                array = np.empty((stop - first, *tail), dtype)
-                fh.seek(start + first * size)
+                array = np.empty((count, *tail), dtype)
                 if fh.readinto(array) != array.nbytes:
                     return None
                 arrays.append(array)
-                start += count * size
         return meta, arrays
     except (OSError, ValueError, KeyError, TypeError):  # JSON errors included
         return None

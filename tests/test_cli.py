@@ -313,6 +313,26 @@ class TestSmote:
         assert "k_neighbors" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_an_output_over_its_own_input_has_the_fresh_bytes(self, tmp_path,
+                                                              monkeypatch, rng):
+        # more than CHUNK_ROWS rows, so the write is cut between two workers
+        monkeypatch.setattr(botsift._pool, "WORKERS", 2)
+        rows = botsift.flows.CHUNK_ROWS + 1000
+        labels = (np.arange(rows) % 3 != 0).astype(np.int64)
+        dataset = Dataset(rng.lognormal(0.0, 3.0, (rows, 3)), labels, ("a", "b", "c"))
+        own, fresh = tmp_path / "own", tmp_path / "fresh"
+        own.mkdir()
+        source = str(own / "balanced.csv")
+        write_dataset_csv(dataset, source, synthetic=np.zeros(rows, np.int64))
+        written = {}
+        for out in (fresh, own):  # the fresh output first: the other replaces its input
+            assert main(["smote", "--csv", source, "--seed", "4", "--out", str(out)]) == 0
+            csv = str(out / "balanced.csv")
+            with open(csv, "rb") as fh, open(csv + botsift.flows.SIDECAR_SUFFIX, "rb") as side:
+                written[out] = fh.read(), side.read()
+        assert written[own] == written[fresh]
+        assert read_dataset_csv(source)[1].sum() == rows - 2 * np.count_nonzero(labels == 0)
+
 
 class TestTrainEvaluate:
     def test_train_writes_model_with_provenance(self, tmp_path, dataset_csv,

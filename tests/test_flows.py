@@ -768,9 +768,9 @@ class TestSplitIo:
 
     @pytest.mark.parametrize("kind", ["dataset", "records"])
     def test_three_workers_match_one(self, tmp_path, monkeypatch, rng, kind):
-        # three chunks: at three workers a write, a copying write and a C
-        # parse each run three ranges on three processes at most, and give
-        # the bytes and values they give in one
+        # three chunks: at three workers a write and a C parse each run
+        # three ranges on three processes at most, and give the bytes and
+        # values they give in one
         def deferred(path, *args):
             raise AssertionError(f"{path} was left to the line reader")
 
@@ -797,24 +797,22 @@ class TestSplitIo:
         outcomes = {}
         for workers in (3, 1):
             monkeypatch.setattr(_pool, "WORKERS", workers)
-            path, copy = str(tmp_path / f"{workers}.csv"), str(tmp_path / f"{workers}c.csv")
+            path = str(tmp_path / f"{workers}.csv")
             if kind == "dataset":
                 write_dataset_csv(ds, path, synthetic=flags)
-                write_dataset_csv(ds, copy, synthetic=flags, source=path)
                 read = read_dataset_csv
             else:
                 write_records_csv(table, path)
-                write_dataset_csv(ds, copy, source=path)
                 read = partial(load_csv, schema=RECORDS_SCHEMA)
             drop_sidecar(path)
-            with open(path, "rb") as fh, open(copy, "rb") as cfh:
-                outcomes[workers] = (fh.read(), cfh.read(), read_outcome(read, path))
+            with open(path, "rb") as fh:
+                outcomes[workers] = (fh.read(), read_outcome(read, path))
         split = [{int(pid) for pid in os.listdir(pid_dir)}
                  for items, pid_dir in calls if items == 3]
-        assert len(split) == 3  # the write, the copying write and the parse
+        assert len(split) == 2  # the write and the parse
         assert all(1 <= len(pids) <= 3 and os.getpid() not in pids for pids in split)
         assert outcomes[3] == outcomes[1]
-        assert isinstance(outcomes[1][2], tuple)  # read, not refused
+        assert isinstance(outcomes[1][1], tuple)  # read, not refused
 
     @pytest.mark.parametrize("rows", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS - 1,
                                       2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1])
@@ -1264,54 +1262,36 @@ class TestFlowSidecar:
             assert from_sidecar == read_outcome(load_csv, path)
         assert from_sidecar == f"{path}:2: field larger than field limit (20)"
 
-    def test_a_sidecar_is_read_as_one_row_range(self, tmp_path):
-        rows = 2 * CHUNK_ROWS + 5
-        table = records_table(np.random.default_rng(3), rows)
-        path = str(tmp_path / "flows.csv")
-        write_records_csv(table, path)
-        meta, whole = flows._read_sidecar(path)
-        part = flows._read_sidecar(path, slice(CHUNK_ROWS, 2 * CHUNK_ROWS))[1]
-        assert [a.tobytes() for a in part] == [
-            a[CHUNK_ROWS:2 * CHUNK_ROWS].tobytes() for a in whole]
 
-
-def copy_case(case: str, tmp: str, rng, rows: int, monkeypatch):
-    """(dataset, synthetic, source) of a write_dataset_csv that copies
-    cells from source, as the case sets them up."""
+def derived_case(case: str, tmp: str, rng, rows: int):
+    """(dataset, synthetic, source, path) of a write of what a stage derives
+    from the CSV at source, to path, as the case sets them up."""
     source = os.path.join(tmp, "source.csv")
+    path = os.path.join(tmp, "out.csv")
     X = rng.lognormal(0.0, 6.0, (rows, 3)) * rng.choice([-1.0, 1.0], (rows, 3))
     X[::3, 1] = np.round(X[::3, 1])
     X[:len(SPECIAL_FLOATS), 2] = SPECIAL_FLOATS[:rows]
     labels = rng.integers(0, 2, rows)
     ds = Dataset(X, labels, ("a", "b", "c"))
-    if case in ("smote prefix", "output is the source", "stale sidecar", "rewritten source"):
+    if case in ("smote prefix", "stale sidecar"):
         # the source's rows come first, then rows past the source
         write_dataset_csv(ds, source, rng.integers(0, 2, rows))
         extra = CHUNK_ROWS + 3
         out = Dataset(np.vstack([X, rng.lognormal(0.0, 3.0, (extra, 3))]),
                       np.concatenate([labels, np.zeros(extra, np.int64)]), ds.feature_names)
-        synthetic = np.repeat([0, 1], [rows, extra])
-        if case == "stale sidecar":
+        if case == "stale sidecar":  # written over a source its sidecar no longer fits
             with open(source, "rb") as fh:
                 data = fh.read()
             with open(source, "wb") as fh:
                 fh.write(data.replace(b"\r\n1", b"\r\n2", 1))
-        elif case == "rewritten source":
-            plan = flows._copy_plan
-
-            def rewriting(source, path):
-                planned = plan(source, path)
-                with open(source, "rb") as fh:
-                    data = fh.read()
-                with open(source, "wb") as fh:  # as long, but other cells
-                    fh.write(data.replace(b"1", b"3").replace(b"2", b"1").replace(b"3", b"2"))
-                return planned
-
-            monkeypatch.setattr(flows, "_copy_plan", rewriting)
-        return out, synthetic, source
+            path = source
+        return out, np.repeat([0, 1], [rows, extra]), source, path
     if case == "selected columns":
         write_dataset_csv(ds, source)
-        return ds.with_columns(("c", "a")), None, source
+        return ds.with_columns(("c", "a")), None, source, path
+    if case == "output is the source":  # read from its sidecar, written back over it
+        write_dataset_csv(ds, source, rng.integers(0, 2, rows))
+        return *read_dataset_csv(source), source, source
     # flow sources: ingest codes proto, cleanse drops rows with no value
     proto = np.array(cycled(["tcp", "udp", "x,y" if case == "quoted source" else "icmp"],
                             rows))
@@ -1324,46 +1304,61 @@ def copy_case(case: str, tmp: str, rng, rows: int, monkeypatch):
     codes = np.unique(proto, return_inverse=True)[1] + 1.0
     out = Dataset(np.column_stack([np.abs(X[:, 0]), codes, x])[keep], labels[keep],
                   ("pkts", "proto", "x"))
-    return out, None, source
+    return out, None, source, path
 
 
-COPY_CASES = ("smote prefix", "ingest substitution", "cleanse drops rows",
-              "selected columns", "stale sidecar", "quoted source",
-              "rewritten source", "output is the source")
+DERIVED_CASES = ("smote prefix", "ingest substitution", "cleanse drops rows",
+                 "selected columns", "stale sidecar", "quoted source",
+                 "output is the source")
 
 
-class TestCopiedCells:
-    """write_dataset_csv(..., source=...) writes the bytes it writes
-    without source, copying the cells source holds with the same value."""
+def written(path: str) -> tuple[bytes, bytes]:
+    """The bytes of the CSV at path and of its sidecar."""
+    with open(path, "rb") as fh, open(path + flows.SIDECAR_SUFFIX, "rb") as side:
+        return fh.read(), side.read()
+
+
+class TestDerivedWrites:
+    """write_dataset_csv of what a stage derives from a CSV writes the
+    bytes the dataset alone sets, whatever the source or the path held."""
 
     @settings(max_examples=30, deadline=None)
-    @given(case=st.sampled_from(COPY_CASES),
+    @given(case=st.sampled_from(DERIVED_CASES),
            rows=st.sampled_from((0, 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 1)),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(case="smote prefix", rows=2 * CHUNK_ROWS + 1, seed=0)
     @example(case="ingest substitution", rows=2 * CHUNK_ROWS + 1, seed=0)
     @example(case="cleanse drops rows", rows=2 * CHUNK_ROWS + 1, seed=0)
-    @example(case="rewritten source", rows=2 * CHUNK_ROWS + 1, seed=0)
+    @example(case="output is the source", rows=2 * CHUNK_ROWS + 1, seed=0)
     def test_the_bytes_do_not_depend_on_the_source(self, case, rows, seed):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(_pool, "WORKERS", 2)
-            out, synthetic, source = copy_case(case, tmp, np.random.default_rng(seed),
-                                               rows, patch)
-            path = source if case == "output is the source" else os.path.join(tmp, "out.csv")
-            write_dataset_csv(out, path, synthetic, source=source)
-            with open(path, "rb") as fh, open(path + flows.SIDECAR_SUFFIX, "rb") as side:
-                copied = fh.read(), side.read()
+            out, synthetic, source, path = derived_case(
+                case, tmp, np.random.default_rng(seed), rows)
             write_dataset_csv(out, path, synthetic)
-            with open(path, "rb") as fh, open(path + flows.SIDECAR_SUFFIX, "rb") as side:
-                assert copied == (fh.read(), side.read())
+            header = [*out.feature_names, "attack"] + ([] if synthetic is None
+                                                       else ["synthetic"])
+            expected = [[reference_cell(float(v)) for v in out.features[i]]
+                        + [str(out.labels[i])]
+                        + ([] if synthetic is None else [str(synthetic[i])])
+                        for i in range(out.n_rows)]
+            assert written(path)[0] == reference_bytes(header, expected)
+            from_sidecar = read_outcome(read_dataset_csv, path)
+            drop_sidecar(path)
+            assert from_sidecar == read_outcome(read_dataset_csv, path)
 
-    @pytest.mark.parametrize("case, copies", [
-        ("smote prefix", True), ("ingest substitution", True),
-        ("selected columns", True), ("stale sidecar", False),
-        ("quoted source", False), ("output is the source", False)])
-    def test_a_source_is_copied_from_only_as_it_was_written(self, tmp_path, monkeypatch,
-                                                            case, copies):
-        out, synthetic, source = copy_case(case, str(tmp_path), np.random.default_rng(0),
-                                           CHUNK_ROWS + 1, monkeypatch)
-        path = source if case == "output is the source" else str(tmp_path / "out.csv")
-        assert (flows._copy_plan(source, path) is not None) == copies
+    @pytest.mark.parametrize("case", DERIVED_CASES)
+    def test_a_write_over_its_source_is_a_fresh_write(self, tmp_path, monkeypatch, case):
+        # the CSV and its sidecar replace the source's, whether the output
+        # is longer, shorter, narrower or of the other format
+        monkeypatch.setattr(_pool, "WORKERS", 2)
+        out, synthetic, source, _ = derived_case(case, str(tmp_path),
+                                                 np.random.default_rng(0), CHUNK_ROWS + 1)
+        fresh = str(tmp_path / "fresh.csv")
+        write_dataset_csv(out, fresh, synthetic)
+        write_dataset_csv(out, source, synthetic)
+        assert written(source) == written(fresh)
+        assert read_outcome(read_dataset_csv, source) == read_outcome(read_dataset_csv, fresh)
+        assert sorted(os.listdir(tmp_path)) == [
+            "fresh.csv", "fresh.csv" + flows.SIDECAR_SUFFIX,
+            "source.csv", "source.csv" + flows.SIDECAR_SUFFIX]
